@@ -14,12 +14,11 @@ import click
 
 from . import __version__
 from .degrees import SpecialCase, degree_table
-from .oracle import sample_humbert_point, verify_component
+from .oracle import verify_component
 from .poly import ParseError, format_poly, parse_poly
-from .relations import (AmbiguousKernel, NoRelation, RelationReport,
-                        find_relation)
+from .relations import AmbiguousKernel, NoRelation, find_relation
 from .rosenhain import IntegralityViolation, rosenhain_triple
-from .s6 import Perm6, fixed_group, orbit
+from .s6 import fixed_group, orbit
 from .series import series_from_record, series_to_record
 from .theta import NotAdmissible, ThetaChar, humbert_params
 

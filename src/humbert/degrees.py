@@ -14,7 +14,7 @@ formula and the recursion reproduce the known degree table.
 import math
 from functools import lru_cache
 
-from .theta import NotAdmissible, humbert_params
+from .theta import humbert_params
 
 
 def sigma1(n):

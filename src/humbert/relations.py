@@ -436,11 +436,10 @@ def _modular_kernel(ros, basis, symmetry):
             nz = next(i for i in range(len(v)) if v[i])
             inv = pow(int(v[nz]), p - 2, p)
             vecs.append((v * inv) % p)
+    # a prime that lost rank shows a larger nullity; trust the smallest
+    # (never undercounts fatally since any accepted vector is rechecked
+    # exactly)
     dim = min(dims)
-    if dim != max(dims):
-        # a prime lost rank; trust the smaller nullity (never undercounts
-        # fatally since any accepted vector is rechecked exactly)
-        dim = min(dims)
     if dim != 1:
         return dim, None
     lifted = _lift_kernel_vector(vecs, [p for p, d in zip(primes, dims)

@@ -11,14 +11,13 @@ the last three coordinates give a triple of rational functions in e1, e2, e3.
 """
 
 import math
-import random
 from functools import lru_cache
 from itertools import permutations
 
 from .degrees import SpecialCase
 from .poly import (DegenerateOnly, MultiPoly, RationalTriple,
-                   _degenerate_list, _grlex_key, eval_complex, raw_add,
-                   raw_mul, raw_scale, substitute_rational, try_divide)
+                   _degenerate_list, _grlex_key, raw_add, raw_mul,
+                   raw_scale, substitute_rational, try_divide)
 from .theta import humbert_params
 
 SYMBOLS = ("0", "1", "inf", "e1", "e2", "e3")
@@ -228,111 +227,72 @@ def act(sigma, poly):
     return substitute_rational(poly, induced_map(sigma))
 
 
+# (0,1) and the 6-cycle (0,1,inf,e1,e2,e3) generate S6
+_S6_GENERATORS = (Perm6.parse("(0,1)"), Perm6.parse("(0,1,inf,e1,e2,e3)"))
+
+
+def _orbit_search(poly):
+    """Breadth-first search of the S6 orbit of poly over two generators.
+
+    Returns (root, rep, schreier).  root = act(identity, poly) is the
+    canonical form; rep maps each orbit element y to a coset representative
+    with act(rep[y], poly) == y; schreier holds the nontrivial Schreier
+    generators rep[y]^-1 * g * rep[x], which generate the stabilizer of root
+    (Schreier's lemma).  Both rest on act(s * t, f) == act(s, act(t, f)).
+    Costs one act per generator and orbit element, plus one for root.
+    Raises DegenerateOnly when poly has no factor off the degenerate loci.
+    """
+    identity = Perm6.identity()
+    root = act(identity, poly)
+    rep = {root: identity}
+    schreier = []
+    boundary = [root]
+    while boundary:
+        new = []
+        for x in boundary:
+            for g in _S6_GENERATORS:
+                y = act(g, x)
+                h = g * rep[x]
+                if y not in rep:
+                    rep[y] = h
+                    new.append(y)
+                elif h != rep[y]:
+                    schreier.append(rep[y].inverse() * h)
+        boundary = new
+    return root, rep, schreier
+
+
 def orbit(poly):
-    """The S6 orbit of a canonical component polynomial."""
-    out = {}
-    for sigma in all_perms():
-        try:
-            img = act(sigma, poly)
-        except DegenerateOnly:
-            continue
-        out[img] = sigma
-    return set(out)
+    """The S6 orbit of a component polynomial, as a set of canonical forms.
 
-
-def _surface_samples(poly, count=3, seed=0):
-    """Generic complex points on the hypersurface poly = 0.
-
-    Fixes two coordinates at random and solves the univariate slice for the
-    third.  Returns fewer than count points only if poly is constant in
-    every variable (impossible for a canonical MultiPoly of degree >= 1).
+    Exact: a breadth-first search from act(identity, poly) under the two
+    generators (0,1) and (0,1,inf,e1,e2,e3) of S6, so it costs 1 + 2 * size
+    calls to act.  Empty when poly is constant or degenerate-only.
     """
-    import numpy as np
-    var = next(v for v in range(3) if poly.degree_in(v) >= 1)
-    rng = random.Random(seed)
-    points = []
-    tries = 0
-    while len(points) < count and tries < 200:
-        tries += 1
-        others = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                  for _ in range(2)]
-        coeffs = [0.0] * (poly.degree_in(var) + 1)
-        for k, c in poly.terms.items():
-            rest = 1.0
-            oi = 0
-            for v in range(3):
-                if v != var:
-                    rest *= others[oi] ** k[v]
-                    oi += 1
-            coeffs[k[var]] += float(c) * rest
-        arr = np.array(coeffs[::-1], dtype=complex)
-        if abs(arr[0]) < 1e-9:
-            continue
-        for root in np.roots(arr):
-            pt = []
-            oi = 0
-            for v in range(3):
-                if v == var:
-                    pt.append(complex(root))
-                else:
-                    pt.append(others[oi])
-                    oi += 1
-            # keep well-conditioned points away from the degenerate loci
-            if max(abs(x) for x in pt) > 8:
-                continue
-            if any(abs(eval_complex(g, tuple(pt))) < 0.05
-                   for g in _degenerate_list()):
-                continue
-            points.append(tuple(pt))
-            break
-    return points
-
-
-def _maps_surface_to_itself(sigma, poly, points):
-    """Loose numeric test that the sigma image of poly = 0 stays on it.
-
-    The residual is measured against the termwise mass of poly at the image
-    point, so a small value means genuine cancellation.  The threshold is
-    loose on purpose: false positives cost one exact check, false negatives
-    would be wrong, and true stabilizers land many orders below it.
-    """
-    phi = induced_map(sigma)
-    for pt in points:
-        image = []
-        for num, den in zip(phi.nums, phi.dens):
-            d = eval_complex(den, pt)
-            if abs(d) < 1e-8:
-                return True  # cannot screen near a pole; decide exactly
-            image.append(eval_complex(num, pt) / d)
-        image = tuple(image)
-        mass = sum(abs(c) * abs(image[0]) ** k[0] * abs(image[1]) ** k[1]
-                   * abs(image[2]) ** k[2] for k, c in poly.terms.items())
-        if abs(eval_complex(poly, image)) > 1e-5 * (mass + 1.0):
-            return False
-    return True
+    try:
+        _, rep, _ = _orbit_search(poly)
+    except DegenerateOnly:
+        return set()
+    return set(rep)
 
 
 def fixed_group(poly):
     """All permutations fixing the canonical form of poly, as a set.
 
-    A cheap floating-point prescreen (does the induced coordinate change
-    map a few sampled points of the hypersurface back onto it?) rules out
-    the vast majority of the 720 permutations; survivors are confirmed by
-    the exact action, so the result is exact.
+    Exact: the breadth-first search of orbit() records a Schreier generator
+    for every generator step that lands on an image already found, and the
+    stabilizer is their closure.  A constant is fixed by all 720
+    permutations; a degenerate-only or non-canonical poly by none.
     """
     if poly.degree() == 0:
         return set(all_perms())
-    points = _surface_samples(poly)
-    out = set()
-    for sigma in all_perms():
-        if points and not _maps_surface_to_itself(sigma, poly, points):
-            continue
-        try:
-            if act(sigma, poly) == poly:
-                out.add(sigma)
-        except DegenerateOnly:
-            continue
-    return out
+    try:
+        root, _, schreier = _orbit_search(poly)
+    except DegenerateOnly:
+        return set()
+    if root != poly:
+        return set()
+    return mulclose(schreier)
 
 
 # generator sets quoted from the fixed-group classification

@@ -1,9 +1,11 @@
 """Tests for the S6 action on component polynomials."""
 
+import importlib.resources as ir
 import random
 
 import pytest
 
+from humbert import s6
 from humbert.poly import DegenerateOnly, MultiPoly, parse_poly
 from humbert.s6 import (Perm6, act, all_perms, fixed_group, induced_map,
                         mulclose, orbit, paper_generators)
@@ -96,7 +98,7 @@ def test_orbit_stabilizer_product():
 
 
 def test_orbit_stabilizer_product_randomized():
-    # one pass over the group gives both the orbit and the stabilizer
+    # one pass over all 720 gives the orbit and the stabilizer: the oracle
     perms = all_perms()
     done = 0
     while done < 200:
@@ -107,7 +109,7 @@ def test_orbit_stabilizer_product_randomized():
             continue
         f = MultiPoly(terms)
         images = set()
-        stab = 0
+        stab = set()
         degenerate = False
         for s in perms:
             try:
@@ -117,11 +119,42 @@ def test_orbit_stabilizer_product_randomized():
                 break
             images.add(img)
             if img == f:
-                stab += 1
+                stab.add(s)
         if degenerate:
             continue
-        assert len(images) * stab == 720
+        assert len(images) * len(stab) == 720
+        assert orbit(f) == images
+        assert fixed_group(f) == stab
         done += 1
+
+
+def test_orbit_and_fixed_group_edge_cases():
+    const = MultiPoly({(0, 0, 0): 3})
+    assert orbit(const) == set()
+    assert fixed_group(const) == set(all_perms())
+    # e1 - e2 lies on the degenerate loci only
+    degenerate = MultiPoly({(1, 0, 0): 1, (0, 1, 0): -1})
+    assert orbit(degenerate) == set()
+    assert fixed_group(degenerate) == set()
+    # e1*e2*(e1 - 2) is not canonical: its component is e1 - 2
+    factor = MultiPoly({(1, 0, 0): 1, (0, 0, 0): -2})
+    with_degenerate = MultiPoly({(2, 1, 0): 1, (1, 1, 0): -2})
+    assert orbit(with_degenerate) == orbit(factor)
+    assert fixed_group(with_degenerate) == set()
+
+
+def test_fixed_group_act_count(monkeypatch):
+    # one act for the root plus one per generator and orbit element
+    h12 = parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
+    calls = []
+
+    def counting_act(sigma, poly):
+        calls.append(sigma)
+        return act(sigma, poly)
+
+    monkeypatch.setattr(s6, "act", counting_act)
+    assert len(s6.fixed_group(h12)) == 48
+    assert len(calls) <= 1 + 2 * 15
 
 
 def test_fixed_group_is_a_group():
