@@ -7,6 +7,7 @@ throughout the package is equality of canonical forms.
 
 import heapq
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -60,13 +61,6 @@ def raw_mul(f, g):
 
 def raw_scale(f, c):
     return {k: v * c for k, v in f.items()} if c else {}
-
-
-def raw_pow(f, n):
-    out = {(0, 0, 0): 1}
-    for _ in range(n):
-        out = raw_mul(out, f)
-    return out
 
 
 class MultiPoly:
@@ -171,9 +165,10 @@ def eval_on_series(poly, rosenhain):
     """
     e1, e2, e3 = rosenhain.e1, rosenhain.e2, rosenhain.e3
     n = min(e1.precision, e2.precision, e3.precision)
-    pows1 = _power_ladder(e1, poly.degree_in(0))
-    pows2 = _power_ladder(e2, poly.degree_in(1))
-    pows3 = _power_ladder(e3, poly.degree_in(2))
+    pows1, pows2, pows3 = (
+        _powers(e, poly.degree_in(i), TruncatedSeries.one(e.precision),
+                operator.mul)
+        for i, e in enumerate((e1, e2, e3)))
     by_ab = {}
     for (a, b, c), coef in poly.terms.items():
         by_ab.setdefault((a, b), []).append((c, coef))
@@ -187,10 +182,11 @@ def eval_on_series(poly, rosenhain):
     return total
 
 
-def _power_ladder(f, d):
-    pows = [TruncatedSeries.one(f.precision)]
+def _powers(x, d, one, mul):
+    """[one, x, x^2, ..., x^d] under the product `mul`."""
+    pows = [one]
     for _ in range(d):
-        pows.append(pows[-1] * f)
+        pows.append(mul(pows[-1], x))
     return pows
 
 
@@ -363,8 +359,10 @@ def substitute_rational(poly, phi):
     factors supported on the degenerate loci).
     """
     d = [poly.degree_in(i) for i in range(3)]
-    num_pows = [_raw_power_ladder(phi.nums[i].terms, d[i]) for i in range(3)]
-    den_pows = [_raw_power_ladder(phi.dens[i].terms, d[i]) for i in range(3)]
+    num_pows = [_powers(phi.nums[i].terms, d[i], {(0, 0, 0): 1}, raw_mul)
+                for i in range(3)]
+    den_pows = [_powers(phi.dens[i].terms, d[i], {(0, 0, 0): 1}, raw_mul)
+                for i in range(3)]
     # per-variable factors num_i^e * den_i^(deg_i - e); prefix products over
     # the first two variables are shared across terms with equal (a, b)
     z = [[raw_mul(num_pows[i][e], den_pows[i][d[i] - e])
@@ -395,13 +393,6 @@ def substitute_rational(poly, phi):
     if not total:
         raise ZeroPolynomial("substitution vanishes identically")
     return strip_degenerate_factors(MultiPoly(total))
-
-
-def _raw_power_ladder(terms, d):
-    pows = [{(0, 0, 0): 1}]
-    for _ in range(d):
-        pows.append(raw_mul(pows[-1], terms))
-    return pows
 
 
 # -- text format --------------------------------------------------------

@@ -3,11 +3,14 @@
 Evaluate all monomials of degree at most d in the Rosenhain expansions and
 find the linear dependency between their coefficient vectors, exactly.
 
-The kernel may be computed through a multi-modular fast path (nullspace mod
-a few word-size primes, CRT lift, rational reconstruction), but a candidate
-relation is only ever accepted after an exact recheck: the reconstructed
-polynomial must evaluate to the identical zero series, and a mandatory
-confirmation pass repeats that on a fresh triple at precision N + 8.
+The kernel is computed modulo word-size primes.  The nullity mod p is never
+below the nullity over Q, so a prime with nullity 0 proves that there is no
+relation, and a prime with nullity 1 bounds the rational nullity by 1.  A
+one-dimensional kernel is lifted by CRT and rational reconstruction from
+three primes, and from up to six when that fails, which reconstructs
+coefficient ratios up to about 2^59.  A candidate relation is only ever
+accepted after an exact recheck in integers: it must evaluate to the
+identical zero series at precision N, and again on a fresh triple at N + 8.
 """
 
 import math
@@ -21,7 +24,8 @@ from .rosenhain import rosenhain_triple
 from .theta import NotAdmissible, humbert_params
 
 # primes just above 2^20, small enough that mod-p convolutions accumulate
-# without int64 overflow
+# without int64 overflow (`_grid_mul` and `_nullspace_mod` assert it); the
+# first three are always used, the others only when reconstruction fails
 _PRIMES = (1048583, 1048589, 1048601, 1048609, 1048613, 1048627)
 
 
@@ -123,100 +127,6 @@ def default_precision(d):
     return 4 * root + 8
 
 
-def _monomial_rows_exact(rosenhain, basis, symmetry):
-    """Exact coefficient rows (dicts keyed by exponent pair), one per basis
-    element, orbit-summed under the symmetry."""
-    heights = [max(k[i] for k in basis) for i in range(3)]
-    if symmetry == "e1e2":
-        heights[0] = heights[1] = max(heights[0], heights[1])
-    pows = [_ladder(e, heights[i])
-            for i, e in enumerate(rosenhain.series())]
-    rows = []
-    for (a, b, c) in basis:
-        s = pows[0][a] * pows[1][b] * pows[2][c]
-        terms = dict(s.terms)
-        if symmetry == "e1e2" and a != b:
-            t = pows[0][b] * pows[1][a] * pows[2][c]
-            for k, v in t.terms.items():
-                nv = terms.get(k, 0) + v
-                if nv:
-                    terms[k] = nv
-                elif k in terms:
-                    del terms[k]
-        rows.append(terms)
-    return rows
-
-
-def _ladder(f, d):
-    pows = [None] * (d + 1)
-    pows[0] = f.__class__.one(f.precision)
-    for i in range(1, d + 1):
-        pows[i] = pows[i - 1] * f
-    return pows
-
-
-def build_matrix(rosenhain, basis, symmetry=None):
-    """Exact sparse matrix: one row per basis monomial, columns indexed by
-    the union of occurring exponent pairs (sorted).  Returns (rows, columns)
-    where rows are dense lists of integers."""
-    if not basis:
-        raise ValueError("basis must be nonempty")
-    row_dicts = _monomial_rows_exact(rosenhain, basis, symmetry)
-    columns = sorted(set().union(*row_dicts) if row_dicts else set())
-    col_index = {c: i for i, c in enumerate(columns)}
-    rows = []
-    for terms in row_dicts:
-        row = [0] * len(columns)
-        for k, v in terms.items():
-            row[col_index[k]] = v
-        rows.append(row)
-    return rows, columns
-
-
-def kernel(rows):
-    """Basis of the left nullspace of the row matrix, exactly.
-
-    Vectors v with sum_i v[i] * rows[i] = 0, scaled to coprime integers with
-    positive first nonzero entry, in a deterministic order.
-    """
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    # nullspace of the transpose: columns of the row-matrix give equations
-    mat = [[Fraction(rows[i][j]) for i in range(m)] for j in range(n)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pivot = None
-        for i in range(r, n):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -mat[ri][fc]
-        basis.append(_to_coprime(v))
-    return basis
-
-
 def _to_coprime(vec):
     den = 1
     for x in vec:
@@ -231,7 +141,7 @@ def _to_coprime(vec):
     return [x // g for x in ints]
 
 
-# -- multi-modular fast path ---------------------------------------------
+# -- the kernel modulo word-size primes -----------------------------------
 
 
 def _series_to_grid(f, n, p):
@@ -243,6 +153,8 @@ def _series_to_grid(f, n, p):
 
 def _grid_mul(f, g, p):
     n = f.shape[0]
+    # each entry of `out` sums at most n*n products of residues below p
+    assert n * n * (p - 1) ** 2 < 2 ** 63, "int64 overflow in _grid_mul"
     out = np.zeros((n, n), dtype=np.int64)
     idx = np.argwhere(f)
     if len(idx) > np.count_nonzero(g):
@@ -283,6 +195,8 @@ def _monomial_rows_mod(rosenhain, basis, symmetry, p):
 
 def _nullspace_mod(mat, p):
     """Right-nullspace basis of mat (equations x unknowns) over GF(p)."""
+    # a row update a - col * pivot_row stays within (p-1)^2 + p in magnitude
+    assert (p - 1) ** 2 + p < 2 ** 63, "int64 overflow in _nullspace_mod"
     a = mat % p
     n_rows, n_cols = a.shape
     pivots = []
@@ -367,8 +281,7 @@ def _poly_from_vector(vec, basis, symmetry):
     return MultiPoly(terms)
 
 
-def find_relation(delta, degree, precision=None, symmetry=None,
-                  use_modular=None):
+def find_relation(delta, degree, precision=None, symmetry=None):
     """Search for the degree-`degree` relation among the Rosenhain series.
 
     Returns a RelationReport with the canonical polynomial when the kernel
@@ -383,8 +296,7 @@ def find_relation(delta, degree, precision=None, symmetry=None,
     if delta < 4:
         raise NotAdmissible("relation finding needs delta >= 4")
     if precision is not None:
-        return _find_relation_at(disc, degree, precision, symmetry,
-                                 use_modular)
+        return _find_relation_at(disc, degree, precision, symmetry)
     # the (N/4)^2 column heuristic undershoots for some discriminants, and
     # an undersized N only ever shows up as a too-large kernel; escalate
     # until the kernel is separated (every accepted vector is still
@@ -393,7 +305,7 @@ def find_relation(delta, degree, precision=None, symmetry=None,
     last = None
     for _ in range(4):
         try:
-            return _find_relation_at(disc, degree, n, symmetry, use_modular)
+            return _find_relation_at(disc, degree, n, symmetry)
         except ImprimitiveKernel:
             raise  # more precision leaves this kernel as it is
         except AmbiguousKernel as exc:
@@ -402,21 +314,12 @@ def find_relation(delta, degree, precision=None, symmetry=None,
     raise last
 
 
-def _find_relation_at(disc, degree, precision, symmetry, use_modular):
+def _find_relation_at(disc, degree, precision, symmetry):
     delta = disc.delta
     n = precision
     basis = monomial_basis(degree, symmetry)
-    if use_modular is None:
-        use_modular = len(basis) > 150 or n > 80
     ros = rosenhain_triple(disc, n)
-
-    if use_modular:
-        dim, vec = _modular_kernel(ros, basis, symmetry)
-    else:
-        rows, _ = build_matrix(ros, basis, symmetry)
-        ker = kernel(rows)
-        dim = len(ker)
-        vec = ker[0] if dim == 1 else None
+    dim, vec = _modular_kernel(ros, basis, symmetry)
 
     report = RelationReport(disc=disc, degree=degree, precision=n,
                             kernel_dim=dim,
@@ -426,19 +329,20 @@ def _find_relation_at(disc, degree, precision, symmetry, use_modular):
         raise NoRelation("no relation of degree %d for delta=%d at N=%d"
                          % (degree, delta, n))
     if dim > 1:
-        raise _ambiguity(disc, degree, n, dim, symmetry, use_modular)
+        raise _ambiguity(disc, degree, n, dim, symmetry)
     poly = _poly_from_vector(vec, basis, symmetry)
     if poly is None:
         raise NoRelation("kernel vector cancelled to the zero polynomial")
 
-    # exact residual check at the working precision
-    ok_n = _vanishes(poly, ros)
-    report.residual_checks.append((n, ok_n))
-    # mandatory confirmation on a fresh triple at N + 8
-    ros2 = rosenhain_triple(disc, n + 8)
-    ok_n8 = _vanishes(poly, ros2)
-    report.residual_checks.append((n + 8, ok_n8))
-    if not (ok_n and ok_n8):
+    # exact residual check at the working precision, then a mandatory
+    # confirmation on a fresh triple at N + 8 (only worth building when the
+    # first check passed)
+    ok = _vanishes(poly, ros)
+    report.residual_checks.append((n, ok))
+    if ok:
+        ok = _vanishes(poly, rosenhain_triple(disc, n + 8))
+        report.residual_checks.append((n + 8, ok))
+    if not ok:
         raise AmbiguousKernel(
             "candidate relation of degree %d for delta=%d failed the exact "
             "recheck at N=%d; precision too small for a trustworthy kernel"
@@ -447,17 +351,18 @@ def _find_relation_at(disc, degree, precision, symmetry, use_modular):
     return report
 
 
-def _ambiguity(disc, degree, n, dim, symmetry, use_modular):
+def _ambiguity(disc, degree, n, dim, symmetry):
     """The error for nullity `dim` > 1: ImprimitiveKernel if `dim` is
     exactly the count of multiples of an exactly rechecked relation of
     lower degree k, else AmbiguousKernel.
 
     The multiples m*g with deg m <= degree - k are independent and vanish
     wherever g does, so they bound the rational nullity from below by
-    len(monomial_basis(degree - k)).  The computed nullity is exact on the
-    Fraction path and no smaller on the modular one; when it equals that
-    count the kernel is exactly the multiples of g.  The counts strictly
-    decrease in k, so at most one k matches.
+    len(monomial_basis(degree - k)).  `dim` is the smallest nullity mod p
+    over the primes tried, and a nullity mod p is never below the rational
+    one, so `dim` bounds it from above; when `dim` equals that count the
+    kernel is exactly the multiples of g.  The counts strictly decrease in
+    k, so at most one k matches.
     """
     fields = dict(kernel_dim=dim, degree=degree, delta=disc.delta,
                   precision=n)
@@ -466,8 +371,7 @@ def _ambiguity(disc, degree, n, dim, symmetry, use_modular):
     k = counts.get(dim)
     if k is not None:
         try:
-            factor = _find_relation_at(disc, k, n, symmetry,
-                                       use_modular).polynomial
+            factor = _find_relation_at(disc, k, n, symmetry).polynomial
         except (NoRelation, AmbiguousKernel):
             pass
         else:
@@ -488,30 +392,39 @@ def _vanishes(poly, ros):
 
 
 def _modular_kernel(ros, basis, symmetry):
-    """Kernel dimension and (dim 1 only) lifted integer vector, mod primes."""
-    primes = _PRIMES[:3]
-    vecs = []
-    dims = []
-    for p in primes:
+    """Nullity and (nullity 1 only) the lifted integer kernel vector.
+
+    The nullity mod p is never below the rational one, so the first prime
+    with nullity 0 settles the answer, and the smallest nullity seen over
+    the first three primes is reported.  A prime that lost rank shows a
+    larger nullity and is left out of the lift.  When rational
+    reconstruction fails, the remaining primes of `_PRIMES` are added one at
+    a time before giving up; the lifted vector is rechecked exactly by the
+    caller either way.
+    """
+    dims, vecs, lift_primes = [], [], []
+    for p in _PRIMES:
         mat = _monomial_rows_mod(ros, basis, symmetry, p)
         # unknowns are the monomial coefficients: solve mat^T v = 0 with
         # equations indexed by series coefficients
         ker = _nullspace_mod(mat.T, p)
+        if not ker:
+            return 0, None
         dims.append(len(ker))
         if len(ker) == 1:
             v = ker[0]
             nz = next(i for i in range(len(v)) if v[i])
             inv = pow(int(v[nz]), p - 2, p)
             vecs.append((v * inv) % p)
-    # a prime that lost rank shows a larger nullity; trust the smallest
-    # (never undercounts fatally since any accepted vector is rechecked
-    # exactly)
-    dim = min(dims)
-    if dim != 1:
-        return dim, None
-    lifted = _lift_kernel_vector(vecs, [p for p, d in zip(primes, dims)
-                                        if d == 1])
-    if lifted is None:
-        raise AmbiguousKernel("rational reconstruction failed; kernel not "
-                              "stable across primes")
-    return 1, lifted
+            lift_primes.append(p)
+        elif len(dims) > 3:
+            continue  # a prime that lost rank adds nothing to the lift
+        if len(dims) < 3:
+            continue
+        if min(dims) != 1:
+            return min(dims), None
+        lifted = _lift_kernel_vector(vecs, lift_primes)
+        if lifted is not None:
+            return 1, lifted
+    raise AmbiguousKernel("rational reconstruction failed with %d primes; "
+                          "kernel not stable across primes" % len(_PRIMES))

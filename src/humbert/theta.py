@@ -76,11 +76,6 @@ class ThetaChar:
             raise ValueError("characteristic must be four bits, e.g. 1100")
         return cls(*(int(ch) for ch in s))
 
-    @property
-    def index(self):
-        inv = {v: k for k, v in THETA_CHARS.items()}
-        return inv[(self.a, self.b, self.c, self.d)]
-
 
 def enumerate_lattice(char, disc, precision):
     """Yield (x1, x2, sign, p_exp, q_exp) for all terms below the truncation.
@@ -127,27 +122,13 @@ def enumerate_lattice(char, disc, precision):
         for x1 in x1s:
             u = 2 * x1 + a
             p_exp = u * u
-            for x2 in _x2_for_q(u, b, n):
+            for x2 in x_range(1, u + b):
                 v = 2 * x2 + b
                 q_exp = (u + v) ** 2
                 if q_exp >= n:
                     continue
                 sign = -1 if (x1 * c + x2 * d) % 2 else 1
                 yield (x1, x2, sign, p_exp, q_exp)
-
-
-def _x2_for_q(u, b, n):
-    # all x2 with (u + 2*x2 + b)^2 < n
-    out = []
-    x = 0
-    while (u + 2 * x + b) ** 2 < n:
-        out.append(x)
-        x += 1
-    x = -1
-    while (u + 2 * x + b) ** 2 < n:
-        out.append(x)
-        x -= 1
-    return sorted(out)
 
 
 def restricted_theta(char, disc, precision):
