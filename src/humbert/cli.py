@@ -6,9 +6,7 @@ search at), 4 verification failure, 5 parse error, 6 internal consistency
 failure.
 """
 
-import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,7 +20,7 @@ from .relations import (AmbiguousKernel, ImprimitiveKernel, NoRelation,
                         find_relation)
 from .rosenhain import IntegralityViolation, rosenhain_triple
 from .s6 import fixed_group, orbit
-from .series import series_from_record, series_to_record
+from .series import series_to_record
 from .theta import NotAdmissible, ThetaChar, humbert_params
 
 SCHEMA = "humbert/1"
@@ -33,43 +31,6 @@ EXIT_AMBIGUOUS = 3
 EXIT_VERIFY_FAIL = 4
 EXIT_PARSE = 5
 EXIT_INTERNAL = 6
-
-
-def _cache_dir():
-    root = os.environ.get("HUMBERT_CACHE_DIR",
-                          os.path.join(os.path.expanduser("~"), ".cache",
-                                       "humbert"))
-    return Path(root)
-
-
-def _cache_path(delta, precision):
-    key = "rosenhain_%d_%d_%s" % (delta, precision, __version__)
-    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return _cache_dir() / ("%s_%s.json" % (key, digest))
-
-
-def _cached_triple(delta, precision):
-    path = _cache_path(delta, precision)
-    if path.is_file():
-        rec = json.loads(path.read_text())
-        from .rosenhain import RosenhainSeries
-        return RosenhainSeries(
-            series_from_record(rec["e1"]), series_from_record(rec["e2"]),
-            series_from_record(rec["e3"]), humbert_params(rec["delta"]),
-            rec["precision"])
-    triple = rosenhain_triple(humbert_params(delta), precision)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": SCHEMA, "delta": delta, "precision": precision,
-            "e1": series_to_record(triple.e1),
-            "e2": series_to_record(triple.e2),
-            "e3": series_to_record(triple.e3),
-        }
-        path.write_text(json.dumps(payload))
-    except OSError:
-        pass  # cache is best-effort
-    return triple
 
 
 def _emit(text, out):
@@ -127,7 +88,7 @@ def theta(delta, precision, char_bits, out):
 def rosenhain(delta, precision, out):
     """Rosenhain invariant expansions (e1, e2, e3) on H_Delta."""
     disc = humbert_params(delta)
-    triple = _cached_triple(delta, precision)
+    triple = rosenhain_triple(disc, precision)
     payload = {
         "schema": SCHEMA, "delta": delta, "k": disc.k, "ell": disc.ell,
         "precision": precision,

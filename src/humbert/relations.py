@@ -10,7 +10,8 @@ one-dimensional kernel is lifted by CRT and rational reconstruction from
 three primes, and from up to six when that fails, which reconstructs
 coefficient ratios up to about 2^59.  A candidate relation is only ever
 accepted after an exact recheck in integers: it must evaluate to the
-identical zero series at precision N, and again on a fresh triple at N + 8.
+identical zero series on a fresh triple at N + 8, and so also at the
+kernel's precision N.
 """
 
 import math
@@ -39,17 +40,19 @@ class AmbiguousKernel(RuntimeError):
     Either the kernel dimension `kernel_dim` exceeds 1, because the
     precision is too small or the relation has a lower degree, or a
     candidate could not be trusted (rational reconstruction or the exact
-    recheck failed; `kernel_dim` is then None).  The other fields are None
-    where they are not known.
+    recheck failed; `kernel_dim` is then None).  After a failed recheck,
+    `residual_checks` holds its (N, passed) pairs for the kernel's N and for
+    N + 8.  The other fields are None where they are not known.
     """
 
     def __init__(self, message, kernel_dim=None, degree=None, delta=None,
-                 precision=None):
+                 precision=None, residual_checks=None):
         super().__init__(message)
         self.kernel_dim = kernel_dim
         self.degree = degree
         self.delta = delta
         self.precision = precision
+        self.residual_checks = residual_checks
 
 
 class ImprimitiveKernel(AmbiguousKernel):
@@ -296,7 +299,8 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     if delta < 4:
         raise NotAdmissible("relation finding needs delta >= 4")
     if precision is not None:
-        return _find_relation_at(disc, degree, precision, symmetry)
+        return _find_relation_on(rosenhain_triple(disc, precision),
+                                 degree, symmetry)
     # the (N/4)^2 column heuristic undershoots for some discriminants, and
     # an undersized N only ever shows up as a too-large kernel; escalate
     # until the kernel is separated (every accepted vector is still
@@ -305,7 +309,8 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     last = None
     for _ in range(4):
         try:
-            return _find_relation_at(disc, degree, n, symmetry)
+            return _find_relation_on(rosenhain_triple(disc, n), degree,
+                                     symmetry)
         except ImprimitiveKernel:
             raise  # more precision leaves this kernel as it is
         except AmbiguousKernel as exc:
@@ -314,11 +319,11 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     raise last
 
 
-def _find_relation_at(disc, degree, precision, symmetry):
+def _find_relation_on(ros, degree, symmetry):
+    """One search at the precision of the Rosenhain triple `ros`."""
+    disc, n = ros.disc, ros.precision
     delta = disc.delta
-    n = precision
     basis = monomial_basis(degree, symmetry)
-    ros = rosenhain_triple(disc, n)
     dim, vec = _modular_kernel(ros, basis, symmetry)
 
     report = RelationReport(disc=disc, degree=degree, precision=n,
@@ -329,32 +334,36 @@ def _find_relation_at(disc, degree, precision, symmetry):
         raise NoRelation("no relation of degree %d for delta=%d at N=%d"
                          % (degree, delta, n))
     if dim > 1:
-        raise _ambiguity(disc, degree, n, dim, symmetry)
+        raise _ambiguity(ros, degree, dim, symmetry)
     poly = _poly_from_vector(vec, basis, symmetry)
     if poly is None:
         raise NoRelation("kernel vector cancelled to the zero polynomial")
 
-    # exact residual check at the working precision, then a mandatory
-    # confirmation on a fresh triple at N + 8 (only worth building when the
-    # first check passed)
-    ok = _vanishes(poly, ros)
-    report.residual_checks.append((n, ok))
-    if ok:
-        ok = _vanishes(poly, rosenhain_triple(disc, n + 8))
-        report.residual_checks.append((n + 8, ok))
-    if not ok:
+    # exact recheck at N and on a fresh triple at N + 8, from one evaluation:
+    # the N + 8 triple truncates to the kernel's triple, so the value at N
+    # is the truncation of the value at N + 8
+    fresh = rosenhain_triple(disc, n + 8)
+    cut = tuple(e.truncate(n) for e in fresh.series())
+    assert cut == ros.series(), "N + 8 triple does not truncate to N's"
+    value = eval_on_series(poly, fresh)
+    report.residual_checks = [(n, value.truncate(n).is_zero()),
+                              (n + 8, value.is_zero())]
+    failed = [m for m, ok in report.residual_checks if not ok]
+    if failed:
         raise AmbiguousKernel(
-            "candidate relation of degree %d for delta=%d failed the exact "
-            "recheck at N=%d; precision too small for a trustworthy kernel"
-            % (degree, delta, n), degree=degree, delta=delta, precision=n)
+            "candidate relation of degree %d for delta=%d from the kernel at "
+            "N=%d failed the exact recheck at N=%d; precision too small for "
+            "a trustworthy kernel" % (degree, delta, n, failed[0]),
+            degree=degree, delta=delta, precision=n,
+            residual_checks=report.residual_checks)
     report.polynomial = poly
     return report
 
 
-def _ambiguity(disc, degree, n, dim, symmetry):
-    """The error for nullity `dim` > 1: ImprimitiveKernel if `dim` is
-    exactly the count of multiples of an exactly rechecked relation of
-    lower degree k, else AmbiguousKernel.
+def _ambiguity(ros, degree, dim, symmetry):
+    """The error for nullity `dim` > 1 on the triple `ros`: ImprimitiveKernel
+    if `dim` is exactly the count of multiples of an exactly rechecked
+    relation of lower degree k, else AmbiguousKernel.
 
     The multiples m*g with deg m <= degree - k are independent and vanish
     wherever g does, so they bound the rational nullity from below by
@@ -364,6 +373,7 @@ def _ambiguity(disc, degree, n, dim, symmetry):
     kernel is exactly the multiples of g.  The counts strictly decrease in
     k, so at most one k matches.
     """
+    disc, n = ros.disc, ros.precision
     fields = dict(kernel_dim=dim, degree=degree, delta=disc.delta,
                   precision=n)
     counts = {len(monomial_basis(degree - k, symmetry)): k
@@ -371,7 +381,7 @@ def _ambiguity(disc, degree, n, dim, symmetry):
     k = counts.get(dim)
     if k is not None:
         try:
-            factor = _find_relation_at(disc, k, n, symmetry).polynomial
+            factor = _find_relation_on(ros, k, symmetry).polynomial
         except (NoRelation, AmbiguousKernel):
             pass
         else:
@@ -385,10 +395,6 @@ def _ambiguity(disc, degree, n, dim, symmetry):
         "kernel dimension %d at degree %d for delta=%d at N=%d; the "
         "precision is too small or the relation has a lower degree"
         % (dim, degree, disc.delta, n), **fields)
-
-
-def _vanishes(poly, ros):
-    return eval_on_series(poly, ros).is_zero()
 
 
 def _modular_kernel(ros, basis, symmetry):

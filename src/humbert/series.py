@@ -91,6 +91,13 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.precision, frozenset(self.terms.items())))
 
+    def truncate(self, precision):
+        """The image modulo (p^n, q^n) for n = `precision` <= N."""
+        if precision > self.precision:
+            raise ValueError("cannot raise precision %d to %d"
+                             % (self.precision, precision))
+        return TruncatedSeries(self.terms, precision)
+
     def __repr__(self):
         n = len(self.terms)
         return "TruncatedSeries(N=%d, %d terms)" % (self.precision, n)

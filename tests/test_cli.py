@@ -70,6 +70,17 @@ def test_parse_error_exit_code(tmp_path):
     assert res.returncode == 5
 
 
+def test_verify_accepts_explicit_star(tmp_path):
+    poly = tmp_path / "h4.txt"
+    poly.write_text("e_1*e_2 - e_3")
+    res = run_cli(["verify", "--in", str(poly), "--disc", "4",
+                   "--trials", "5"])
+    assert res.returncode == 0, res.stderr
+    poly.write_text("e_1**e_2 - e_3")
+    res = run_cli(["verify", "--in", str(poly), "--disc", "4"])
+    assert res.returncode == 5
+
+
 def test_verify_pass_and_fail(tmp_path):
     poly = tmp_path / "h4.txt"
     poly.write_text("e_1e_2 - e_3")
@@ -96,13 +107,21 @@ def test_orbit_and_fixgroup(tmp_path):
     assert json.loads(res.stdout)["order"] == 48
 
 
-def test_rosenhain_cache_byte_identity(tmp_path):
-    cache = tmp_path / "cache"
-    env = {"HUMBERT_CACHE_DIR": str(cache)}
+def test_rosenhain_output_byte_identity(tmp_path):
+    # two runs print the same bytes, those of the library's triple, and
+    # write nothing where the retired on-disk cache used to go
+    from humbert.rosenhain import rosenhain_triple
+    from humbert.series import series_to_record
+    from humbert.theta import humbert_params
+    env = {"HUMBERT_CACHE_DIR": str(tmp_path / "cache")}
     args = ["rosenhain", "--disc", "5", "--prec", "16"]
     first = run_cli(args, env_extra=env)
     assert first.returncode == 0
-    assert list(cache.glob("*.json")), "cache miss should write an entry"
     second = run_cli(args, env_extra=env)
     assert second.returncode == 0
     assert first.stdout == second.stdout
+    payload = json.loads(first.stdout)
+    triple = rosenhain_triple(humbert_params(5), 16)
+    for name in ("e1", "e2", "e3"):
+        assert payload[name] == series_to_record(getattr(triple, name))
+    assert not (tmp_path / "cache").exists()

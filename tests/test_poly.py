@@ -5,13 +5,17 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from humbert.poly import (DegenerateOnly, MultiPoly, ParseError,
                           RationalTriple, ZeroPolynomial, degenerate_factors,
                           eval_complex, eval_on_series, format_poly,
-                          normalize, parse_poly, strip_degenerate_factors,
+                          parse_poly, strip_degenerate_factors,
                           substitute_rational, try_divide)
+from humbert.rosenhain import rosenhain_triple
 from humbert.series import TruncatedSeries
+from humbert.theta import humbert_params
 
 rng = random.Random(424242)
 
@@ -76,6 +80,73 @@ def test_eval_on_series_is_ring_homomorphism():
                 == rhs)
 
 
+def _naive_eval(f, triple):
+    """sum of coef * e1^a * e2^b * e3^c, each power by repeated products."""
+    es = (triple.e1, triple.e2, triple.e3)
+    n = min(e.precision for e in es)
+    total = TruncatedSeries.zero(n)
+    for (a, b, c), coef in f.terms.items():
+        term = TruncatedSeries.constant(coef, n)
+        for e, k in zip(es, (a, b, c)):
+            for _ in range(k):
+                term = term * e
+        total = total + term
+    return total
+
+
+_PRECISION = st.shared(st.integers(1, 7), key="precision")
+_SERIES = _PRECISION.flatmap(lambda n: st.builds(
+    TruncatedSeries,
+    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    st.integers(-5, 5), max_size=8),
+    st.just(n)))
+_TRIPLES = st.builds(lambda e1, e2, e3: SimpleNamespace(e1=e1, e2=e2, e3=e3),
+                     _SERIES, _SERIES, _SERIES)
+_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 4)] * 3), st.integers(-30, 30).filter(bool),
+    min_size=1, max_size=12).map(MultiPoly)
+# distinct units with constant term 1
+_UNITS = SimpleNamespace(
+    e1=TruncatedSeries({(0, 0): 1, (1, 0): 2, (0, 3): -1}, 5),
+    e2=TruncatedSeries({(0, 0): 1, (0, 1): -3}, 5),
+    e3=TruncatedSeries({(0, 0): 1, (2, 2): 4, (4, 1): 1}, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POLYS, _TRIPLES)
+@example(MultiPoly({(0, 0, 0): 7}), _UNITS)                 # constant
+@example(MultiPoly({(0, 3, 1): 2, (0, 0, 2): -1}), _UNITS)  # free of e1
+@example(MultiPoly({(2, 0, 4): 3, (1, 0, 0): 1}), _UNITS)   # free of e2
+@example(MultiPoly({(4, 0, 0): 1, (0, 0, 0): 5}), _UNITS)   # only e1
+def test_eval_on_series_matches_naive_powers(f, triple):
+    value = eval_on_series(f, triple)
+    assert value == _naive_eval(f, triple)
+    if f.is_constant():
+        assert value.terms == {(0, 0): f.terms[(0, 0, 0)]}
+    if triple is _UNITS:
+        # the constant term of the value is the coefficient sum, non-zero
+        # in each example
+        assert value.constant_term() == sum(f.terms.values()) != 0
+
+
+def test_eval_on_series_product_count(monkeypatch):
+    # Horner costs max(d3 - 1, 0) + sum_a B_a + d1 products: 70 for h12,
+    # where one product per term and per (a, b) prefix took 304
+    import importlib.resources as ir
+    h12 = parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
+    triple = rosenhain_triple(humbert_params(12), 24)
+    calls = []
+    mul = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    assert eval_on_series(h12, triple).is_zero()
+    assert len(calls) <= 70
+
+
 def _raw_mul_terms(f, g):
     out = {}
     for (a1, b1, c1), x in f.items():
@@ -116,6 +187,10 @@ def test_parse_variants():
     assert parse_poly("e_{1}^{2} - e_{2}") == f
     assert parse_poly("-e_2 + e_1^2") == f
     assert parse_poly("2e_1e_2e_3") == MultiPoly({(1, 1, 1): 2})
+    # an explicit "*" may join factors and follow an integer
+    assert parse_poly("e_1*e_1 - e_2") == f
+    assert parse_poly("2*e_1 * e_2*e_3^{2} - e_3") == MultiPoly(
+        {(1, 1, 2): 2, (0, 0, 1): -1})
 
 
 def test_parse_errors_carry_position():
@@ -125,6 +200,12 @@ def test_parse_errors_carry_position():
         parse_poly("e_1^")
     with pytest.raises(ParseError):
         parse_poly("")
+    # a "*" needs a factor or integer on its left and a factor on its right
+    for text, pos in (("*e_1", 0), ("e_1 - *e_2", 6), ("e_1*", 3),
+                      ("e_1* - e_2", 3), ("e_1**e_2", 3), ("2*3", 1)):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert info.value.pos == pos, text
 
 
 def test_fixture_round_trip():

@@ -115,6 +115,8 @@ def test_delta4_degree2_relation_is_product_formula():
     assert report.kernel_dim == 1
     assert report.polynomial == MultiPoly(
         {(1, 1, 0): 1, (0, 0, 1): -1})  # e1 e2 - e3
+    n = report.precision
+    assert report.residual_checks == [(n, True), (n + 8, True)]
 
 
 def test_below_true_degree_raises_no_relation():
@@ -139,6 +141,34 @@ def test_explicit_overgenerous_degree_is_ambiguous():
         find_relation(4, 4)
     assert info.value.precision == 48
     assert info.value.factor == h4
+
+
+def test_imprimitive_search_reuses_the_callers_triple(monkeypatch):
+    # the degree-2 factor search runs on the N=48 triple already built; only
+    # its N + 8 confirmation triple is new
+    built = []
+    triple = relations.rosenhain_triple
+
+    def logging(disc, precision):
+        built.append(precision)
+        return triple(disc, precision)
+
+    monkeypatch.setattr(relations, "rosenhain_triple", logging)
+    with pytest.raises(ImprimitiveKernel) as info:
+        find_relation(4, 4, precision=48)
+    assert info.value.factor == MultiPoly({(1, 1, 0): 1, (0, 0, 1): -1})
+    assert built == [48, 56]
+
+
+def test_recheck_failure_names_the_failing_precision():
+    # the N=60 kernel vector for Delta=12, degree 8 (e1e2) vanishes to
+    # N=60 but not on the N + 8 triple
+    with pytest.raises(AmbiguousKernel) as info:
+        find_relation(12, 8, symmetry="e1e2", precision=60)
+    assert type(info.value) is AmbiguousKernel
+    assert info.value.residual_checks == [(60, True), (68, False)]
+    assert info.value.precision == 60
+    assert "exact recheck at N=68" in str(info.value)
 
 
 def test_unmatched_nullity_stays_plain_ambiguous():
