@@ -47,7 +47,8 @@ def main():
 
 
 @main.command()
-@click.option("--max", "max_delta", type=int, default=24, show_default=True)
+@click.option("--max", "max_delta", type=click.IntRange(min=1), default=24,
+              show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def degrees(max_delta, as_json):
     """Component counts and degrees for admissible discriminants."""
@@ -159,8 +160,10 @@ def fixgroup(infile, as_json, out):
 @main.command()
 @click.option("--in", "infile", type=click.Path(exists=True), required=True)
 @click.option("--disc", "delta", type=int, required=True)
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--tol", type=float, default=1e-6, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=20,
+              show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True),
+              default=1e-6, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -185,7 +188,7 @@ def _wrap_errors(fn):
         try:
             fn(standalone_mode=False)
         except click.UsageError as exc:
-            click.echo("usage error: %s" % exc, err=True)
+            click.echo("usage error: %s" % exc.format_message(), err=True)
             sys.exit(EXIT_USAGE)
         except click.exceptions.Abort:
             sys.exit(EXIT_USAGE)

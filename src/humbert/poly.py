@@ -155,29 +155,35 @@ def eval_on_series(poly, rosenhain):
 
     Nested Horner scheme, exact in integers:
 
-        F = sum_a e1^a * (sum_b e2^b * L_ab),   L_ab = sum_c f_abc * e3^c.
+        F = sum_a x^a * (sum_b y^b * L_ab),   L_ab = sum_c f_abc * e3^c,
 
-    Each L_ab is an integer combination of the powers e3^0, ..., e3^d3 and
-    costs no series product; the b sums are folded by Horner's rule in e2
-    and the a sum by Horner's rule in e1.  With d_i the degree of F in e_i
-    and B_a the largest b in a term e1^a e2^b e3^c of F, that is
-    max(d3 - 1, 0) + sum_a B_a + d1 series products: 70 for the 233 terms
-    of the degree-16 h12, where forming each monomial took 304 (one per
-    term and one per (a, b) prefix).
+    where y is the sparser of e1 and e2 by term count and x the other one,
+    with a and b their exponents.  Each L_ab is an integer combination of
+    the powers e3^0, ..., e3^d3 and costs no series product; the b sums are
+    folded by Horner's rule in y and the a sum by Horner's rule in x.  With
+    d_x, d3 the degrees of F in x and e3 and B_a the largest b in a term
+    x^a y^b e3^c of F, that is max(d3 - 1, 0) + sum_a B_a + d_x series
+    products: 70 for the 233 terms of the degree-16 h12, where forming each
+    monomial took 304 (one per term and one per (a, b) prefix).  The b
+    steps are most of them, so each multiplies by the sparser series.
     """
-    e1, e2, e3 = rosenhain.e1, rosenhain.e2, rosenhain.e3
-    n = min(e1.precision, e2.precision, e3.precision)
+    x, y, e3 = rosenhain.e1, rosenhain.e2, rosenhain.e3
+    terms = poly.terms
+    if len(y.terms) > len(x.terms):
+        x, y = y, x
+        terms = {(b, a, c): coef for (a, b, c), coef in terms.items()}
+    n = min(x.precision, y.precision, e3.precision)
     pows3 = [TruncatedSeries.one(n)] + _powers(e3, poly.degree_in(2) - 1, e3,
                                                operator.mul)
     rows = {}
-    for (a, b, c), coef in poly.terms.items():
+    for (a, b, c), coef in terms.items():
         rows.setdefault(a, {}).setdefault(b, []).append((coef, pows3[c]))
     inner = []
-    for a in range(poly.degree_in(0) + 1):
+    for a in range(max(rows) + 1):
         cols = rows.get(a, {})
-        inner.append(_horner(e2, [_combine(cols.get(b, ()), n)
-                                  for b in range(max(cols, default=0) + 1)]))
-    return _horner(e1, inner)
+        inner.append(_horner(y, [_combine(cols.get(b, ()), n)
+                                 for b in range(max(cols, default=0) + 1)]))
+    return _horner(x, inner)
 
 
 def _combine(pairs, n):

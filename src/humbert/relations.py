@@ -3,30 +3,34 @@
 Evaluate all monomials of degree at most d in the Rosenhain expansions and
 find the linear dependency between their coefficient vectors, exactly.
 
-The kernel is computed modulo word-size primes.  The nullity mod p is never
-below the nullity over Q, so a prime with nullity 0 proves that there is no
-relation, and a prime with nullity 1 bounds the rational nullity by 1.  A
-one-dimensional kernel is lifted by CRT and rational reconstruction from
-three primes, and from up to six when that fails, which reconstructs
-coefficient ratios up to about 2^59.  A candidate relation is only ever
-accepted after an exact recheck in integers: it must evaluate to the
-identical zero series on a fresh triple at N + 8, and so also at the
-kernel's precision N.
+The monomial series are built once, in exact integers, with the series
+product of `series.py`; their coefficients on the exponent pairs that occur
+form one integer matrix, which is reduced modulo word-size primes.  The
+nullity mod p is never below the nullity over Q, so a prime with nullity 0
+proves that there is no relation, and a prime with nullity 1 bounds the
+rational nullity by 1.  A one-dimensional kernel is lifted by CRT and
+rational reconstruction from three primes, and from up to six when that
+fails, which reconstructs coefficient ratios up to about 2^59.  A candidate
+relation is only ever accepted after an exact recheck in integers: it must
+evaluate to the identical zero series on a fresh triple at N + 8, and so
+also at the kernel's precision N.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .poly import MultiPoly, eval_on_series, format_poly
+from .poly import MultiPoly, _powers, eval_on_series, format_poly
 from .rosenhain import rosenhain_triple
+from .series import TruncatedSeries
 from .theta import NotAdmissible, humbert_params
 
-# primes just above 2^20, small enough that mod-p convolutions accumulate
-# without int64 overflow (`_grid_mul` and `_nullspace_mod` assert it); the
-# first three are always used, the others only when reconstruction fails
+# primes just above 2^20, small enough that an elimination step of
+# `_nullspace_mod` stays inside int64 (it asserts so); the first three are
+# always used, the others only when reconstruction fails
 _PRIMES = (1048583, 1048589, 1048601, 1048609, 1048613, 1048627)
 
 
@@ -147,53 +151,31 @@ def _to_coprime(vec):
 # -- the kernel modulo word-size primes -----------------------------------
 
 
-def _series_to_grid(f, n, p):
-    a = np.zeros((n, n), dtype=np.int64)
-    for (i, j), c in f.terms.items():
-        a[i, j] = c % p
-    return a
+def _monomial_rows(rosenhain, basis, symmetry):
+    """The exact integer series of every basis element, in basis order.
 
-
-def _grid_mul(f, g, p):
-    n = f.shape[0]
-    # each entry of `out` sums at most n*n products of residues below p
-    assert n * n * (p - 1) ** 2 < 2 ** 63, "int64 overflow in _grid_mul"
-    out = np.zeros((n, n), dtype=np.int64)
-    idx = np.argwhere(f)
-    if len(idx) > np.count_nonzero(g):
-        f, g = g, f
-        idx = np.argwhere(f)
-    for i, j in idx:
-        out[i:, j:] += int(f[i, j]) * g[: n - i, : n - j]
-    out %= p
-    return out
-
-
-def _monomial_rows_mod(rosenhain, basis, symmetry, p):
+    Each power of e1, e2, e3 and each (a, b) prefix e1^a e2^b is formed
+    once; an e1e2 representative with a != b takes the orbit-sum prefix
+    e1^a e2^b + e1^b e2^a, and every row is one product of its prefix with
+    e3^c.
+    """
     n = rosenhain.precision
-    es = [_series_to_grid(e, n, p) for e in rosenhain.series()]
     maxd = [max(k[i] for k in basis) for i in range(3)]
     if symmetry == "e1e2":
         maxd[0] = maxd[1] = max(maxd[0], maxd[1])
-    pows = []
-    for e, d in zip(es, maxd):
-        lad = [np.zeros((n, n), dtype=np.int64)]
-        lad[0][0, 0] = 1
-        for _ in range(d):
-            lad.append(_grid_mul(lad[-1], e, p))
-        pows.append(lad)
+    one = TruncatedSeries.one(n)
+    pows = [_powers(e, d, one, operator.mul)
+            for e, d in zip(rosenhain.series(), maxd)]
+    prefix = {}
     rows = []
-    cache_ab = {}
     for (a, b, c) in basis:
-        if (a, b) not in cache_ab:
-            cache_ab[(a, b)] = _grid_mul(pows[0][a], pows[1][b], p)
-        g = _grid_mul(cache_ab[(a, b)], pows[2][c], p)
-        if symmetry == "e1e2" and a != b:
-            if (b, a) not in cache_ab:
-                cache_ab[(b, a)] = _grid_mul(pows[0][b], pows[1][a], p)
-            g = (g + _grid_mul(cache_ab[(b, a)], pows[2][c], p)) % p
-        rows.append(g.ravel())
-    return np.stack(rows)
+        if (a, b) not in prefix:
+            ab = pows[0][a] * pows[1][b]
+            if symmetry == "e1e2" and a != b:
+                ab = ab + pows[0][b] * pows[1][a]
+            prefix[(a, b)] = ab
+        rows.append(prefix[(a, b)] * pows[2][c])
+    return rows
 
 
 def _nullspace_mod(mat, p):
@@ -408,12 +390,17 @@ def _modular_kernel(ros, basis, symmetry):
     a time before giving up; the lifted vector is rechecked exactly by the
     caller either way.
     """
+    rows = _monomial_rows(ros, basis, symmetry)
+    # one equation per exponent pair that occurs in some row; the pairs
+    # where every row vanishes would only be zero equations
+    cols = sorted(set().union(*(r.terms for r in rows)))
+    exact = np.array([[r.terms.get(k, 0) for k in cols] for r in rows],
+                     dtype=object)
     dims, vecs, lift_primes = [], [], []
     for p in _PRIMES:
-        mat = _monomial_rows_mod(ros, basis, symmetry, p)
         # unknowns are the monomial coefficients: solve mat^T v = 0 with
         # equations indexed by series coefficients
-        ker = _nullspace_mod(mat.T, p)
+        ker = _nullspace_mod((exact % p).astype(np.int64).T, p)
         if not ker:
             return 0, None
         dims.append(len(ker))

@@ -63,6 +63,31 @@ def test_usage_error_exit_code():
     assert res.returncode == 1
 
 
+def test_degrees_rejects_a_nonpositive_max():
+    res = run_cli(["degrees", "--max", "-3"])
+    assert res.returncode == 1
+    assert res.stdout == "" and "'--max'" in res.stderr
+
+
+def test_verify_rejects_zero_trials(tmp_path):
+    poly = tmp_path / "h4.txt"
+    poly.write_text("e_1e_2 - e_3")
+    res = run_cli(["verify", "--in", str(poly), "--disc", "4",
+                   "--trials", "0"])
+    assert res.returncode == 1
+    assert "'--trials'" in res.stderr
+
+
+def test_verify_rejects_a_nonpositive_tolerance(tmp_path):
+    poly = tmp_path / "h4.txt"
+    poly.write_text("e_1e_2 - e_3")
+    for tol in ("-1", "0"):
+        res = run_cli(["verify", "--in", str(poly), "--disc", "4",
+                       "--tol", tol])
+        assert res.returncode == 1
+        assert res.stdout == "" and "'--tol'" in res.stderr
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("e_1 + @@@")

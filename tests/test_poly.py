@@ -147,6 +147,28 @@ def test_eval_on_series_product_count(monkeypatch):
     assert len(calls) <= 70
 
 
+def test_eval_on_series_horner_steps_multiply_by_the_sparser_series(
+        monkeypatch):
+    # on the Delta = 12 triple e1 is much sparser than e2, so the 55 inner
+    # Horner steps of h12 multiply by e1 and only its d2 = 8 outer ones by e2
+    import importlib.resources as ir
+    h12 = parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
+    triple = rosenhain_triple(humbert_params(12), 24)
+    sparse, dense = triple.e1, triple.e2
+    assert len(sparse.terms) < len(dense.terms)
+    factors = []
+    mul = TruncatedSeries.__mul__
+
+    def recording(self, other):
+        factors.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
+    assert eval_on_series(h12, triple).is_zero()
+    assert sum(f is sparse for f in factors) == 55
+    assert sum(f is dense for f in factors) == h12.degree_in(1) == 8
+
+
 def _raw_mul_terms(f, g):
     out = {}
     for (a1, b1, c1), x in f.items():

@@ -9,11 +9,12 @@ import pytest
 from humbert import relations
 from humbert.poly import MultiPoly, eval_on_series
 from humbert.relations import (_PRIMES, AmbiguousKernel, ImprimitiveKernel,
-                               NoRelation, _grid_mul, _lift_kernel_vector,
-                               _modular_kernel, _nullspace_mod,
-                               default_precision, find_relation,
-                               monomial_basis)
+                               NoRelation, _lift_kernel_vector,
+                               _modular_kernel, _monomial_rows,
+                               _nullspace_mod, default_precision,
+                               find_relation, monomial_basis)
 from humbert.rosenhain import rosenhain_triple
+from humbert.series import TruncatedSeries
 from humbert.theta import humbert_params
 
 rng = random.Random(777)
@@ -57,15 +58,49 @@ def test_nullspace_mod_simple_cases():
 
 
 def test_int64_headroom_is_asserted():
-    # a 4x4 grid mod a prime near 2^31 could overflow an int64 accumulator
-    big = 2 ** 31 - 1
-    grid = np.ones((4, 4), dtype=np.int64)
-    with pytest.raises(AssertionError):
-        _grid_mul(grid, grid, big)
+    # a row update mod a prime near 2^32 could overflow int64
     with pytest.raises(AssertionError):
         _nullspace_mod(np.eye(2, dtype=np.int64), 2 ** 32 + 15)
-    # the primes in use leave room for grids far beyond any precision used
-    assert 1024 ** 2 * (_PRIMES[-1] - 1) ** 2 < 2 ** 63
+    # the primes in use pass the bound that `_nullspace_mod` asserts
+    assert all((p - 1) ** 2 + p < 2 ** 63 for p in _PRIMES)
+
+
+def _naive_monomial(es, exps, n):
+    term = TruncatedSeries.one(n)
+    for e, k in zip(es, exps):
+        for _ in range(k):
+            term = term * e
+    return term
+
+
+@pytest.mark.parametrize("symmetry", [None, "e1e2"])
+def test_monomial_rows_are_the_naive_products(monkeypatch, symmetry):
+    # every row is its monomial (orbit sum with e1e2) by repeated products,
+    # and the kernel's matrix keeps exactly the exponent pairs that occur
+    ros = rosenhain_triple(humbert_params(5), 16)
+    es, n = ros.series(), ros.precision
+    basis = monomial_basis(4, symmetry)
+    rows = _monomial_rows(ros, basis, symmetry)
+    assert len(rows) == len(basis)
+    for (a, b, c), row in zip(basis, rows):
+        want = _naive_monomial(es, (a, b, c), n)
+        if symmetry == "e1e2" and a != b:
+            want = want + _naive_monomial(es, (b, a, c), n)
+        assert row == want
+    support = sorted(set().union(*(r.terms for r in rows)))
+    assert len(support) < n * n
+    seen = []
+
+    def capture(mat, p):
+        seen.append((mat.copy(), p))
+        return []
+
+    monkeypatch.setattr(relations, "_nullspace_mod", capture)
+    assert _modular_kernel(ros, basis, symmetry) == (0, None)
+    [(mat, p)] = seen
+    assert mat.tolist() == [[r.terms.get(k, 0) % p for r in rows]
+                            for k in support]
+    assert mat.any(axis=1).all()  # no all-zero column of the row matrix
 
 
 def test_lift_needs_more_primes_for_large_coefficients(monkeypatch):
@@ -82,32 +117,45 @@ def test_lift_needs_more_primes_for_large_coefficients(monkeypatch):
     rows = [[true[j] if i == 0 else -true[0] if i == j else 0
              for j in range(1, 4)] for i in range(4)]
     calls = []
+    nullspace = relations._nullspace_mod
 
-    def rows_mod(ros, basis, symmetry, p):
+    def exact_rows(ros, basis, symmetry):
+        return [TruncatedSeries({(0, j): x for j, x in enumerate(row)}, 4)
+                for row in rows]
+
+    def counting(mat, p):
         calls.append(p)
-        return np.array([[x % p for x in row] for row in rows],
-                        dtype=np.int64)
+        return nullspace(mat, p)
 
-    monkeypatch.setattr(relations, "_monomial_rows_mod", rows_mod)
+    monkeypatch.setattr(relations, "_monomial_rows", exact_rows)
+    monkeypatch.setattr(relations, "_nullspace_mod", counting)
     assert _modular_kernel(None, monomial_basis(1), None) == (1, true)
     assert calls == list(_PRIMES[:5])
 
 
 def test_no_relation_is_decided_at_the_first_prime(monkeypatch):
-    calls = []
-    rows_mod = relations._monomial_rows_mod
+    built, solved = [], []
+    monomial_rows = relations._monomial_rows
+    nullspace = relations._nullspace_mod
 
-    def counting(ros, basis, symmetry, p):
-        calls.append((ros.precision, p))
-        return rows_mod(ros, basis, symmetry, p)
+    def building(ros, basis, symmetry):
+        built.append(ros.precision)
+        return monomial_rows(ros, basis, symmetry)
 
-    monkeypatch.setattr(relations, "_monomial_rows_mod", counting)
+    def solving(mat, p):
+        solved.append((built[-1], p))
+        return nullspace(mat, p)
+
+    monkeypatch.setattr(relations, "_monomial_rows", building)
+    monkeypatch.setattr(relations, "_nullspace_mod", solving)
     with pytest.raises(NoRelation):
         find_relation(12, 3)
-    # the default N=28 has a kernel of dimension 3 (three primes agree);
-    # the escalation to N=44 stops at its first prime, whose nullity is 0
+    # the rows are built once per attempt; the default N=28 has a kernel of
+    # dimension 3 (three primes agree), and the escalation to N=44 stops at
+    # its first prime, whose nullity is 0
+    assert built == [28, 44]
     p0, p1, p2 = _PRIMES[:3]
-    assert calls == [(28, p0), (28, p1), (28, p2), (44, p0)]
+    assert solved == [(28, p0), (28, p1), (28, p2), (44, p0)]
 
 
 def test_delta4_degree2_relation_is_product_formula():
