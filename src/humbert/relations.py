@@ -3,34 +3,37 @@
 Evaluate all monomials of degree at most d in the Rosenhain expansions and
 find the linear dependency between their coefficient vectors, exactly.
 
-The monomial series are built once, in exact integers, with the series
-product of `series.py`; their coefficients on the exponent pairs that occur
-form one integer matrix, which is reduced modulo word-size primes.  The
-nullity mod p is never below the nullity over Q, so a prime with nullity 0
-proves that there is no relation, and a prime with nullity 1 bounds the
-rational nullity by 1.  A one-dimensional kernel is lifted by CRT and
-rational reconstruction from three primes, and from up to six when that
-fails, which reconstructs coefficient ratios up to about 2^59.  A candidate
-relation is only ever accepted after an exact recheck in integers: it must
-evaluate to the identical zero series on a fresh triple at N + 8, and so
-also at the kernel's precision N.
+Every exponent of e1, e2 and e3 lies on a lattice g_i Z x g_j Z, taken as
+the gcd of the exponents that occur (4Z x 4Z for every delta tried), and so
+does every monomial in them.  For each word-size prime p, the monomial rows
+are built mod p on the m_i x m_j grid of that lattice, m = ceil(N/g), by
+float64 matrix products: multiplying by e_i is a matrix T_i, and every
+product is reduced by fmod.  The bound m_i m_j (p-1)^2 < 2^53 is asserted,
+so every dot product is an exact integer (the FFLAS-FFPACK technique of
+Dumas, Giorgi and Pernet).  The nullity mod p is never below the nullity
+over Q, so a prime with nullity 0 proves that there is no relation, and a
+prime with nullity 1 bounds the rational nullity by 1.  A one-dimensional
+kernel is lifted by CRT and rational reconstruction from three primes, and
+from up to six when that fails, which reconstructs coefficient ratios up to
+about 2^59.  A candidate relation is only ever accepted after an exact
+recheck in integers: it must evaluate to the identical zero series on a
+fresh triple at N + 8, and so also at the kernel's precision N.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .poly import MultiPoly, _powers, eval_on_series, format_poly
+from .poly import MultiPoly, eval_on_series, format_poly
 from .rosenhain import rosenhain_triple
-from .series import TruncatedSeries
 from .theta import NotAdmissible, humbert_params
 
 # primes just above 2^20, small enough that an elimination step of
-# `_nullspace_mod` stays inside int64 (it asserts so); the first three are
-# always used, the others only when reconstruction fails
+# `_nullspace_mod` stays inside int64 and that the float64 rows stay exact on
+# lattices of up to 8,191 points, such as 90 x 90 (both are asserted); the
+# first three are always used, the others only when reconstruction fails
 _PRIMES = (1048583, 1048589, 1048601, 1048609, 1048613, 1048627)
 
 
@@ -151,31 +154,80 @@ def _to_coprime(vec):
 # -- the kernel modulo word-size primes -----------------------------------
 
 
-def _monomial_rows(rosenhain, basis, symmetry):
-    """The exact integer series of every basis element, in basis order.
+def _exponent_lattice(series):
+    """Steps (g_i, g_j): the gcd of every p- and of every q-exponent.
 
-    Each power of e1, e2, e3 and each (a, b) prefix e1^a e2^b is formed
-    once; an e1e2 representative with a != b takes the orbit-sum prefix
-    e1^a e2^b + e1^b e2^a, and every row is one product of its prefix with
-    e3^c.
+    Every term of the series, and so of every product of them, lies on
+    g_i Z x g_j Z.  A coordinate whose only exponent is 0 gets step N.
     """
-    n = rosenhain.precision
-    maxd = [max(k[i] for k in basis) for i in range(3)]
+    gi = gj = 0
+    for s in series:
+        for i, j in s.terms:
+            gi, gj = math.gcd(gi, i), math.gcd(gj, j)
+    n = series[0].precision
+    return gi or n, gj or n
+
+
+def _mul_matrix(e, steps, shape, p):
+    """Multiplication by the lattice series e mod p, as a float64 matrix.
+
+    Lattice point (I, J) is index I*m_j + J.  A term c p^(g_i di) q^(g_j dj)
+    of e sends every point (I, J) to (I + di, J + dj) with weight c mod p,
+    inside the grid.
+    """
+    (gi, gj), (mi, mj) = steps, shape
+    t = np.zeros(shape + shape)
+    for (i, j), c in e.terms.items():
+        di, dj = i // gi, j // gj
+        rows, cols = np.arange(di, mi)[:, None], np.arange(dj, mj)
+        t[rows, cols, rows - di, cols - dj] = c % p
+    return t.reshape(mi * mj, mi * mj)
+
+
+def _monomial_rows_mod(ros, basis, symmetry, p):
+    """Every basis element's series mod p on the exponent lattice, in basis
+    order, as an int64 matrix with one row per basis element.
+
+    Column I*m_j + J holds the coefficient of p^(g_i I) q^(g_j J), with
+    m = ceil(N/g).  A monomial is T1^a T2^b T3^c applied to the unit vector
+    of 1, T_v being multiplication by e_v; each power step is one float64
+    matrix product over every column that needs it, reduced by fmod.  An
+    e1e2 representative with a != b is the sum of its (a, b, c) and its
+    (b, a, c) column.
+    """
+    n, es = ros.precision, ros.series()
+    steps = _exponent_lattice(es)
+    shape = tuple(-(-n // g) for g in steps)
+    size = shape[0] * shape[1]
+    # a dot product sums at most `size` products of two residues; below
+    # 2^53 every partial sum is an exact float64 integer
+    assert size * (p - 1) ** 2 < 2 ** 53, "float64 rows inexact mod p"
+    need = set(basis)
     if symmetry == "e1e2":
-        maxd[0] = maxd[1] = max(maxd[0], maxd[1])
-    one = TruncatedSeries.one(n)
-    pows = [_powers(e, d, one, operator.mul)
-            for e, d in zip(rosenhain.series(), maxd)]
-    prefix = {}
+        need |= {(b, a, c) for a, b, c in basis}
+    unit = np.zeros(size)
+    unit[0] = 1
+    cols = {(0, 0, 0): unit}
+    for v, e in enumerate(es):
+        # the prefixes through e_v of the needed triples, one power of e_v
+        # per level
+        grow = {t[:v + 1] + (0,) * (2 - v) for t in need}
+        top = max(t[v] for t in grow)
+        if not top:
+            continue
+        mul = _mul_matrix(e, steps, shape, p)
+        for k in range(1, top + 1):
+            keys = sorted(t for t in grow if t[v] == k)
+            src = np.stack([cols[t[:v] + (k - 1,) + t[v + 1:]] for t in keys],
+                           axis=1)
+            cols.update(zip(keys, np.fmod(mul @ src, p).T))
     rows = []
-    for (a, b, c) in basis:
-        if (a, b) not in prefix:
-            ab = pows[0][a] * pows[1][b]
-            if symmetry == "e1e2" and a != b:
-                ab = ab + pows[0][b] * pows[1][a]
-            prefix[(a, b)] = ab
-        rows.append(prefix[(a, b)] * pows[2][c])
-    return rows
+    for a, b, c in basis:
+        row = cols[(a, b, c)]
+        if symmetry == "e1e2" and a != b:
+            row = np.fmod(row + cols[(b, a, c)], p)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
 
 
 def _nullspace_mod(mat, p):
@@ -390,17 +442,13 @@ def _modular_kernel(ros, basis, symmetry):
     a time before giving up; the lifted vector is rechecked exactly by the
     caller either way.
     """
-    rows = _monomial_rows(ros, basis, symmetry)
-    # one equation per exponent pair that occurs in some row; the pairs
-    # where every row vanishes would only be zero equations
-    cols = sorted(set().union(*(r.terms for r in rows)))
-    exact = np.array([[r.terms.get(k, 0) for k in cols] for r in rows],
-                     dtype=object)
     dims, vecs, lift_primes = [], [], []
     for p in _PRIMES:
-        # unknowns are the monomial coefficients: solve mat^T v = 0 with
-        # equations indexed by series coefficients
-        ker = _nullspace_mod((exact % p).astype(np.int64).T, p)
+        # unknowns are the monomial coefficients: solve rows^T v = 0 with one
+        # equation per lattice point; the points where every row vanishes
+        # mod p would only be zero equations
+        rows = _monomial_rows_mod(ros, basis, symmetry, p)
+        ker = _nullspace_mod(rows.T[rows.any(axis=0)], p)
         if not ker:
             return 0, None
         dims.append(len(ker))

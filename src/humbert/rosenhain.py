@@ -52,14 +52,18 @@ def rosenhain_triple(disc, precision):
     """Compute (e1, e2, e3) on H_Delta to the given per-variable precision.
 
     Delta = 1 is rejected: there k + l - 1 = 0 and the monomial-cancellation
-    bookkeeping degenerates.
+    bookkeeping degenerates.  The precision must be at least max(4, k + 2).
     """
     if not isinstance(disc, Discriminant):
         raise TypeError("disc must be a Discriminant")
     if disc.delta < 4:
         raise NotAdmissible("rosenhain_triple requires delta >= 4")
-    if precision < 4:
-        raise ValueError("precision must be >= 4")
+    # below N = k + 2 the ideal factor truncates t8 and t10 to zero
+    smallest = max(4, disc.k + 2)
+    if precision < smallest:
+        raise ValueError("precision N=%d is too small for delta=%d; the "
+                         "smallest valid N is %d"
+                         % (precision, disc.delta, smallest))
     th = {i: restricted_theta(ThetaChar.from_index(i), disc, precision)
           for i in (1, 2, 3, 4, 8, 10)}
     sq = {i: t * t for i, t in th.items()}

@@ -63,6 +63,19 @@ def test_usage_error_exit_code():
     assert res.returncode == 1
 
 
+def test_too_small_precision_is_a_usage_error():
+    # N <= k + 1 used to end in a ZeroDivisionError traceback
+    res = run_cli(["rosenhain", "--disc", "24", "--prec", "7"])
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert "delta=24; the smallest valid N is 8" in res.stderr
+    # degree 1 starts at N=16, and delta=100 has k=25
+    res = run_cli(["find", "--disc", "100", "--degree", "1"])
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert "delta=100; the smallest valid N is 27" in res.stderr
+
+
 def test_degrees_rejects_a_nonpositive_max():
     res = run_cli(["degrees", "--max", "-3"])
     assert res.returncode == 1

@@ -9,11 +9,12 @@ import pytest
 from humbert import relations
 from humbert.poly import MultiPoly, eval_on_series
 from humbert.relations import (_PRIMES, AmbiguousKernel, ImprimitiveKernel,
-                               NoRelation, _lift_kernel_vector,
-                               _modular_kernel, _monomial_rows,
-                               _nullspace_mod, default_precision,
-                               find_relation, monomial_basis)
-from humbert.rosenhain import rosenhain_triple
+                               NoRelation, _exponent_lattice,
+                               _lift_kernel_vector, _modular_kernel,
+                               _monomial_rows_mod, _nullspace_mod,
+                               default_precision, find_relation,
+                               monomial_basis)
+from humbert.rosenhain import RosenhainSeries, rosenhain_triple
 from humbert.series import TruncatedSeries
 from humbert.theta import humbert_params
 
@@ -57,12 +58,37 @@ def test_nullspace_mod_simple_cases():
     assert _nullspace_mod(np.array([[1, 0], [0, 1]]), p) == []
 
 
+def _synthetic_triple(terms, n):
+    """A RosenhainSeries-shaped triple of the given integer series."""
+    es = [TruncatedSeries(t, n) for t in terms]
+    return RosenhainSeries(*es, disc=humbert_params(5), precision=n)
+
+
 def test_int64_headroom_is_asserted():
     # a row update mod a prime near 2^32 could overflow int64
     with pytest.raises(AssertionError):
         _nullspace_mod(np.eye(2, dtype=np.int64), 2 ** 32 + 15)
     # the primes in use pass the bound that `_nullspace_mod` asserts
     assert all((p - 1) ** 2 + p < 2 ** 63 for p in _PRIMES)
+    # the float64 rows assert m_i m_j (p-1)^2 < 2^53 before building
+    # anything: a prime near 2^31 breaks it on a small lattice, and a
+    # 91 x 91 lattice (steps 1, N=91) breaks it for the primes in use
+    small = rosenhain_triple(humbert_params(5), 16)
+    with pytest.raises(AssertionError):
+        _monomial_rows_mod(small, [(0, 0, 0)], None, 2 ** 31 - 1)
+    wide = _synthetic_triple([{(0, 0): 1, (1, 1): 1}] * 3, 91)
+    with pytest.raises(AssertionError):
+        _monomial_rows_mod(wide, [(0, 0, 0)], None, _PRIMES[0])
+    # every prime passes it at N=136 for delta=12 (a 34 x 34 lattice) and at
+    # N=212 for delta=9 (53 x 53), the precisions of the degree-16 searches
+    for delta, n in ((12, 136), (9, 212)):
+        ros = rosenhain_triple(humbert_params(delta), n)
+        m = -(-n // 4)
+        assert _exponent_lattice(ros.series()) == (4, 4)
+        for p in _PRIMES:
+            assert m * m * (p - 1) ** 2 < 2 ** 53
+            rows = _monomial_rows_mod(ros, [(0, 0, 0)], None, p)
+            assert rows.tolist() == [[1] + [0] * (m * m - 1)]
 
 
 def _naive_monomial(es, exps, n):
@@ -73,22 +99,34 @@ def _naive_monomial(es, exps, n):
     return term
 
 
-@pytest.mark.parametrize("symmetry", [None, "e1e2"])
-def test_monomial_rows_are_the_naive_products(monkeypatch, symmetry):
-    # every row is its monomial (orbit sum with e1e2) by repeated products,
-    # and the kernel's matrix keeps exactly the exponent pairs that occur
-    ros = rosenhain_triple(humbert_params(5), 16)
+def _assert_rows_are_naive(ros, basis, symmetry):
+    """Every row mod p is its monomial (orbit sum with e1e2) by repeated
+    exact products, reduced mod p, on every lattice point; no term of those
+    products lies off the lattice."""
     es, n = ros.series(), ros.precision
-    basis = monomial_basis(4, symmetry)
-    rows = _monomial_rows(ros, basis, symmetry)
-    assert len(rows) == len(basis)
-    for (a, b, c), row in zip(basis, rows):
+    naive = []
+    for a, b, c in basis:
         want = _naive_monomial(es, (a, b, c), n)
         if symmetry == "e1e2" and a != b:
             want = want + _naive_monomial(es, (b, a, c), n)
-        assert row == want
-    support = sorted(set().union(*(r.terms for r in rows)))
-    assert len(support) < n * n
+        naive.append(want)
+    gi, gj = _exponent_lattice(es)
+    assert all(i % gi == 0 and j % gj == 0 for f in naive for i, j in f.terms)
+    points = [(i, j) for i in range(0, n, gi) for j in range(0, n, gj)]
+    for p in _PRIMES:
+        rows = _monomial_rows_mod(ros, basis, symmetry, p)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[f.coeff(i, j) % p for i, j in points]
+                                 for f in naive]
+
+
+@pytest.mark.parametrize("symmetry", [None, "e1e2"])
+def test_monomial_rows_are_the_naive_products(monkeypatch, symmetry):
+    ros = rosenhain_triple(humbert_params(5), 16)
+    basis = monomial_basis(4, symmetry)
+    _assert_rows_are_naive(ros, basis, symmetry)
+    # the kernel's matrix keeps exactly the lattice points where some row is
+    # nonzero mod p, one equation each
     seen = []
 
     def capture(mat, p):
@@ -98,9 +136,34 @@ def test_monomial_rows_are_the_naive_products(monkeypatch, symmetry):
     monkeypatch.setattr(relations, "_nullspace_mod", capture)
     assert _modular_kernel(ros, basis, symmetry) == (0, None)
     [(mat, p)] = seen
-    assert mat.tolist() == [[r.terms.get(k, 0) % p for r in rows]
-                            for k in support]
+    rows = _monomial_rows_mod(ros, basis, symmetry, p)
+    assert mat.tolist() == [col for col in rows.T.tolist() if any(col)]
     assert mat.any(axis=1).all()  # no all-zero column of the row matrix
+
+
+@pytest.mark.parametrize("delta", [4, 5, 8, 9, 12, 13])
+def test_exponent_lattice_is_4z(delta):
+    ros = rosenhain_triple(humbert_params(delta), 48)
+    assert _exponent_lattice(ros.series()) == (4, 4)
+
+
+@pytest.mark.parametrize("symmetry", [None, "e1e2"])
+def test_off_lattice_exponents_get_a_smaller_step(symmetry):
+    # p^2 q^3 in e2 and q^9 in e3 put the terms on 2Z x 3Z, not 4Z x 4Z;
+    # the rows use that lattice and still equal the naive products mod p
+    ros = _synthetic_triple([{(0, 0): 1, (4, 6): 3, (8, 0): -1},
+                             {(0, 0): 1, (2, 3): 2},
+                             {(0, 0): 1, (0, 9): -1, (4, 6): 5}], 20)
+    assert _exponent_lattice(ros.series()) == (2, 3)
+    _assert_rows_are_naive(ros, monomial_basis(3, symmetry), symmetry)
+
+
+def test_constant_triple_has_a_one_point_lattice():
+    # no exponent but 0 occurs (as for delta=4 at N=4), so each step is N
+    # and the lattice is the single point (0, 0)
+    ros = _synthetic_triple([{(0, 0): 1}] * 3, 10)
+    assert _exponent_lattice(ros.series()) == (10, 10)
+    _assert_rows_are_naive(ros, monomial_basis(2), None)
 
 
 def test_lift_needs_more_primes_for_large_coefficients(monkeypatch):
@@ -119,15 +182,15 @@ def test_lift_needs_more_primes_for_large_coefficients(monkeypatch):
     calls = []
     nullspace = relations._nullspace_mod
 
-    def exact_rows(ros, basis, symmetry):
-        return [TruncatedSeries({(0, j): x for j, x in enumerate(row)}, 4)
-                for row in rows]
+    def exact_rows(ros, basis, symmetry, p):
+        return np.array([[x % p for x in row] for row in rows],
+                        dtype=np.int64)
 
     def counting(mat, p):
         calls.append(p)
         return nullspace(mat, p)
 
-    monkeypatch.setattr(relations, "_monomial_rows", exact_rows)
+    monkeypatch.setattr(relations, "_monomial_rows_mod", exact_rows)
     monkeypatch.setattr(relations, "_nullspace_mod", counting)
     assert _modular_kernel(None, monomial_basis(1), None) == (1, true)
     assert calls == list(_PRIMES[:5])
@@ -135,27 +198,27 @@ def test_lift_needs_more_primes_for_large_coefficients(monkeypatch):
 
 def test_no_relation_is_decided_at_the_first_prime(monkeypatch):
     built, solved = [], []
-    monomial_rows = relations._monomial_rows
+    monomial_rows_mod = relations._monomial_rows_mod
     nullspace = relations._nullspace_mod
 
-    def building(ros, basis, symmetry):
-        built.append(ros.precision)
-        return monomial_rows(ros, basis, symmetry)
+    def building(ros, basis, symmetry, p):
+        built.append((ros.precision, p))
+        return monomial_rows_mod(ros, basis, symmetry, p)
 
     def solving(mat, p):
-        solved.append((built[-1], p))
+        solved.append((built[-1][0], p))
         return nullspace(mat, p)
 
-    monkeypatch.setattr(relations, "_monomial_rows", building)
+    monkeypatch.setattr(relations, "_monomial_rows_mod", building)
     monkeypatch.setattr(relations, "_nullspace_mod", solving)
     with pytest.raises(NoRelation):
         find_relation(12, 3)
-    # the rows are built once per attempt; the default N=28 has a kernel of
-    # dimension 3 (three primes agree), and the escalation to N=44 stops at
-    # its first prime, whose nullity is 0
-    assert built == [28, 44]
+    # the rows are built once per prime tried; the default N=28 has a kernel
+    # of dimension 3 (three primes agree), and the escalation to N=44 stops
+    # at its first prime, whose nullity is 0
     p0, p1, p2 = _PRIMES[:3]
-    assert solved == [(28, p0), (28, p1), (28, p2), (44, p0)]
+    assert built == [(28, p0), (28, p1), (28, p2), (44, p0)]
+    assert solved == built
 
 
 def test_delta4_degree2_relation_is_product_formula():

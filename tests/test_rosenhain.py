@@ -2,6 +2,7 @@
 
 import pytest
 
+from humbert.degrees import admissible_range
 from humbert.rosenhain import rosenhain_triple
 from humbert.series import TruncatedSeries
 from humbert.theta import ThetaChar, humbert_params, restricted_theta
@@ -46,6 +47,22 @@ def test_definition_unwinds(delta):
 def test_minimum_inputs_rejected():
     with pytest.raises(ValueError):
         rosenhain_triple(humbert_params(4), 3)
+
+
+def test_smallest_valid_precision_is_named():
+    # below N = k + 2 the ideal factor p^(1+k) q^(k+l-1) of t8 and t10
+    # truncates to zero; the triple is refused there with a ValueError that
+    # names delta and the smallest valid N, instead of a division by zero
+    for delta in admissible_range(60):
+        if delta < 4:
+            continue
+        disc = humbert_params(delta)
+        smallest = max(4, disc.k + 2)
+        assert rosenhain_triple(disc, smallest).precision == smallest
+        with pytest.raises(ValueError) as info:
+            rosenhain_triple(disc, smallest - 1)
+        assert ("delta=%d" % delta) in str(info.value)
+        assert ("smallest valid N is %d" % smallest) in str(info.value)
 
 
 def test_small_precision_example_runs():
