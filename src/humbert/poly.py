@@ -5,7 +5,6 @@ the graded-lex greatest monomial, no zero terms stored.  Component equality
 throughout the package is equality of canonical forms.
 """
 
-import heapq
 import math
 import operator
 import re
@@ -227,124 +226,76 @@ def eval_complex(poly, z):
 
 # -- degenerate loci and rational substitution --------------------------
 
+# the nine degenerate-locus factors, each written e_i - t with t = 0, 1 or
+# the variable e_j; t is stored as the exponent of the monomial t (None for
+# t = 0)
+_DEGENERATE_LOCI = (
+    (0, None), (1, None), (2, None),
+    (0, (0, 0, 0)), (1, (0, 0, 0)), (2, (0, 0, 0)),
+    (0, (0, 1, 0)), (0, (0, 0, 1)), (1, (0, 0, 1)),
+)
+
+
 def degenerate_factors():
     """The nine polynomials cutting out collided Weierstrass points."""
-    e = [{(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}]
-    one = {(0, 0, 0): 1}
-    out = [MultiPoly(e[0]), MultiPoly(e[1]), MultiPoly(e[2])]
-    for i in range(3):
-        out.append(MultiPoly(raw_add(e[i], raw_scale(one, -1))))
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        out.append(MultiPoly(raw_add(e[i], raw_scale(e[j], -1))))
+    out = []
+    for i, t in _DEGENERATE_LOCI:
+        e_i = tuple(int(v == i) for v in range(3))
+        out.append(MultiPoly({e_i: 1} if t is None else {e_i: 1, t: -1}))
     return out
 
 
-_DEGENERATE = None
+def divide_degenerate(terms, i, t):
+    """The quotient of a term map by e_i - t, or None if not divisible.
 
-
-def _degenerate_list():
-    global _DEGENERATE
-    if _DEGENERATE is None:
-        _DEGENERATE = degenerate_factors()
-    return _DEGENERATE
-
-
-def try_divide(f_terms, g):
-    """Exact division of a raw integer term map by a MultiPoly.
-
-    Returns the quotient map, or None if the division is not exact.
-    Multivariate long division with respect to graded-lex order; sound here
-    because we only ever divide by the fixed degenerate-locus binomials.
+    (i, t) is a locus of `_DEGENERATE_LOCI`.  The remainder F(e_i = t) is
+    formed first, as a one-pass collapse of the term map.  Only when it
+    vanishes is the quotient formed, by synthetic division in e_i: with
+    F = sum_k F_k e_i^k and Q = sum_k Q_k e_i^k, Q_(k-1) = F_k + t Q_k from
+    the top degree down.  For t = 0 that is a shift of e_i.
     """
-    g_lead = g.leading_monomial()
-    g_lc = g.terms[g_lead]
-    rem = dict(f_terms)
-    quo = {}
-    # lazy max-heap over graded-lex order; stale entries are skipped
-    heap = [(-(k[0] + k[1] + k[2]), -k[0], -k[1], -k[2]) for k in rem]
-    heapq.heapify(heap)
-    while heap:
-        h = heapq.heappop(heap)
-        lead = (-h[1], -h[2], -h[3])
-        lc = rem.get(lead)
-        if not lc:
-            continue
-        exps = tuple(lead[i] - g_lead[i] for i in range(3))
-        if exps[0] < 0 or exps[1] < 0 or exps[2] < 0 or lc % g_lc:
+    if t is None:
+        if not all(k[i] for k in terms):
             return None
-        q = lc // g_lc
-        quo[exps] = quo.get(exps, 0) + q
-        for k, v in g.terms.items():
-            kk = (exps[0] + k[0], exps[1] + k[1], exps[2] + k[2])
-            s = rem.get(kk, 0) - q * v
-            if s:
-                if kk not in rem:
-                    heapq.heappush(
-                        heap, (-(kk[0] + kk[1] + kk[2]),
-                               -kk[0], -kk[1], -kk[2]))
-                rem[kk] = s
-            elif kk in rem:
-                del rem[kk]
-    return quo if not rem else None
-
-
-def _divisibility_test(g):
-    """Cheap exact test for divisibility by one degenerate-locus factor.
-
-    Each factor is a variable, a variable minus one, or a difference of two
-    variables, so divisibility is equivalent to the vanishing of a collapse
-    of the term map (a substitution that kills the factor).
-    """
-    mono = g.leading_monomial()
-    if len(g.terms) == 1:
-        var = mono.index(1)
-        return lambda t: all(k[var] >= 1 for k in t)
-    low = min(g.terms, key=_grlex_key)
-    if low == (0, 0, 0):
-        # e_var - 1: substitute e_var = 1 and check total collapse to zero
-        var = mono.index(1)
-
-        def test(t):
-            acc = {}
-            for k, v in t.items():
-                kk = tuple(0 if i == var else k[i] for i in range(3))
-                acc[kk] = acc.get(kk, 0) + v
-            return not any(acc.values())
-        return test
-    # e_i - e_j: substitute e_j = e_i and check collapse to zero
-    i = mono.index(1)
-    j = low.index(1)
-
-    def test(t):
-        acc = {}
-        for k, v in t.items():
-            kk = [k[0], k[1], k[2]]
-            kk[i] += kk[j]
-            kk[j] = 0
-            kk = tuple(kk)
-            acc[kk] = acc.get(kk, 0) + v
-        return not any(acc.values())
-    return test
-
-
-_DEGENERATE_TESTS = None
-
-
-def _degenerate_tests():
-    global _DEGENERATE_TESTS
-    if _DEGENERATE_TESTS is None:
-        _DEGENERATE_TESTS = [(g, _divisibility_test(g))
-                             for g in _degenerate_list()]
-    return _DEGENERATE_TESTS
+        return {k[:i] + (k[i] - 1,) + k[i + 1:]: v for k, v in terms.items()}
+    j = t.index(1) if 1 in t else None  # t = e_j, or t = 1
+    rem = {}
+    for k, v in terms.items():
+        kk = list(k)
+        if j is not None:
+            kk[j] += kk[i]
+        kk[i] = 0
+        kk = tuple(kk)
+        rem[kk] = rem.get(kk, 0) + v
+    if any(rem.values()):
+        return None
+    rows = {}
+    for k, v in terms.items():
+        rows.setdefault(k[i], []).append((k, v))
+    quo = {}
+    q_k = {}  # Q_k e_i^k as a term map
+    for k in range(max(rows), 0, -1):
+        # Q_(k-1) e_i^(k-1) = t * (Q_k e_i^k) / e_i + F_k e_i^(k-1)
+        q = {}
+        for key, v in q_k.items():
+            kk = list(key)
+            kk[i] -= 1
+            if j is not None:
+                kk[j] += 1
+            q[tuple(kk)] = v
+        for key, v in rows.get(k, ()):
+            kk = key[:i] + (k - 1,) + key[i + 1:]
+            q[kk] = q.get(kk, 0) + v
+        q_k = {key: v for key, v in q.items() if v}
+        quo.update(q_k)
+    return quo
 
 
 def strip_degenerate_factors(poly):
     """Divide out all degenerate-locus factors to maximal multiplicity."""
-    terms = dict(poly.terms)
-    for g, test in _degenerate_tests():
-        while test(terms):
-            q = try_divide(terms, g)
-            assert q is not None
+    terms = poly.terms
+    for i, t in _DEGENERATE_LOCI:
+        while (q := divide_degenerate(terms, i, t)) is not None:
             terms = q
     result = MultiPoly(terms)
     if result.is_constant():

@@ -17,7 +17,8 @@ kernel is lifted by CRT and rational reconstruction from three primes, and
 from up to six when that fails, which reconstructs coefficient ratios up to
 about 2^59.  A candidate relation is only ever accepted after an exact
 recheck in integers: it must evaluate to the identical zero series on a
-fresh triple at N + 8, and so also at the kernel's precision N.
+fresh triple at N + 8, and so also at the kernel's precision N, and it must
+not be a product of degenerate-locus factors.
 """
 
 import math
@@ -26,7 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import MultiPoly, eval_on_series, format_poly
+from .poly import (DegenerateOnly, MultiPoly, eval_on_series, format_poly,
+                   strip_degenerate_factors)
 from .rosenhain import rosenhain_triple
 from .theta import NotAdmissible, humbert_params
 
@@ -47,9 +49,10 @@ class AmbiguousKernel(RuntimeError):
     Either the kernel dimension `kernel_dim` exceeds 1, because the
     precision is too small or the relation has a lower degree, or a
     candidate could not be trusted (rational reconstruction or the exact
-    recheck failed; `kernel_dim` is then None).  After a failed recheck,
-    `residual_checks` holds its (N, passed) pairs for the kernel's N and for
-    N + 8.  The other fields are None where they are not known.
+    recheck failed, or the candidate is a product of degenerate-locus
+    factors such as e1 - 1; `kernel_dim` is then None).  After the exact
+    recheck, `residual_checks` holds its (N, passed) pairs for the kernel's
+    N and for N + 8.  The other fields are None where they are not known.
     """
 
     def __init__(self, message, kernel_dim=None, degree=None, delta=None,
@@ -306,15 +309,13 @@ def _lift_kernel_vector(vecs_mod, primes):
 
 
 def _poly_from_vector(vec, basis, symmetry):
+    # each basis element writes its own monomial, and an e1e2 representative
+    # also its (b, a, c) mirror, so a nonzero vector never cancels
     terms = {}
     for coef, (a, b, c) in zip(vec, basis):
-        if not coef:
-            continue
-        terms[(a, b, c)] = terms.get((a, b, c), 0) + coef
-        if symmetry == "e1e2" and a != b:
-            terms[(b, a, c)] = terms.get((b, a, c), 0) + coef
-    if not any(terms.values()):
-        return None
+        terms[(a, b, c)] = coef
+        if symmetry == "e1e2":
+            terms[(b, a, c)] = coef
     return MultiPoly(terms)
 
 
@@ -325,9 +326,9 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     is one-dimensional.  Raises NoRelation (kernel 0), ImprimitiveKernel
     (the kernel is exactly the multiples of a lower-degree relation, which
     it names) or AmbiguousKernel (any other kernel of dimension > 1, or a
-    candidate that fails the exact recheck).  Without an explicit
-    precision, an AmbiguousKernel is retried at up to three larger
-    precisions; an ImprimitiveKernel is raised at once.
+    candidate that fails the exact recheck or lies on the degenerate
+    loci).  Without an explicit precision, an AmbiguousKernel is retried at
+    up to three larger precisions; an ImprimitiveKernel is raised at once.
     """
     disc = humbert_params(delta)
     if delta < 4:
@@ -370,8 +371,6 @@ def _find_relation_on(ros, degree, symmetry):
     if dim > 1:
         raise _ambiguity(ros, degree, dim, symmetry)
     poly = _poly_from_vector(vec, basis, symmetry)
-    if poly is None:
-        raise NoRelation("kernel vector cancelled to the zero polynomial")
 
     # exact recheck at N and on a fresh triple at N + 8, from one evaluation:
     # the N + 8 triple truncates to the kernel's triple, so the value at N
@@ -390,6 +389,17 @@ def _find_relation_on(ros, degree, symmetry):
             "a trustworthy kernel" % (degree, delta, n, failed[0]),
             degree=degree, delta=delta, precision=n,
             residual_checks=report.residual_checks)
+    # a product of degenerate factors, such as e1 - 1, vanishes on a triple
+    # where e1 is 1 to the precision: it tells nothing about the component
+    try:
+        strip_degenerate_factors(poly)
+    except DegenerateOnly:
+        raise AmbiguousKernel(
+            "candidate relation %s of degree %d for delta=%d at N=%d lies on "
+            "the degenerate loci; precision too small to separate e1, e2, e3 "
+            "from them" % (format_poly(poly), degree, delta, n),
+            degree=degree, delta=delta, precision=n,
+            residual_checks=report.residual_checks) from None
     report.polynomial = poly
     return report
 

@@ -6,12 +6,16 @@
 
 t8 and t10 lie in the monomial ideal (p^(1+k) q^(k+l-1)), so the squared
 ratio t8^2/t10^2 is computed by exact monomial cancellation followed by a
-unit inversion; the result is an integer series with constant term 1.
+unit inversion.  Every coefficient of t8 and t10 is even (the lattice terms
+pair up under (x1, x2) -> (-1-x1, -1-x2) with equal exponents and signs, and
+no term is its own partner), so the halved quotients s8 and s10 are integer
+series with constant terms 1 and -1, and t8^2/t10^2 = s8^2 (s10^2)^-1 is
+formed in integers.
 """
 
 from dataclasses import dataclass
 
-from .series import TruncatedSeries, exact_ratio
+from .series import TruncatedSeries
 from .theta import Discriminant, NotAdmissible, ThetaChar, restricted_theta
 
 
@@ -58,21 +62,31 @@ def rosenhain_triple(disc, precision):
         raise TypeError("disc must be a Discriminant")
     if disc.delta < 4:
         raise NotAdmissible("rosenhain_triple requires delta >= 4")
-    # below N = k + 2 the ideal factor truncates t8 and t10 to zero
+    # the documented smallest precision, N = k + 2, where the first term
+    # p^(1+k) of t8 and t10 lies below N; it guards no division (t8 and t10
+    # are expanded past N below)
     smallest = max(4, disc.k + 2)
     if precision < smallest:
         raise ValueError("precision N=%d is too small for delta=%d; the "
                          "smallest valid N is %d"
                          % (precision, disc.delta, smallest))
     th = {i: restricted_theta(ThetaChar.from_index(i), disc, precision)
-          for i in (1, 2, 3, 4, 8, 10)}
+          for i in (1, 2, 3, 4)}
     sq = {i: t * t for i, t in th.items()}
-    # cancel the known p^(1+k) q^(k+l-1) ideal factor on t8, t10 before
-    # squaring: squaring first would truncate both to zero at small N
+    # cancel the ideal factor p^i0 q^j0 of t8, t10 before squaring.  The
+    # quotient of an expansion to N + i0 is exact below N (j0 <= i0), and is
+    # cut there; then halve it
     i0, j0 = 1 + disc.k, disc.k + disc.ell - 1
-    u8 = th[8].divide_monomial(i0, j0)
-    u10 = th[10].divide_monomial(i0, j0)
-    ratio = exact_ratio(u8 * u8, u10 * u10)  # constant term (2/-2)^2 = 1
+    half = {}
+    for i in (8, 10):
+        u = restricted_theta(ThetaChar.from_index(i), disc, precision + i0)
+        u = u.divide_monomial(i0, j0).truncate(precision)
+        if any(c % 2 for c in u.terms.values()):
+            raise IntegralityViolation("t%d has an odd coefficient" % i)
+        half[i] = TruncatedSeries({k: c // 2 for k, c in u.terms.items()},
+                                  precision)
+    # s10^2 has constant term (-1)^2 = 1, so its inverse is integral
+    ratio = half[8] * half[8] * (half[10] * half[10]).inverse()
     e1 = sq[1] * sq[3] * (sq[2] * sq[4]).inverse()
     e2 = sq[3] * ratio * sq[4].inverse()
     e3 = sq[1] * ratio * sq[2].inverse()

@@ -15,9 +15,8 @@ from functools import lru_cache
 from itertools import permutations
 
 from .degrees import SpecialCase
-from .poly import (DegenerateOnly, MultiPoly, RationalTriple,
-                   _degenerate_list, _grlex_key, raw_add, raw_mul,
-                   raw_scale, substitute_rational, try_divide)
+from .poly import (DegenerateOnly, MultiPoly, RationalTriple, _grlex_key,
+                   raw_add, raw_mul, raw_scale, substitute_rational)
 from .theta import humbert_params
 
 SYMBOLS = ("0", "1", "inf", "e1", "e2", "e3")
@@ -169,8 +168,10 @@ def _reduce_pair(num_factors, den_factors):
 
     The cross-ratio always carries the same number of inf factors upstairs
     and downstairs (zero or one of each), and such a pair has limit 1.  The
-    surviving factors are constants or degenerate-locus linear forms, so
-    content removal plus trial division by that fixed list fully reduces.
+    four factors are differences of four distinct pairs of symbols, so each
+    survivor is the constant +-1 (the pair {0, 1}) or a degenerate-locus
+    linear form, and no two are proportional: num and den share no factor,
+    and content removal by the caller fully reduces.
     """
     n_inf = num_factors.count(_INF)
     d_inf = den_factors.count(_INF)
@@ -183,15 +184,6 @@ def _reduce_pair(num_factors, den_factors):
     for f in den_factors:
         if f is not _INF:
             den = raw_mul(den, f)
-    for g in _degenerate_list():
-        while True:
-            qn = try_divide(num, g)
-            if qn is None:
-                break
-            qd = try_divide(den, g)
-            if qd is None:
-                break
-            num, den = qn, qd
     return num, den
 
 

@@ -200,8 +200,10 @@ class TruncatedSeries:
         """Exact quotient by p^i q^j.
 
         Every term must carry at least that monomial.  The result keeps the
-        original precision: the quotient is only trusted to the precision the
-        operands had (conservative contract).
+        precision N, but it is the true quotient only below N - i in p and
+        N - j in q: the terms of the operand beyond its truncation are
+        unknown.  A caller that needs the quotient to N expands the operand
+        to N + max(i, j) and truncates the result.
         """
         out = {}
         for (a, b), c in self.terms.items():

@@ -76,6 +76,25 @@ def test_too_small_precision_is_a_usage_error():
     assert "delta=100; the smallest valid N is 27" in res.stderr
 
 
+def test_find_at_a_precision_where_t8_reaches_past_n():
+    # at N=17 the quotient of t8 and t10 by p^2 used to be wrong in its top
+    # terms, and the N + 8 recheck died on an AssertionError
+    res = run_cli(["find", "--disc", "4", "--degree", "2", "--prec", "17"])
+    assert res.returncode == 0
+    assert "Traceback" not in res.stderr
+    assert "e_1e_2 - e_3" in res.stdout
+
+
+def test_degenerate_candidate_exit_codes():
+    # e1 - 1 vanishes to N=16 for Delta=24 but lies on the degenerate loci
+    res = run_cli(["find", "--disc", "24", "--degree", "1", "--prec", "16"])
+    assert res.returncode == 3
+    assert "degenerate loci" in res.stderr
+    res = run_cli(["find", "--disc", "24", "--degree", "1"])
+    assert res.returncode == 2
+    assert "e_1 - 1" not in res.stdout
+
+
 def test_degrees_rejects_a_nonpositive_max():
     res = run_cli(["degrees", "--max", "-3"])
     assert res.returncode == 1

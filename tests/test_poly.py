@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from humbert.poly import (DegenerateOnly, MultiPoly, ParseError,
-                          RationalTriple, ZeroPolynomial, degenerate_factors,
-                          eval_complex, eval_on_series, format_poly,
-                          parse_poly, strip_degenerate_factors,
-                          substitute_rational, try_divide)
+from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
+                          ParseError, RationalTriple, ZeroPolynomial,
+                          degenerate_factors, divide_degenerate, eval_complex,
+                          eval_on_series, format_poly, parse_poly,
+                          strip_degenerate_factors, substitute_rational)
 from humbert.rosenhain import rosenhain_triple
 from humbert.series import TruncatedSeries
 from humbert.theta import humbert_params
@@ -247,14 +247,56 @@ def test_degenerate_factor_set():
     assert MultiPoly({(1, 0, 0): 1, (0, 1, 0): -1}) in facs
 
 
-def test_try_divide_exact_and_inexact():
-    f = MultiPoly({(1, 0, 0): 1, (0, 0, 0): -1})
-    g = MultiPoly({(0, 1, 0): 1, (0, 0, 0): 2})
-    prod = MultiPoly(_raw_mul_terms(f.terms, g.terms))
-    q = try_divide(dict(prod.terms), f)
-    assert q is not None and MultiPoly(q) == g
-    assert try_divide({(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(1)},
-                      g) is None
+def test_divide_degenerate_exact_and_inexact():
+    # every factor e_i - t divides g * L^m exactly m times and no further:
+    # g has a constant term of 100, so g(e_i = t) != 0
+    assert len(_DEGENERATE_LOCI) == 9
+    for (i, t), fac in zip(_DEGENERATE_LOCI, degenerate_factors()):
+        for _ in range(20):
+            g = dict(random_poly().terms)
+            g[(0, 0, 0)] = g.get((0, 0, 0), 0) + 100
+            m = rng.randrange(1, 4)
+            prod = g
+            for _ in range(m):
+                prod = _raw_mul_terms(prod, fac.terms)
+            for _ in range(m):
+                prod = divide_degenerate(prod, i, t)
+                assert prod is not None
+            assert prod == g
+            assert divide_degenerate(g, i, t) is None
+            # a nonzero remainder: g * L + 1
+            off = _raw_mul_terms(g, fac.terms)
+            off[(0, 0, 0)] = off.get((0, 0, 0), 0) + 1
+            assert divide_degenerate(off, i, t) is None
+    # e1 + 1 is not a multiple of e1 - 1; e1 / e1 = 1
+    assert divide_degenerate({(1, 0, 0): 1, (0, 0, 0): 1}, 0,
+                             (0, 0, 0)) is None
+    assert divide_degenerate({(1, 0, 0): 1}, 0, None) == {(0, 0, 0): 1}
+
+
+_MULTIPLICITIES = st.lists(st.integers(0, 2), min_size=9, max_size=9)
+_CORES = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), st.integers(-9, 9).filter(bool),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CORES, _MULTIPLICITIES)
+@example({(1, 0, 0): 1, (0, 0, 0): -2}, [2, 0, 1, 0, 0, 1, 2, 1, 1])
+@example({(0, 0, 0): 3}, [1] * 9)
+def test_strip_ignores_degenerate_multiples(core, mults):
+    # strip(core * prod L^m) == strip(core), or both are degenerate-only
+    dressed = core
+    for m, fac in zip(mults, degenerate_factors()):
+        for _ in range(m):
+            dressed = _raw_mul_terms(dressed, fac.terms)
+    try:
+        expected = strip_degenerate_factors(MultiPoly(core))
+    except DegenerateOnly:
+        with pytest.raises(DegenerateOnly):
+            strip_degenerate_factors(MultiPoly(dressed))
+        return
+    assert strip_degenerate_factors(MultiPoly(dressed)) == expected
 
 
 def test_strip_degenerate_factors():

@@ -282,6 +282,23 @@ def test_recheck_failure_names_the_failing_precision():
     assert "exact recheck at N=68" in str(info.value)
 
 
+def test_degenerate_candidate_is_ambiguous():
+    # at N=16 for Delta=24, e1 is 1 to the precision, so e1 - 1 passes both
+    # exact rechecks; it lies on the degenerate loci and proves nothing
+    with pytest.raises(AmbiguousKernel) as info:
+        find_relation(24, 1, precision=16)
+    exc = info.value
+    assert type(exc) is AmbiguousKernel
+    assert (exc.kernel_dim, exc.degree, exc.delta, exc.precision) == (
+        None, 1, 24, 16)
+    assert exc.residual_checks == [(16, True), (24, True)]
+    assert "e_1 - 1" in str(exc) and "degenerate loci" in str(exc)
+    # the automatic search escalates past it and finds no relation at N=32
+    with pytest.raises(NoRelation) as info:
+        find_relation(24, 1)
+    assert "N=32" in str(info.value)
+
+
 def test_unmatched_nullity_stays_plain_ambiguous():
     # nullity 36 at degree 6 is no count of multiples of a lower-degree
     # relation (35 for degree 2), so no factor is claimed

@@ -94,3 +94,42 @@ def test_truncation_consistency_across_precision():
             {k: c for k, c in f.terms.items() if k[0] < 24 and k[1] < 24},
             24)
         assert cut == g
+
+
+def _truncation_cases():
+    for delta in (4, 5, 8, 9, 12, 13):
+        k = humbert_params(delta).k
+        for n in range(max(4, k + 2), 41):
+            yield delta, n
+    yield 12, 76
+    yield 13, 76
+
+
+def test_triple_is_the_truncation_of_a_longer_one():
+    # the triple at N is the image of the triple at N + 8, for every
+    # precision: t8 and t10 are divided by p^(1+k) q^(k+l-1), so their
+    # expansions must reach past N
+    for delta, n in _truncation_cases():
+        disc = humbert_params(delta)
+        hi = rosenhain_triple(disc, n + 8)
+        cut = tuple(e.truncate(n) for e in hi.series())
+        assert rosenhain_triple(disc, n).series() == cut, (delta, n)
+
+
+def test_rosenhain_ratio_is_formed_in_integers(monkeypatch):
+    # t8 and t10 have even coefficients, so the halved quotients have unit
+    # constant terms and no Fraction is ever formed
+    import humbert.series as series_mod
+    made = []
+    real = series_mod._norm_coeff
+
+    def spy(c):
+        out = real(c)
+        if not isinstance(out, int):
+            made.append(out)
+        return out
+
+    monkeypatch.setattr(series_mod, "_norm_coeff", spy)
+    for delta in (4, 5, 8, 12):
+        rosenhain_triple(humbert_params(delta), 40)
+    assert made == []

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from humbert import s6
-from humbert.poly import DegenerateOnly, MultiPoly, parse_poly
+from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
+                          divide_degenerate, parse_poly)
 from humbert.s6 import (Perm6, act, all_perms, fixed_group, induced_map,
                         mulclose, orbit, paper_generators)
 
@@ -126,6 +127,18 @@ def test_orbit_stabilizer_product_randomized():
         assert orbit(f) == images
         assert fixed_group(f) == stab
         done += 1
+
+
+def test_induced_map_is_reduced():
+    # numerator and denominator of each cross-ratio are products of
+    # differences of four distinct pairs of symbols, so no degenerate
+    # factor divides both, for any of the 720 permutations
+    for sigma in all_perms():
+        phi = induced_map(sigma)
+        for num, den in zip(phi.nums, phi.dens):
+            for i, t in _DEGENERATE_LOCI:
+                assert (divide_degenerate(num.terms, i, t) is None
+                        or divide_degenerate(den.terms, i, t) is None)
 
 
 def test_orbit_and_fixed_group_edge_cases():
