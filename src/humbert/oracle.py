@@ -82,21 +82,24 @@ def _shell(r):
     return sorted(pts)
 
 
-def sample_humbert_point(disc, seed=0, max_tries=1000):
+_MAX_TRIES = 1000
+
+
+def sample_humbert_point(disc, seed=0):
     """A pseudorandom point of H_Delta with fast Gaussian decay.
 
     tau3 = k*tau1 + ell*tau2 by construction; Im(tau1) > Im(tau2) > 0 keeps
     |p| < 1 and |q| < 1 for the series substitution.
     """
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         t1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(1.5, 2.5))
         t2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.2, 0.6))
         t3 = disc.k * t1 + disc.ell * t2
         point = SiegelPoint(t1, t2, t3)
         if point.is_valid() and t1.imag > t2.imag > 0:
             return point
-    raise SamplingExhausted("no valid sample after %d tries" % max_tries)
+    raise SamplingExhausted("no valid sample after %d tries" % _MAX_TRIES)
 
 
 _ROSENHAIN_QUOTIENTS = (
@@ -106,9 +109,9 @@ _ROSENHAIN_QUOTIENTS = (
 )
 
 
-def rosenhain_numeric(point, tol=1e-12):
+def rosenhain_numeric(point):
     """Gaudry's Rosenhain triple from direct theta values."""
-    vals = {i: theta_direct(point, ThetaChar.from_index(i), tol)
+    vals = {i: theta_direct(point, ThetaChar.from_index(i))
             for i in (1, 2, 3, 4, 8, 10)}
     floor = 1e-8
     out = []

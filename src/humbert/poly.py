@@ -85,19 +85,6 @@ class MultiPoly:
         self.terms = {k: v // g for k, v in clean.items()}
 
     @classmethod
-    def _unnormalized(cls, terms):
-        """Wrap a raw nonzero integer term map without canonicalizing.
-
-        Only for rational-map components, where the relative sign and scale
-        of numerator and denominator are meaningful.
-        """
-        obj = object.__new__(cls)
-        obj.terms = {k: int(v) for k, v in terms.items() if v}
-        if not obj.terms:
-            raise ZeroPolynomial("zero polynomial")
-        return obj
-
-    @classmethod
     def from_fraction_terms(cls, terms):
         """Clear denominators of a rational coefficient map and normalize."""
         terms = {k: Fraction(v) for k, v in terms.items() if v}
@@ -303,39 +290,20 @@ def strip_degenerate_factors(poly):
     return result
 
 
-class RationalTriple:
-    """Three rational functions (num, den) acting as a coordinate change."""
-
-    __slots__ = ("nums", "dens")
-
-    def __init__(self, pairs):
-        nums, dens = [], []
-        for num, den in pairs:
-            nums.append(num)
-            dens.append(den)
-        self.nums = tuple(nums)
-        self.dens = tuple(dens)
-
-    @classmethod
-    def identity(cls):
-        one = MultiPoly({(0, 0, 0): 1})
-        es = [MultiPoly({(1, 0, 0): 1}), MultiPoly({(0, 1, 0): 1}),
-              MultiPoly({(0, 0, 1): 1})]
-        return cls([(e, one) for e in es])
-
-
 def substitute_rational(poly, phi):
     """F(phi1, phi2, phi3) with minimal uniform denominator clearing.
 
-    The cleared polynomial is prod_i den_i^(deg_i F) * F(phi), normalized and
-    stripped of degenerate-locus factors (Moebius clearing can only introduce
-    factors supported on the degenerate loci).
+    phi is three (num, den) pairs of integer term maps, phi_i = num_i/den_i;
+    they are only read.  The cleared polynomial is prod_i den_i^(deg_i F) *
+    F(phi), normalized and stripped of degenerate-locus factors (Moebius
+    clearing can only introduce factors supported on the degenerate loci).
     """
     d = [poly.degree_in(i) for i in range(3)]
-    num_pows = [_powers(phi.nums[i].terms, d[i], {(0, 0, 0): 1}, raw_mul)
-                for i in range(3)]
-    den_pows = [_powers(phi.dens[i].terms, d[i], {(0, 0, 0): 1}, raw_mul)
-                for i in range(3)]
+    one = {(0, 0, 0): 1}
+    num_pows = [_powers(num, d[i], one, raw_mul)
+                for i, (num, _) in enumerate(phi)]
+    den_pows = [_powers(den, d[i], one, raw_mul)
+                for i, (_, den) in enumerate(phi)]
     # per-variable factors num_i^e * den_i^(deg_i - e); prefix products over
     # the first two variables are shared across terms with equal (a, b)
     z = [[raw_mul(num_pows[i][e], den_pows[i][d[i] - e])
@@ -449,7 +417,7 @@ def parse_poly(text):
         raise ParseError("empty input", 0)
     flush(pos)
     if not terms:
-        raise ZeroPolynomial("input cancels to zero")
+        raise ParseError("input cancels to zero", 0)
     return MultiPoly(terms)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .poly import (DegenerateOnly, MultiPoly, eval_on_series, format_poly,
                    strip_degenerate_factors)
-from .rosenhain import rosenhain_triple
+from .rosenhain import rosenhain_triple, smallest_precision
 from .theta import NotAdmissible, humbert_params
 
 # primes just above 2^20, small enough that an elimination step of
@@ -340,7 +340,7 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     # an undersized N only ever shows up as a too-large kernel; escalate
     # until the kernel is separated (every accepted vector is still
     # rechecked exactly, so this is purely a policy loop)
-    n = default_precision(degree)
+    n = max(default_precision(degree), smallest_precision(disc))
     last = None
     for _ in range(4):
         try:

@@ -20,7 +20,8 @@ from .theta import Discriminant, NotAdmissible, ThetaChar, restricted_theta
 
 
 class IntegralityViolation(ArithmeticError):
-    """A Rosenhain expansion acquired a non-integer coefficient (a bug)."""
+    """t8 or t10 has an odd coefficient, or some e_i has a constant term
+    other than 1 (a bug)."""
 
 
 @dataclass(frozen=True)
@@ -52,20 +53,27 @@ class RosenhainSeries:
         return True
 
 
+def smallest_precision(disc):
+    """The smallest valid N, max(4, k + 2).
+
+    At N = k + 2 the first term p^(1+k) of t8 and t10 lies below N; the bound
+    guards no division (rosenhain_triple expands t8 and t10 past N).
+    """
+    return max(4, disc.k + 2)
+
+
 def rosenhain_triple(disc, precision):
     """Compute (e1, e2, e3) on H_Delta to the given per-variable precision.
 
     Delta = 1 is rejected: there k + l - 1 = 0 and the monomial-cancellation
-    bookkeeping degenerates.  The precision must be at least max(4, k + 2).
+    bookkeeping degenerates.  The precision must be at least
+    smallest_precision(disc).
     """
     if not isinstance(disc, Discriminant):
         raise TypeError("disc must be a Discriminant")
     if disc.delta < 4:
         raise NotAdmissible("rosenhain_triple requires delta >= 4")
-    # the documented smallest precision, N = k + 2, where the first term
-    # p^(1+k) of t8 and t10 lies below N; it guards no division (t8 and t10
-    # are expanded past N below)
-    smallest = max(4, disc.k + 2)
+    smallest = smallest_precision(disc)
     if precision < smallest:
         raise ValueError("precision N=%d is too small for delta=%d; the "
                          "smallest valid N is %d"
@@ -92,9 +100,6 @@ def rosenhain_triple(disc, precision):
     e3 = sq[1] * ratio * sq[2].inverse()
     triple = (e1, e2, e3)
     for name, e in zip(("e1", "e2", "e3"), triple):
-        if not e.is_integral():
-            raise IntegralityViolation("%s has a non-integer coefficient"
-                                       % name)
         if e.constant_term() != 1:
             raise IntegralityViolation("%s has constant term %r, expected 1"
                                        % (name, e.constant_term()))

@@ -15,8 +15,8 @@ from functools import lru_cache
 from itertools import permutations
 
 from .degrees import SpecialCase
-from .poly import (DegenerateOnly, MultiPoly, RationalTriple, _grlex_key,
-                   raw_add, raw_mul, raw_scale, substitute_rational)
+from .poly import (DegenerateOnly, _grlex_key, raw_add, raw_mul, raw_scale,
+                   substitute_rational)
 from .theta import humbert_params
 
 SYMBOLS = ("0", "1", "inf", "e1", "e2", "e3")
@@ -189,7 +189,11 @@ def _reduce_pair(num_factors, den_factors):
 
 @lru_cache(maxsize=None)
 def induced_map(sigma):
-    """The rational-function triple induced by a symbol permutation."""
+    """The rational-function triple induced by a symbol permutation.
+
+    Three (num, den) pairs of integer term maps, one per e-coordinate.  They
+    are cached and shared, so no caller may mutate them.
+    """
     u = [_VALUE[sigma(s)] for s in SYMBOLS]
     u1, u2, u3 = u[0], u[1], u[2]
     pairs = []
@@ -209,9 +213,8 @@ def induced_map(sigma):
             g = -g
         num = {k: v // g for k, v in num.items()}
         den = {k: v // g for k, v in den.items()}
-        pairs.append((MultiPoly._unnormalized(num),
-                      MultiPoly._unnormalized(den)))
-    return RationalTriple(pairs)
+        pairs.append((num, den))
+    return tuple(pairs)
 
 
 def act(sigma, poly):

@@ -1,27 +1,20 @@
-"""Exact arithmetic in the truncated power-series ring Q[[p,q]]/(p^N, q^N).
+"""Exact arithmetic in the truncated power-series ring Z[[p,q]]/(p^N, q^N).
 
 Series are stored sparsely as a map from exponent pairs (i, j) to nonzero
-rational coefficients.  Coefficients are Python ints whenever the value is an
-integer and fractions.Fraction otherwise, so integrality is an assertable
-predicate rather than a type distinction.
+Python int coefficients.  The constructor accepts only integers (anything
+`operator.index` takes), so integrality is a property of the type: a rational
+coefficient is a TypeError, never a value to check for later.
 """
 
-from fractions import Fraction
+import operator
 
 
 class NotAUnit(ArithmeticError):
-    """Constant term is zero, so the series has no inverse."""
+    """Constant term is not +-1, so the series has no inverse in Z[[p,q]]."""
 
 
 class NotDivisible(ArithmeticError):
     """A term blocks exact division by a monomial."""
-
-
-def _norm_coeff(c):
-    # collapse Fractions with denominator 1 back to int
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 class TruncatedSeries:
@@ -34,12 +27,13 @@ class TruncatedSeries:
             raise ValueError("precision must be >= 1")
         self.precision = precision
         clean = {}
+        index = operator.index
         for (i, j), c in terms.items():
             if i >= precision or j >= precision:
                 continue
             if i < 0 or j < 0:
                 raise ValueError("negative exponent (%d, %d)" % (i, j))
-            c = _norm_coeff(c)
+            c = index(c)
             if c:
                 clean[(i, j)] = c
         self.terms = clean
@@ -72,10 +66,6 @@ class TruncatedSeries:
 
     def is_zero(self):
         return not self.terms
-
-    def is_integral(self):
-        """True iff every stored coefficient has denominator 1."""
-        return all(not isinstance(c, Fraction) for c in self.terms.values())
 
     def min_exponents(self):
         """Componentwise minimum (i, j) over stored terms; None for zero."""
@@ -159,16 +149,16 @@ class TruncatedSeries:
     def inverse(self):
         """Multiplicative inverse in the quotient ring.
 
-        Requires a nonzero constant term; the inverse is then unique and the
-        geometric series of the paper trick converges to it, so we may solve
-        for it coefficient by coefficient in graded order instead (same
-        result, one convolution's worth of work).
+        The units of Z[[p,q]] are the series with constant term +-1; the
+        inverse is then unique and the geometric series of the paper trick
+        converges to it, so we may solve for it coefficient by coefficient in
+        graded order instead (same result, one convolution's worth of work).
         """
         c0 = self.constant_term()
-        if not c0:
-            raise NotAUnit("constant term is zero")
+        if c0 not in (1, -1):
+            raise NotAUnit("constant term %d is not +-1" % c0)
         n = self.precision
-        inv_c0 = _norm_coeff(Fraction(1, 1) / c0)
+        inv_c0 = c0  # +-1 is its own inverse
         rest = [(k, c) for k, c in self.terms.items() if k != (0, 0)]
         out = {(0, 0): inv_c0}
         # acc[(i, j)] accumulates sum of f[a,b] * g[i-a, j-b] over known g
@@ -190,10 +180,9 @@ class TruncatedSeries:
                 a = acc.pop(key, 0)
                 if not a:
                     continue
-                g_val = _norm_coeff(-a * inv_c0)
-                if g_val:
-                    out[key] = g_val
-                    propagate(key, g_val)
+                g_val = -a * inv_c0
+                out[key] = g_val
+                propagate(key, g_val)
         return TruncatedSeries(out, n)
 
     def divide_monomial(self, i, j):
@@ -222,44 +211,21 @@ class TruncatedSeries:
         return TruncatedSeries(out, n)
 
 
-def exact_ratio(f, g):
-    """Quotient f/g after cancelling the largest monomial common to both.
-
-    The common monomial p^i q^j is the componentwise minimum of the minimal
-    exponents of f and g; after cancelling it the reduced denominator must be
-    a unit.  Integrality of the result is the caller's to assert.
-    """
-    if g.is_zero():
-        raise ZeroDivisionError("zero denominator series")
-    if f.is_zero():
-        return TruncatedSeries.zero(min(f.precision, g.precision))
-    fi, fj = f.min_exponents()
-    gi, gj = g.min_exponents()
-    i, j = min(fi, gi), min(fj, gj)
-    f_red = f.divide_monomial(i, j)
-    g_red = g.divide_monomial(i, j)
-    if not g_red.constant_term():
-        raise NotAUnit("denominator is not a unit after monomial cancellation")
-    return f_red * g_red.inverse()
-
-
 # -- serialization ----------------------------------------------------
 
 def series_to_record(f):
-    """JSON-ready record: {precision, terms: sorted [i, j, "num/den"]}."""
-    terms = []
-    for (i, j) in sorted(f.terms):
-        c = f.terms[(i, j)]
-        if isinstance(c, Fraction):
-            terms.append([i, j, "%d/%d" % (c.numerator, c.denominator)])
-        else:
-            terms.append([i, j, "%d/1" % c])
+    """JSON-ready record: {precision, terms: sorted [i, j, "n/1"]}."""
+    terms = [[i, j, "%d/1" % f.terms[(i, j)]] for (i, j) in sorted(f.terms)]
     return {"precision": f.precision, "terms": terms}
 
 
 def series_from_record(rec):
+    """Inverse of series_to_record; a denominator other than 1 is an error."""
     terms = {}
     for i, j, s in rec["terms"]:
         num, den = s.split("/")
-        terms[(int(i), int(j))] = Fraction(int(num), int(den))
+        if int(den) != 1:
+            raise ValueError("coefficient %r of p^%s q^%s is not an integer"
+                             % (s, i, j))
+        terms[(int(i), int(j))] = int(num)
     return TruncatedSeries(terms, int(rec["precision"]))

@@ -69,11 +69,20 @@ def test_too_small_precision_is_a_usage_error():
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert "delta=24; the smallest valid N is 8" in res.stderr
-    # degree 1 starts at N=16, and delta=100 has k=25
-    res = run_cli(["find", "--disc", "100", "--degree", "1"])
+    # delta=100 has k=25
+    res = run_cli(["find", "--disc", "100", "--degree", "1", "--prec", "16"])
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert "delta=100; the smallest valid N is 27" in res.stderr
+
+
+def test_find_starts_at_the_smallest_valid_precision():
+    # degree 1 alone would start at N=16, below delta=60's smallest N=17;
+    # the search starts at 17 and escalates to NoRelation at N=65
+    res = run_cli(["find", "--disc", "60", "--degree", "1"])
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "at N=65" in res.stderr
 
 
 def test_find_at_a_precision_where_t8_reaches_past_n():
@@ -125,6 +134,14 @@ def test_parse_error_exit_code(tmp_path):
     bad.write_text("e_1 + @@@")
     res = run_cli(["verify", "--in", str(bad), "--disc", "4"])
     assert res.returncode == 5
+
+
+def test_input_that_cancels_to_zero_is_a_parse_error(tmp_path):
+    zero = tmp_path / "zero.txt"
+    zero.write_text("e_1 - e_1")
+    res = run_cli(["orbit", "--in", str(zero)])
+    assert res.returncode == 5
+    assert "parse error: input cancels to zero" in res.stderr
 
 
 def test_verify_accepts_explicit_star(tmp_path):

@@ -3,32 +3,24 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from humbert.series import (NotAUnit, NotDivisible, TruncatedSeries,
-                            exact_ratio, series_from_record,
-                            series_to_record)
+                            series_from_record, series_to_record)
 
 rng = random.Random(20260826)
 
 
-def random_series(precision, max_terms=8, unit=False, integral=True):
+def random_series(precision, max_terms=8, unit=False):
     terms = {}
     for _ in range(rng.randrange(max_terms + 1)):
         i = rng.randrange(precision)
         j = rng.randrange(precision)
-        if integral:
-            c = rng.randint(-9, 9)
-        else:
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        terms[(i, j)] = c
-    f = TruncatedSeries(terms, precision)
+        terms[(i, j)] = rng.randint(-9, 9)
     if unit:
-        c0 = f.terms.get((0, 0), 0)
-        if c0 == 0:
-            f = f + TruncatedSeries.constant(rng.choice([1, -1, 2, 3]),
-                                             precision)
-    return f
+        terms[(0, 0)] = rng.choice([1, -1])
+    return TruncatedSeries(terms, precision)
 
 
 def test_ring_axioms_randomized():
@@ -52,7 +44,7 @@ def test_ring_axioms_randomized():
 def test_inverse_randomized():
     for _ in range(200):
         n = rng.choice([4, 6, 8, 10])
-        f = random_series(n, unit=True, integral=False)
+        f = random_series(n, unit=True)
         g = f.inverse()
         assert f * g == TruncatedSeries.one(n)
 
@@ -63,6 +55,27 @@ def test_inverse_requires_unit():
         f.inverse()
     with pytest.raises(NotAUnit):
         TruncatedSeries.zero(6).inverse()
+
+
+def test_inverse_requires_constant_term_plus_minus_one():
+    # 2 + p is invertible over Q but not over Z
+    two_plus_p = TruncatedSeries({(0, 0): 2, (1, 0): 1}, 6)
+    with pytest.raises(NotAUnit):
+        two_plus_p.inverse()
+    minus_one = TruncatedSeries({(0, 0): -1, (0, 1): 3}, 6)
+    assert minus_one * minus_one.inverse() == TruncatedSeries.one(6)
+
+
+def test_coefficients_are_ints():
+    with pytest.raises(TypeError):
+        TruncatedSeries({(0, 0): Fraction(1, 3)}, 4)
+    with pytest.raises(TypeError):
+        TruncatedSeries({(0, 0): Fraction(2, 1)}, 4)
+    with pytest.raises(TypeError):
+        TruncatedSeries({(1, 0): 0.5}, 4)
+    f = TruncatedSeries({(0, 0): np.int64(3), (1, 2): np.int32(-2)}, 4)
+    assert f.terms == {(0, 0): 3, (1, 2): -2}
+    assert all(type(c) is int for c in f.terms.values())
 
 
 def test_inverse_geometric():
@@ -105,42 +118,21 @@ def test_mixed_precision_takes_min():
     assert (f + g).precision == 6
 
 
-def test_exact_ratio_cancels_common_monomial():
-    n = 8
-    p2 = TruncatedSeries.monomial(1, 1, n, coeff=2)
-    f = p2 * TruncatedSeries({(0, 0): 1, (1, 0): 3}, n)
-    g = p2 * TruncatedSeries({(0, 0): 1, (0, 1): -2}, n)
-    r = exact_ratio(f, g)
-    expected = TruncatedSeries({(0, 0): 1, (1, 0): 3}, n) * TruncatedSeries(
-        {(0, 0): 1, (0, 1): -2}, n).inverse()
-    assert r == expected
-
-
-def test_exact_ratio_unit_denominator_after_shift():
-    n = 6
-    f = TruncatedSeries.monomial(2, 0, n)
-    g = TruncatedSeries.monomial(1, 0, n)
-    # common monomial is p, leaving p/1
-    assert exact_ratio(f, g) == TruncatedSeries.monomial(1, 0, n)
-
-
-def test_exact_ratio_non_unit_raises():
-    n = 6
-    one = TruncatedSeries.one(n)
-    p = TruncatedSeries.monomial(1, 0, n)
-    with pytest.raises(NotAUnit):
-        exact_ratio(one, p)
-
-
 def test_serialization_round_trip():
     for _ in range(200):
-        f = random_series(rng.choice([4, 8, 12]), integral=False)
+        f = random_series(rng.choice([4, 8, 12]))
         rec = series_to_record(f)
         assert series_from_record(rec) == f
 
 
 def test_serialization_is_sorted_and_stringly_exact():
-    f = TruncatedSeries({(2, 1): Fraction(1, 3), (0, 0): -2}, 5)
+    f = TruncatedSeries({(2, 1): 3, (0, 0): -2}, 5)
     rec = series_to_record(f)
     assert rec["precision"] == 5
-    assert rec["terms"] == [[0, 0, "-2/1"], [2, 1, "1/3"]]
+    assert rec["terms"] == [[0, 0, "-2/1"], [2, 1, "3/1"]]
+
+
+def test_series_from_record_rejects_a_denominator():
+    rec = {"precision": 5, "terms": [[0, 0, "1/1"], [2, 1, "1/3"]]}
+    with pytest.raises(ValueError):
+        series_from_record(rec)
