@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage, 2 NoRelation, 3 AmbiguousKernel (for an
 ImprimitiveKernel, stderr names the lower-degree factor and the --degree to
 search at), 4 verification failure, 5 parse error, 6 internal consistency
-failure.
+failure (IntegralityViolation, NotAUnit, NotDivisible, NonIntegralDegree,
+NonConvergent, NearVanishingDenominator or SamplingExhausted).
 """
 
 import json
@@ -13,14 +14,15 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .degrees import SpecialCase, degree_table
-from .oracle import verify_component
+from .degrees import NonIntegralDegree, SpecialCase, degree_table
+from .oracle import (NearVanishingDenominator, NonConvergent,
+                     SamplingExhausted, verify_component)
 from .poly import ParseError, format_poly, parse_poly
 from .relations import (AmbiguousKernel, ImprimitiveKernel, NoRelation,
                         find_relation)
 from .rosenhain import IntegralityViolation, rosenhain_triple
 from .s6 import fixed_group, orbit
-from .series import series_to_record
+from .series import NotAUnit, NotDivisible, series_to_record
 from .theta import NotAdmissible, ThetaChar, humbert_params
 
 SCHEMA = "humbert/1"
@@ -210,7 +212,9 @@ def _wrap_errors(fn):
         except (NotAdmissible, SpecialCase, ValueError) as exc:
             click.echo("error: %s" % exc, err=True)
             sys.exit(EXIT_USAGE)
-        except IntegralityViolation as exc:
+        except (IntegralityViolation, NotAUnit, NotDivisible,
+                NonIntegralDegree, NonConvergent, NearVanishingDenominator,
+                SamplingExhausted) as exc:
             click.echo("internal consistency failure: %s" % exc, err=True)
             sys.exit(EXIT_INTERNAL)
     return run

@@ -2,13 +2,14 @@
 
 Canonical form: integer coefficients with content 1, positive coefficient on
 the graded-lex greatest monomial, no zero terms stored.  Component equality
-throughout the package is equality of canonical forms.
+throughout the package is equality of canonical forms.  The constructor
+accepts only integers (anything `operator.index` takes), so a rational
+coefficient is a TypeError.
 """
 
 import math
 import operator
 import re
-from fractions import Fraction
 
 from .series import TruncatedSeries
 
@@ -58,51 +59,32 @@ def raw_mul(f, g):
     return out
 
 
-def raw_scale(f, c):
-    return {k: v * c for k, v in f.items()} if c else {}
-
-
 class MultiPoly:
     """Canonical-form trivariate integer polynomial."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        # terms: map (a, b, c) -> nonzero integer; canonicalized here
-        for v in terms.values():
-            if v != int(v):
-                raise ValueError("integer coefficients required; use "
-                                 "from_fraction_terms for rationals")
-        clean = {k: int(v) for k, v in terms.items() if v}
+        # terms: map (a, b, c) -> integer, anything `operator.index` takes
+        # (a Fraction or a float is a TypeError); canonicalized here
+        index = operator.index
+        clean = {}
+        for k, v in terms.items():
+            v = index(v)
+            if v:
+                clean[k] = v
         if not clean:
             raise ZeroPolynomial("zero polynomial has no canonical form")
-        g = 0
-        for v in clean.values():
-            g = math.gcd(g, v)
-        lead = max(clean, key=_grlex_key)
-        sign = 1 if clean[lead] > 0 else -1
-        g *= sign
+        g = math.gcd(*clean.values())
+        if clean[max(clean, key=_grlex_key)] < 0:
+            g = -g
         self.terms = {k: v // g for k, v in clean.items()}
-
-    @classmethod
-    def from_fraction_terms(cls, terms):
-        """Clear denominators of a rational coefficient map and normalize."""
-        terms = {k: Fraction(v) for k, v in terms.items() if v}
-        if not terms:
-            raise ZeroPolynomial("zero polynomial")
-        den = 1
-        for v in terms.values():
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        return cls({k: int(v * den) for k, v in terms.items()})
 
     def degree(self):
         return max(a + b + c for (a, b, c) in self.terms)
 
     def degree_in(self, var):
         return max(k[var] for k in self.terms)
-
-    def leading_monomial(self):
-        return max(self.terms, key=_grlex_key)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

@@ -23,13 +23,12 @@ not be a product of degenerate-locus factors.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .poly import (DegenerateOnly, MultiPoly, eval_on_series, format_poly,
                    strip_degenerate_factors)
-from .rosenhain import rosenhain_triple, smallest_precision
+from .rosenhain import rosenhain_triple
 from .theta import NotAdmissible, humbert_params
 
 # primes just above 2^20, small enough that an elimination step of
@@ -138,20 +137,6 @@ def default_precision(d):
     if root * root < m:
         root += 1
     return 4 * root + 8
-
-
-def _to_coprime(vec):
-    den = 1
-    for x in vec:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    first = next(x for x in ints if x)
-    if first < 0:
-        g = -g
-    return [x // g for x in ints]
 
 
 # -- the kernel modulo word-size primes -----------------------------------
@@ -271,7 +256,8 @@ def _nullspace_mod(mat, p):
 
 
 def _rational_reconstruct(a, m):
-    """Smallest rational x = n/d with x = a mod m, |n|, d <= sqrt(m/2)."""
+    """The smallest rational n/d = a mod m with |n|, d <= sqrt(m/2), as the
+    coprime int pair (n, d) with d > 0, or None if there is none."""
     bound = math.isqrt(m // 2)
     r0, r1 = m, a % m
     s0, s1 = 0, 1
@@ -281,11 +267,17 @@ def _rational_reconstruct(a, m):
         s0, s1 = s1, s0 - q * s1
     if s1 == 0 or math.gcd(r1, s1) != 1 or abs(s1) > bound:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def _lift_kernel_vector(vecs_mod, primes):
-    """CRT-combine normalized per-prime kernel vectors and reconstruct."""
+    """CRT-combine per-prime kernel vectors and reconstruct an integer one.
+
+    Each vector is normalized mod its prime to a first nonzero entry of 1,
+    which reconstructs to 1/1.  Clearing the denominators n_i/d_i with
+    L = lcm(d_i) gives first entry L > 0 and content 1: a prime dividing L
+    to its full power in some d_j divides neither L/d_j nor n_j.
+    """
     m = 1
     combined = [0] * len(vecs_mod[0])
     for v, p in zip(vecs_mod, primes):
@@ -299,13 +291,11 @@ def _lift_kernel_vector(vecs_mod, primes):
             t = ((int(v[i]) - combined[i]) * inv) % p
             combined[i] = (combined[i] + m * t) % mp
         m = mp
-    out = []
-    for x in combined:
-        f = _rational_reconstruct(x, m)
-        if f is None:
-            return None
-        out.append(f)
-    return _to_coprime(out)
+    pairs = [_rational_reconstruct(x, m) for x in combined]
+    if None in pairs:
+        return None
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs]
 
 
 def _poly_from_vector(vec, basis, symmetry):
@@ -339,8 +329,10 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     # the (N/4)^2 column heuristic undershoots for some discriminants, and
     # an undersized N only ever shows up as a too-large kernel; escalate
     # until the kernel is separated (every accepted vector is still
-    # rechecked exactly, so this is purely a policy loop)
-    n = max(default_precision(degree), smallest_precision(disc))
+    # rechecked exactly, so this is purely a policy loop).  Below
+    # N = 4(k + l) + 1, e1 - 1 vanishes mod (p^N, q^N), so every multiple
+    # of it lies in the kernel; that N is never below smallest_precision
+    n = max(default_precision(degree), 4 * (disc.k + disc.ell) + 1)
     last = None
     for _ in range(4):
         try:

@@ -35,23 +35,6 @@ class RosenhainSeries:
     def series(self):
         return (self.e1, self.e2, self.e3)
 
-    def is_distinct(self):
-        """True iff the e_i are pairwise distinct and != 1 at this precision.
-
-        A truncated series cannot certify distinctness below the order of the
-        first separating term (e.g. e1 - 1 starts at p^12 q^12 for Delta=12),
-        so this is a queryable predicate rather than a construction invariant.
-        """
-        one = TruncatedSeries.one(self.precision)
-        triple = self.series()
-        for i in range(3):
-            if (triple[i] - one).is_zero():
-                return False
-            for j in range(i + 1, 3):
-                if (triple[i] - triple[j]).is_zero():
-                    return False
-        return True
-
 
 def smallest_precision(disc):
     """The smallest valid N, max(4, k + 2).

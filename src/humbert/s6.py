@@ -6,8 +6,10 @@ coordinates back to (0, 1, inf) with the unique Moebius transformation
 
     mu(x) = (x - u1)(u2 - u3) / ((x - u3)(u2 - u1)),
 
-evaluated projectively so that inf needs no special casing.  The images of
-the last three coordinates give a triple of rational functions in e1, e2, e3.
+evaluated projectively so that inf needs no special casing: each symbol is a
+point (x0 : x1), with inf = (1 : 0), and each difference a - b is the
+determinant a0 b1 - b0 a1.  The images of the last three coordinates give a
+triple of rational functions in e1, e2, e3.
 """
 
 import math
@@ -15,7 +17,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .degrees import SpecialCase
-from .poly import (DegenerateOnly, _grlex_key, raw_add, raw_mul, raw_scale,
+from .poly import (DegenerateOnly, _grlex_key, raw_add, raw_mul,
                    substitute_rational)
 from .theta import humbert_params
 
@@ -144,47 +146,23 @@ def mulclose(gens):
 
 # -- the induced rational maps ------------------------------------------
 
-# finite symbol values as raw trivariate term dicts; inf is the marker None
-_VALUE = {
-    "0": {},
-    "1": {(0, 0, 0): 1},
-    "inf": None,
-    "e1": {(1, 0, 0): 1},
-    "e2": {(0, 1, 0): 1},
-    "e3": {(0, 0, 1): 1},
+# each symbol as a projective point (x0 : x1) of integer term maps, with
+# inf = (1 : 0)
+_ONE = {(0, 0, 0): 1}
+_POINT = {
+    "0": ({}, _ONE),
+    "1": (_ONE, _ONE),
+    "inf": (_ONE, {}),
+    "e1": ({(1, 0, 0): 1}, _ONE),
+    "e2": ({(0, 1, 0): 1}, _ONE),
+    "e3": ({(0, 0, 1): 1}, _ONE),
 }
 
-_INF = object()  # an (alpha - beta) factor where exactly one side is inf
 
-
-def _diff(a, b):
-    if a is None or b is None:
-        return _INF  # inf never meets inf: the six symbols are distinct
-    return raw_add(a, raw_scale(b, -1))
-
-
-def _reduce_pair(num_factors, den_factors):
-    """Assemble mu(x) = prod(num)/prod(den) with inf-pair cancellation.
-
-    The cross-ratio always carries the same number of inf factors upstairs
-    and downstairs (zero or one of each), and such a pair has limit 1.  The
-    four factors are differences of four distinct pairs of symbols, so each
-    survivor is the constant +-1 (the pair {0, 1}) or a degenerate-locus
-    linear form, and no two are proportional: num and den share no factor,
-    and content removal by the caller fully reduces.
-    """
-    n_inf = num_factors.count(_INF)
-    d_inf = den_factors.count(_INF)
-    assert n_inf == d_inf <= 1, "unpaired infinity in cross-ratio"
-    num = {(0, 0, 0): 1}
-    den = {(0, 0, 0): 1}
-    for f in num_factors:
-        if f is not _INF:
-            num = raw_mul(num, f)
-    for f in den_factors:
-        if f is not _INF:
-            den = raw_mul(den, f)
-    return num, den
+def _det(a, b):
+    """a0 b1 - b0 a1, which is a - b when both points are finite."""
+    return raw_add(raw_mul(a[0], b[1]),
+                   raw_mul(b[0], {k: -v for k, v in a[1].items()}))
 
 
 @lru_cache(maxsize=None)
@@ -192,23 +170,25 @@ def induced_map(sigma):
     """The rational-function triple induced by a symbol permutation.
 
     Three (num, den) pairs of integer term maps, one per e-coordinate.  They
-    are cached and shared, so no caller may mutate them.
+    are cached and shared, so no caller may mutate them.  Each factor of
+    mu(x) is a 2x2 determinant of projective points; a determinant with inf
+    in it is +-1, and the two of them in one cross-ratio are equal, so they
+    cancel as the limit 1 would.  The surviving factors are the constant
+    +-1 or distinct degenerate-locus linear forms, so num and den share no
+    factor and the joint content removal fully reduces.
     """
-    u = [_VALUE[sigma(s)] for s in SYMBOLS]
-    u1, u2, u3 = u[0], u[1], u[2]
+    u1, u2, u3, *xs = (_POINT[sigma(s)] for s in SYMBOLS)
     pairs = []
-    for x in u[3:]:
-        num, den = _reduce_pair([_diff(x, u1), _diff(u2, u3)],
-                                [_diff(x, u3), _diff(u2, u1)])
+    for x in xs:
+        num = raw_mul(_det(x, u1), _det(u2, u3))
+        den = raw_mul(_det(x, u3), _det(u2, u1))
         if not num or not den:
             # the six symbols are pairwise distinct, so mu can send an
             # e-coordinate to 0 or inf only when sigma moves it onto one of
             # the renormalised slots -- which the tuple layout rules out
             raise AssertionError("cross-ratio image degenerated")
         # joint scaling only: relative sign/scale of num and den matters
-        g = 0
-        for v in list(num.values()) + list(den.values()):
-            g = math.gcd(g, v)
+        g = math.gcd(*num.values(), *den.values())
         if den[max(den, key=_grlex_key)] < 0:
             g = -g
         num = {k: v // g for k, v in num.items()}

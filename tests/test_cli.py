@@ -4,6 +4,14 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from humbert import cli
+from humbert.degrees import NonIntegralDegree
+from humbert.oracle import (NearVanishingDenominator, NonConvergent,
+                            SamplingExhausted)
+from humbert.series import NotAUnit, NotDivisible
+
 
 def run_cli(args, env_extra=None, cwd=None):
     import os
@@ -78,11 +86,21 @@ def test_too_small_precision_is_a_usage_error():
 
 def test_find_starts_at_the_smallest_valid_precision():
     # degree 1 alone would start at N=16, below delta=60's smallest N=17;
-    # the search starts at 17 and escalates to NoRelation at N=65
+    # the search starts at 4(k + l) + 1 = 61, where e1 - 1 no longer
+    # vanishes, and ends in NoRelation there
     res = run_cli(["find", "--disc", "60", "--degree", "1"])
     assert res.returncode == 2, res.stderr
     assert "Traceback" not in res.stderr
-    assert "at N=65" in res.stderr
+    assert "at N=61" in res.stderr
+
+
+def test_find_for_a_large_discriminant_at_low_degree():
+    # for delta=100 (k=25), e1 - 1 vanishes mod (p^N, q^N) up to N=100, so
+    # a search below N=101 finds only that degenerate candidate (exit 3)
+    res = run_cli(["find", "--disc", "100", "--degree", "1"])
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "at N=101" in res.stderr
 
 
 def test_find_at_a_precision_where_t8_reaches_past_n():
@@ -102,6 +120,23 @@ def test_degenerate_candidate_exit_codes():
     res = run_cli(["find", "--disc", "24", "--degree", "1"])
     assert res.returncode == 2
     assert "e_1 - 1" not in res.stdout
+
+
+@pytest.mark.parametrize("error", [NotAUnit, NotDivisible, NonIntegralDegree,
+                                   NonConvergent, NearVanishingDenominator,
+                                   SamplingExhausted])
+def test_library_failures_exit_6(monkeypatch, capsys, error):
+    def failing(max_delta):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, "degree_table", failing)
+    monkeypatch.setattr(sys, "argv", ["humbert", "degrees"])
+    with pytest.raises(SystemExit) as info:
+        cli.cli_entry()
+    assert info.value.code == 6
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "internal consistency failure: injected failure" in err
 
 
 def test_degrees_rejects_a_nonpositive_max():

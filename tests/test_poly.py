@@ -1,13 +1,17 @@
-"""Tests for sparse trivariate polynomials over Q."""
+"""Tests for sparse trivariate integer polynomials."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import humbert
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
                           ParseError, ZeroPolynomial,
                           degenerate_factors, divide_degenerate, eval_complex,
@@ -45,9 +49,9 @@ def test_normalize_idempotent_randomized():
     for _ in range(200):
         f = random_poly()
         assert MultiPoly(dict(f.terms)) == f
-        lam = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        lam = rng.choice((-1, 1)) * rng.randint(1, 7)
         scaled = {k: c * lam for k, c in f.terms.items()}
-        assert MultiPoly.from_fraction_terms(scaled) == f
+        assert MultiPoly(scaled) == f
 
 
 def test_normalize_sign_convention():
@@ -63,14 +67,41 @@ def test_zero_polynomial_rejected():
         MultiPoly({(1, 1, 0): 0})
 
 
+def test_coefficients_must_be_integers():
+    # integrality is a property of the type: a rational or a float
+    # coefficient is refused even when its value is an integer
+    with pytest.raises(TypeError):
+        MultiPoly({(1, 0, 0): Fraction(4, 2)})
+    with pytest.raises(TypeError):
+        MultiPoly({(1, 0, 0): 2.0})
+    f = MultiPoly({(1, 0, 0): np.int64(2), (0, 0, 0): np.int64(-6)})
+    assert f.terms == {(1, 0, 0): 1, (0, 0, 0): -3}
+    assert all(type(c) is int for c in f.terms.values())
+
+
+def test_no_module_imports_fractions():
+    # rational numbers appear only inside rational reconstruction, which
+    # returns (numerator, denominator) int pairs
+    paths = sorted(Path(humbert.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] != "fractions", path.name
+
+
 def test_eval_on_series_is_ring_homomorphism():
     for _ in range(50):
         f = random_poly(4, 3)
         g = random_poly(4, 3)
         triple = random_series_triple()
-        fg = MultiPoly.from_fraction_terms(
-            {k: Fraction(c) for k, c in
-             _raw_mul_terms(f.terms, g.terms).items()})
+        fg = MultiPoly(_raw_mul_terms(f.terms, g.terms))
         lhs = eval_on_series(fg, triple)
         rhs = eval_on_series(f, triple) * eval_on_series(g, triple)
         # MultiPoly normalizes by content, so compare up to the scalar

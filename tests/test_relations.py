@@ -14,7 +14,9 @@ from humbert.relations import (_PRIMES, AmbiguousKernel, ImprimitiveKernel,
                                _monomial_rows_mod, _nullspace_mod,
                                default_precision, find_relation,
                                monomial_basis)
-from humbert.rosenhain import RosenhainSeries, rosenhain_triple
+from humbert.degrees import admissible_range
+from humbert.rosenhain import (RosenhainSeries, rosenhain_triple,
+                               smallest_precision)
 from humbert.series import TruncatedSeries
 from humbert.theta import humbert_params
 
@@ -282,6 +284,21 @@ def test_recheck_failure_names_the_failing_precision():
     assert "exact recheck at N=68" in str(info.value)
 
 
+def test_e1_is_one_to_exactly_four_k_plus_l():
+    # e1 - 1 vanishes mod (p^N, q^N) exactly when N <= 4(k + l): the
+    # smallest max(i, j) over its terms is 4(k + l).  The automatic search
+    # starts above that, which is never below the smallest valid N
+    for delta in admissible_range(60):
+        if delta < 4:
+            continue
+        disc = humbert_params(delta)
+        n = 4 * (disc.k + disc.ell)
+        assert n + 1 >= smallest_precision(disc)
+        gap = (rosenhain_triple(disc, n + 1).e1
+               - TruncatedSeries.one(n + 1))
+        assert min(max(key) for key in gap.terms) == n, delta
+
+
 def test_degenerate_candidate_is_ambiguous():
     # at N=16 for Delta=24, e1 is 1 to the precision, so e1 - 1 passes both
     # exact rechecks; it lies on the degenerate loci and proves nothing
@@ -293,10 +310,11 @@ def test_degenerate_candidate_is_ambiguous():
         None, 1, 24, 16)
     assert exc.residual_checks == [(16, True), (24, True)]
     assert "e_1 - 1" in str(exc) and "degenerate loci" in str(exc)
-    # the automatic search escalates past it and finds no relation at N=32
+    # the automatic search starts past it, at N = 4(k + l) + 1 = 25, and
+    # finds no relation there
     with pytest.raises(NoRelation) as info:
         find_relation(24, 1)
-    assert "N=32" in str(info.value)
+    assert "N=25" in str(info.value)
 
 
 def test_unmatched_nullity_stays_plain_ambiguous():
