@@ -23,7 +23,8 @@ from .relations import (AmbiguousKernel, ImprimitiveKernel, NoRelation,
 from .rosenhain import IntegralityViolation, rosenhain_triple
 from .s6 import fixed_group, orbit
 from .series import NotAUnit, NotDivisible, series_to_record
-from .theta import NotAdmissible, ThetaChar, humbert_params
+from .theta import (NotAdmissible, ThetaChar, humbert_params,
+                     restricted_theta)
 
 SCHEMA = "humbert/1"
 
@@ -75,7 +76,6 @@ def degrees(max_delta, as_json):
 @click.option("--out", type=click.Path(), default=None)
 def theta(delta, precision, char_bits, out):
     """Restricted Fourier expansion of a theta constant on H_Delta."""
-    from .theta import restricted_theta
     disc = humbert_params(delta)
     char = ThetaChar.from_string(char_bits)
     f = restricted_theta(char, disc, precision)

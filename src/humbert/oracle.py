@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .poly import eval_complex
-from .theta import ThetaChar
+from .theta import ThetaChar, humbert_params, restricted_theta
 
 
 class NonConvergent(ArithmeticError):
@@ -144,7 +144,6 @@ def expansion_vs_direct(disc, char, point, precision):
     constant by the constant characteristic phase i^(a*c + b*d) (it is -1
     exactly for theta_10); the comparison accounts for it.
     """
-    from .theta import restricted_theta
     f = restricted_theta(char, disc, precision)
     p, q = pq_coordinates(point)
     series_val = eval_series_numeric(f, p, q)
@@ -160,7 +159,6 @@ def verify_component(poly, delta, trials=20, tol=1e-6, seed=0):
     a coefficient-mass relative scale.  Returns (passed, max_residual,
     residuals).
     """
-    from .theta import humbert_params
     disc = humbert_params(delta)
     coeff_mass = sum(abs(c) for c in poly.terms.values())
     deg = poly.degree()

@@ -110,11 +110,6 @@ class MultiPoly:
         return {"terms": [[a, b, c, str(self.terms[(a, b, c)])]
                           for (a, b, c) in keys]}
 
-    @classmethod
-    def from_record(cls, rec):
-        return cls({(int(a), int(b), int(c)): int(v)
-                    for a, b, c, v in rec["terms"]})
-
 
 # -- evaluation --------------------------------------------------------
 

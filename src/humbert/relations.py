@@ -11,11 +11,12 @@ float64 matrix products: multiplying by e_i is a matrix T_i, and every
 product is reduced by fmod.  The bound m_i m_j (p-1)^2 < 2^53 is asserted,
 so every dot product is an exact integer (the FFLAS-FFPACK technique of
 Dumas, Giorgi and Pernet).  The nullity mod p is never below the nullity
-over Q, so a prime with nullity 0 proves that there is no relation, and a
-prime with nullity 1 bounds the rational nullity by 1.  A one-dimensional
-kernel is lifted by CRT and rational reconstruction from three primes, and
-from up to six when that fails, which reconstructs coefficient ratios up to
-about 2^59.  A candidate relation is only ever accepted after an exact
+over Q, and only nullity 1 gives a relation, so nullity 0 at any prime or
+above 1 at the first prime decides the answer.  A one-dimensional kernel is
+lifted by CRT and rational reconstruction from the first three primes with
+nullity 1 (a later prime of larger nullity lost rank), adding the rest one
+at a time when that fails, up to six, which reconstructs coefficient ratios
+up to about 2^59.  A candidate relation is only ever accepted after an exact
 recheck in integers: it must evaluate to the identical zero series on a
 fresh triple at N + 8, and so also at the kernel's precision N, and it must
 not be a product of degenerate-locus factors.
@@ -34,7 +35,7 @@ from .theta import NotAdmissible, humbert_params
 # primes just above 2^20, small enough that an elimination step of
 # `_nullspace_mod` stays inside int64 and that the float64 rows stay exact on
 # lattices of up to 8,191 points, such as 90 x 90 (both are asserted); the
-# first three are always used, the others only when reconstruction fails
+# first prime decides every nullity but 1, and only the lift needs more
 _PRIMES = (1048583, 1048589, 1048601, 1048609, 1048613, 1048627)
 
 
@@ -403,11 +404,11 @@ def _ambiguity(ros, degree, dim, symmetry):
 
     The multiples m*g with deg m <= degree - k are independent and vanish
     wherever g does, so they bound the rational nullity from below by
-    len(monomial_basis(degree - k)).  `dim` is the smallest nullity mod p
-    over the primes tried, and a nullity mod p is never below the rational
-    one, so `dim` bounds it from above; when `dim` equals that count the
-    kernel is exactly the multiples of g.  The counts strictly decrease in
-    k, so at most one k matches.
+    len(monomial_basis(degree - k)).  `dim` is the nullity at the first
+    prime, and a nullity mod p is never below the rational one, so `dim`
+    bounds it from above; when `dim` equals that count the kernel is exactly
+    the multiples of g.  The counts strictly decrease in k, so at most one k
+    matches.
     """
     disc, n = ros.disc, ros.precision
     fields = dict(kernel_dim=dim, degree=degree, delta=disc.delta,
@@ -436,15 +437,25 @@ def _ambiguity(ros, degree, dim, symmetry):
 def _modular_kernel(ros, basis, symmetry):
     """Nullity and (nullity 1 only) the lifted integer kernel vector.
 
-    The nullity mod p is never below the rational one, so the first prime
-    with nullity 0 settles the answer, and the smallest nullity seen over
-    the first three primes is reported.  A prime that lost rank shows a
-    larger nullity and is left out of the lift.  When rational
-    reconstruction fails, the remaining primes of `_PRIMES` are added one at
-    a time before giving up; the lifted vector is rechecked exactly by the
-    caller either way.
+    Only nullity 1 gives a relation, and the nullity mod p is never below
+    the rational one, so nullity 0 at any prime, or above 1 at the first
+    (the bound `_ambiguity` needs), is returned at once.  A later prime
+    with nullity above 1 lost rank and is skipped.  The lift takes the first
+    three primes with nullity 1 and adds the rest of `_PRIMES` one at a
+    time while reconstruction fails; the caller rechecks it exactly.  An N
+    past the float64 row bound is a ValueError naming the largest valid N.
     """
-    dims, vecs, lift_primes = [], [], []
+    # the most lattice points whose float64 rows stay exact for every prime
+    most = (2 ** 53 - 1) // (max(_PRIMES) - 1) ** 2
+    n, steps = ros.precision, _exponent_lattice(ros.series())
+    top = n
+    while math.prod(-(-top // g) for g in steps) > most:
+        top -= 1
+    if top < n:
+        raise ValueError("precision N=%d is too large for the kernel rows "
+                         "of delta=%d; the largest valid N is %d"
+                         % (n, ros.disc.delta, top))
+    vecs, lift_primes = [], []
     for p in _PRIMES:
         # unknowns are the monomial coefficients: solve rows^T v = 0 with one
         # equation per lattice point; the points where every row vanishes
@@ -453,21 +464,17 @@ def _modular_kernel(ros, basis, symmetry):
         ker = _nullspace_mod(rows.T[rows.any(axis=0)], p)
         if not ker:
             return 0, None
-        dims.append(len(ker))
-        if len(ker) == 1:
-            v = ker[0]
-            nz = next(i for i in range(len(v)) if v[i])
-            inv = pow(int(v[nz]), p - 2, p)
-            vecs.append((v * inv) % p)
-            lift_primes.append(p)
-        elif len(dims) > 3:
-            continue  # a prime that lost rank adds nothing to the lift
-        if len(dims) < 3:
-            continue
-        if min(dims) != 1:
-            return min(dims), None
-        lifted = _lift_kernel_vector(vecs, lift_primes)
-        if lifted is not None:
-            return 1, lifted
+        if len(ker) > 1:
+            if not vecs:
+                return len(ker), None
+            continue  # this prime lost rank
+        v = ker[0]
+        nz = next(i for i in range(len(v)) if v[i])
+        vecs.append((v * pow(int(v[nz]), p - 2, p)) % p)
+        lift_primes.append(p)
+        if len(vecs) >= 3:
+            lifted = _lift_kernel_vector(vecs, lift_primes)
+            if lifted is not None:
+                return 1, lifted
     raise AmbiguousKernel("rational reconstruction failed with %d primes; "
                           "kernel not stable across primes" % len(_PRIMES))

@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
-from humbert import cli
+from humbert import cli, relations
 from humbert.degrees import NonIntegralDegree
 from humbert.oracle import (NearVanishingDenominator, NonConvergent,
                             SamplingExhausted)
-from humbert.series import NotAUnit, NotDivisible
+from humbert.rosenhain import RosenhainSeries
+from humbert.series import NotAUnit, NotDivisible, TruncatedSeries
+from humbert.theta import humbert_params
 
 
 def run_cli(args, env_extra=None, cwd=None):
@@ -82,6 +84,23 @@ def test_too_small_precision_is_a_usage_error():
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert "delta=100; the smallest valid N is 27" in res.stderr
+
+
+def test_too_large_precision_is_a_usage_error(monkeypatch, capsys):
+    # a 91 x 91 lattice is past the float64 row bound; `--prec 361` for
+    # delta=5 reaches it too, but only after a long triple expansion
+    wide = RosenhainSeries(*[TruncatedSeries({(0, 0): 1, (1, 1): 1}, 91)] * 3,
+                           disc=humbert_params(5), precision=91)
+    monkeypatch.setattr(relations, "rosenhain_triple", lambda d, n: wide)
+    monkeypatch.setattr(sys, "argv", ["humbert", "find", "--disc", "5",
+                                      "--degree", "2", "--prec", "361"])
+    with pytest.raises(SystemExit) as info:
+        cli.cli_entry()
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: precision N=91 is too large")
+    assert "the largest valid N is 90" in err
 
 
 def test_find_starts_at_the_smallest_valid_precision():

@@ -179,23 +179,79 @@ def test_lift_needs_more_primes_for_large_coefficients(monkeypatch):
 
     # the kernel search adds primes until the lift succeeds: five primes
     # (bound about 2^49.5) are enough here
+    result, solved, lifts = _patched_kernel(monkeypatch, true, [1] * 6)
+    assert result == (1, true)
+    assert solved == list(_PRIMES[:5])
+    assert lifts == [list(_PRIMES[:k]) for k in (3, 4, 5)]
+
+
+def _patched_kernel(monkeypatch, true, nullities):
+    """Run `_modular_kernel` on rows whose only kernel vector is `true`,
+    with the given nullity at each prime (the extra kernel vectors are unit
+    vectors); returns its result, the primes eliminated at and the primes
+    of each lift."""
     rows = [[true[j] if i == 0 else -true[0] if i == j else 0
              for j in range(1, 4)] for i in range(4)]
-    calls = []
-    nullspace = relations._nullspace_mod
+    solved, lifts = [], []
+    nullspace, lift = relations._nullspace_mod, relations._lift_kernel_vector
 
     def exact_rows(ros, basis, symmetry, p):
         return np.array([[x % p for x in row] for row in rows],
                         dtype=np.int64)
 
-    def counting(mat, p):
-        calls.append(p)
-        return nullspace(mat, p)
+    def solving(mat, p):
+        extra = nullities[len(solved)] - 1
+        solved.append(p)
+        return nullspace(mat, p) + [np.eye(4, dtype=np.int64)[i + 1]
+                                    for i in range(extra)]
+
+    def lifting(vecs, primes):
+        lifts.append(list(primes))
+        return lift(vecs, primes)
 
     monkeypatch.setattr(relations, "_monomial_rows_mod", exact_rows)
-    monkeypatch.setattr(relations, "_nullspace_mod", counting)
-    assert _modular_kernel(None, monomial_basis(1), None) == (1, true)
-    assert calls == list(_PRIMES[:5])
+    monkeypatch.setattr(relations, "_nullspace_mod", solving)
+    monkeypatch.setattr(relations, "_lift_kernel_vector", lifting)
+    # the rows are patched; the triple only sets N for the row bound
+    ros = _synthetic_triple([{(0, 0): 1}] * 3, 10)
+    return _modular_kernel(ros, monomial_basis(1), None), solved, lifts
+
+
+def test_nullity_above_one_at_the_first_prime_is_returned_at_once(
+        monkeypatch):
+    # only nullity 1 can give a relation, and the first prime's nullity
+    # bounds the rational one, so no other prime is tried
+    result, solved, lifts = _patched_kernel(monkeypatch, [2, -3, 5, 7],
+                                            [3, 1, 1, 1, 1, 1])
+    assert result == (3, None)
+    assert solved == [_PRIMES[0]] and lifts == []
+
+
+def test_a_later_prime_that_lost_rank_is_skipped(monkeypatch):
+    # the second prime shows nullity 2 after the first showed 1: it lost
+    # rank, and the lift takes the first three primes with nullity 1
+    result, solved, lifts = _patched_kernel(monkeypatch, [2, -3, 5, 7],
+                                            [1, 2, 1, 1, 1, 1])
+    assert result == (1, [2, -3, 5, 7])
+    assert solved == list(_PRIMES[:4])
+    assert lifts == [[_PRIMES[0], _PRIMES[2], _PRIMES[3]]]
+
+
+def test_precision_past_the_row_bound_is_a_value_error(monkeypatch):
+    # 91 x 91 = 8,281 lattice points (steps 1) exceed the 8,191 the float64
+    # rows allow; the error names the largest valid N before any row is
+    # built, and on the 4Z x 4Z lattice of every delta tried that N is 360
+    built = []
+    monkeypatch.setattr(relations, "_monomial_rows_mod",
+                        lambda *args: built.append(args))
+    wide = _synthetic_triple([{(0, 0): 1, (1, 1): 1}] * 3, 91)
+    with pytest.raises(ValueError, match="N=91 is too large .* the largest "
+                       "valid N is 90$"):
+        _modular_kernel(wide, monomial_basis(1), None)
+    lattice = _synthetic_triple([{(0, 0): 1, (4, 4): 1}] * 3, 361)
+    with pytest.raises(ValueError, match="the largest valid N is 360$"):
+        _modular_kernel(lattice, monomial_basis(1), None)
+    assert built == []
 
 
 def test_no_relation_is_decided_at_the_first_prime(monkeypatch):
@@ -216,10 +272,10 @@ def test_no_relation_is_decided_at_the_first_prime(monkeypatch):
     with pytest.raises(NoRelation):
         find_relation(12, 3)
     # the rows are built once per prime tried; the default N=28 has a kernel
-    # of dimension 3 (three primes agree), and the escalation to N=44 stops
-    # at its first prime, whose nullity is 0
-    p0, p1, p2 = _PRIMES[:3]
-    assert built == [(28, p0), (28, p1), (28, p2), (44, p0)]
+    # of dimension 3 at every prime, so its first prime decides it, and the
+    # escalation to N=44 stops at its first prime, whose nullity is 0
+    p0 = _PRIMES[0]
+    assert built == [(28, p0), (44, p0)]
     assert solved == built
 
 
