@@ -140,23 +140,24 @@ def eval_on_series(poly, rosenhain):
                                                operator.mul)
     rows = {}
     for (a, b, c), coef in terms.items():
-        rows.setdefault(a, {}).setdefault(b, []).append((coef, pows3[c]))
+        rows.setdefault(a, {}).setdefault(b, []).append(
+            (coef, pows3[c].terms))
     inner = []
     for a in range(max(rows) + 1):
         cols = rows.get(a, {})
-        inner.append(_horner(y, [_combine(cols.get(b, ()), n)
+        inner.append(_horner(y, [TruncatedSeries(_lincomb(cols.get(b, ())), n)
                                  for b in range(max(cols, default=0) + 1)]))
     return _horner(x, inner)
 
 
-def _combine(pairs, n):
-    """sum of coef * s over the (integer, series) pairs, at precision n."""
+def _lincomb(pairs):
+    """sum of coef * f over the (integer, term map) pairs, zeros kept."""
     out = {}
     get = out.get
-    for coef, s in pairs:
-        for k, v in s.terms.items():
+    for coef, f in pairs:
+        for k, v in f.items():
             out[k] = get(k, 0) + coef * v
-    return TruncatedSeries(out, n)
+    return out
 
 
 def _horner(x, coeffs):
@@ -271,45 +272,35 @@ def substitute_rational(poly, phi):
     """F(phi1, phi2, phi3) with minimal uniform denominator clearing.
 
     phi is three (num, den) pairs of integer term maps, phi_i = num_i/den_i;
-    they are only read.  The cleared polynomial is prod_i den_i^(deg_i F) *
-    F(phi), normalized and stripped of degenerate-locus factors (Moebius
-    clearing can only introduce factors supported on the degenerate loci).
+    they are only read.  With d_i the degree of F in e_i and z_i[e] =
+    num_i^e den_i^(d_i - e), the cleared polynomial prod_i den_i^d_i F(phi)
+    is formed innermost first, as nested sums in the manner of Horner:
+
+        sum_a z1[a] * (sum_b z2[b] * (sum_c f_abc * z3[c])).
+
+    The c sums are integer combinations and cost no product; then there is
+    one product by z2[b] per (a, b) and one by z1[a] per a, each on the
+    small partial sums.  The result is normalized and stripped of
+    degenerate-locus factors (Moebius clearing can only introduce factors
+    supported on the degenerate loci).
     """
-    d = [poly.degree_in(i) for i in range(3)]
     one = {(0, 0, 0): 1}
-    num_pows = [_powers(num, d[i], one, raw_mul)
-                for i, (num, _) in enumerate(phi)]
-    den_pows = [_powers(den, d[i], one, raw_mul)
-                for i, (_, den) in enumerate(phi)]
-    # per-variable factors num_i^e * den_i^(deg_i - e); prefix products over
-    # the first two variables are shared across terms with equal (a, b)
-    z = [[raw_mul(num_pows[i][e], den_pows[i][d[i] - e])
-          for e in range(d[i] + 1)] for i in range(3)]
-    by_ab = {}
+    z = []
+    for i, (num, den) in enumerate(phi):
+        d = poly.degree_in(i)
+        num_pows = _powers(num, d, one, raw_mul)
+        den_pows = _powers(den, d, one, raw_mul)
+        z.append([raw_mul(num_pows[e], den_pows[d - e])
+                  for e in range(d + 1)])
+    rows = {}
     for (a, b, c), coef in poly.terms.items():
-        by_ab.setdefault((a, b), []).append((c, coef))
-    total = {}
-    for (a, b), tail in sorted(by_ab.items()):
-        # sum the cheap z3 factors first so each group costs one product
-        tail_sum = {}
-        for c, coef in sorted(tail):
-            for k, v in z[2][c].items():
-                s = tail_sum.get(k, 0) + coef * v
-                if s:
-                    tail_sum[k] = s
-                elif k in tail_sum:
-                    del tail_sum[k]
-        if not tail_sum:
-            continue
-        t = raw_mul(raw_mul(z[0][a], z[1][b]), tail_sum)
-        for k, v in t.items():
-            s = total.get(k, 0) + v
-            if s:
-                total[k] = s
-            elif k in total:
-                del total[k]
-    if not total:
-        raise ZeroPolynomial("substitution vanishes identically")
+        rows.setdefault(a, {}).setdefault(b, []).append((coef, z[2][c]))
+    # the sums read generators, so each product is added in as it is made
+    inner = {}
+    for a, cols in rows.items():
+        inner[a] = _lincomb((1, raw_mul(z[1][b], _lincomb(tail)))
+                            for b, tail in cols.items())
+    total = _lincomb((1, raw_mul(z[0][a], s)) for a, s in inner.items())
     return strip_degenerate_factors(MultiPoly(total))
 
 

@@ -1,16 +1,19 @@
 """Restricted Fourier expansions of Gaudry's Rosenhain triple on H_Delta.
 
-    e1 = t1^2 t3^2 / (t2^2 t4^2)
-    e2 = t3^2 t8^2 / (t4^2 t10^2)
-    e3 = t1^2 t8^2 / (t2^2 t10^2)
+With the three squared quotients A = (t1/t2)^2, B = (t3/t4)^2 and
+C = (t8/t10)^2,
 
-t8 and t10 lie in the monomial ideal (p^(1+k) q^(k+l-1)), so the squared
-ratio t8^2/t10^2 is computed by exact monomial cancellation followed by a
-unit inversion.  Every coefficient of t8 and t10 is even (the lattice terms
-pair up under (x1, x2) -> (-1-x1, -1-x2) with equal exponents and signs, and
-no term is its own partner), so the halved quotients s8 and s10 are integer
-series with constant terms 1 and -1, and t8^2/t10^2 = s8^2 (s10^2)^-1 is
-formed in integers.
+    e1 = A B = t1^2 t3^2 / (t2^2 t4^2)
+    e2 = B C = t3^2 t8^2 / (t4^2 t10^2)
+    e3 = A C = t1^2 t8^2 / (t2^2 t10^2)
+
+t8 and t10 lie in the monomial ideal (p^(1+k) q^(k+l-1)), so C is computed
+after exact monomial cancellation.  Every coefficient of t8 and t10 is even
+(the lattice terms pair up under (x1, x2) -> (-1-x1, -1-x2) with equal
+exponents and signs, and no term is its own partner), so s8 and s10, the
+cancelled series halved, are integer series with constant terms 1 and -1,
+and C = (s8/s10)^2.  t2, t4 and s10 have constant term +-1, so each quotient is
+one unit inversion and one product, and the triple is formed in integers.
 """
 
 from dataclasses import dataclass
@@ -61,29 +64,27 @@ def rosenhain_triple(disc, precision):
         raise ValueError("precision N=%d is too small for delta=%d; the "
                          "smallest valid N is %d"
                          % (precision, disc.delta, smallest))
-    th = {i: restricted_theta(ThetaChar.from_index(i), disc, precision)
-          for i in (1, 2, 3, 4)}
-    sq = {i: t * t for i, t in th.items()}
-    # cancel the ideal factor p^i0 q^j0 of t8, t10 before squaring.  The
-    # quotient of an expansion to N + i0 is exact below N (j0 <= i0), and is
-    # cut there; then halve it
+    t = {i: restricted_theta(ThetaChar.from_index(i), disc, precision)
+         for i in (1, 2, 3, 4)}
+    # t[8] and t[10] hold s8 and s10: cancel the ideal factor p^i0 q^j0 of
+    # t8, t10 before squaring.  The quotient of an expansion to N + i0 is
+    # exact below N (j0 <= i0), and is cut there; then halve it
     i0, j0 = 1 + disc.k, disc.k + disc.ell - 1
-    half = {}
     for i in (8, 10):
         u = restricted_theta(ThetaChar.from_index(i), disc, precision + i0)
         u = u.divide_monomial(i0, j0).truncate(precision)
         if any(c % 2 for c in u.terms.values()):
             raise IntegralityViolation("t%d has an odd coefficient" % i)
-        half[i] = TruncatedSeries({k: c // 2 for k, c in u.terms.items()},
-                                  precision)
-    # s10^2 has constant term (-1)^2 = 1, so its inverse is integral
-    ratio = half[8] * half[8] * (half[10] * half[10]).inverse()
-    e1 = sq[1] * sq[3] * (sq[2] * sq[4]).inverse()
-    e2 = sq[3] * ratio * sq[4].inverse()
-    e3 = sq[1] * ratio * sq[2].inverse()
-    triple = (e1, e2, e3)
+        t[i] = TruncatedSeries({k: c // 2 for k, c in u.terms.items()},
+                               precision)
+    quotients = []
+    for top, bottom in ((1, 2), (3, 4), (8, 10)):
+        r = t[top] * t[bottom].inverse()
+        quotients.append(r * r)
+    a, b, c = quotients
+    triple = (a * b, b * c, a * c)
     for name, e in zip(("e1", "e2", "e3"), triple):
         if e.constant_term() != 1:
             raise IntegralityViolation("%s has constant term %r, expected 1"
                                        % (name, e.constant_term()))
-    return RosenhainSeries(e1, e2, e3, disc, precision)
+    return RosenhainSeries(*triple, disc, precision)

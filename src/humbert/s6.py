@@ -18,7 +18,7 @@ from itertools import permutations
 
 from .degrees import SpecialCase
 from .poly import (DegenerateOnly, _grlex_key, raw_add, raw_mul,
-                   substitute_rational)
+                   strip_degenerate_factors, substitute_rational)
 from .theta import humbert_params
 
 SYMBOLS = ("0", "1", "inf", "e1", "e2", "e3")
@@ -209,17 +209,17 @@ _S6_GENERATORS = (Perm6.parse("(0,1)"), Perm6.parse("(0,1,inf,e1,e2,e3)"))
 def _orbit_search(poly):
     """Breadth-first search of the S6 orbit of poly over two generators.
 
-    Returns (root, rep, schreier).  root = act(identity, poly) is the
-    canonical form; rep maps each orbit element y to a coset representative
-    with act(rep[y], poly) == y; schreier holds the nontrivial Schreier
-    generators rep[y]^-1 * g * rep[x], which generate the stabilizer of root
-    (Schreier's lemma).  Both rest on act(s * t, f) == act(s, act(t, f)).
-    Costs one act per generator and orbit element, plus one for root.
+    Returns (root, rep, schreier).  root = strip_degenerate_factors(poly)
+    is the canonical form, which is act(identity, poly) because the identity
+    induces the identity map; rep maps each orbit element y to a coset
+    representative with act(rep[y], poly) == y; schreier holds the
+    nontrivial Schreier generators rep[y]^-1 * g * rep[x], which generate the
+    stabilizer of root (Schreier's lemma).  Both rest on act(s * t, f) ==
+    act(s, act(t, f)).  Costs one act per generator and orbit element.
     Raises DegenerateOnly when poly has no factor off the degenerate loci.
     """
-    identity = Perm6.identity()
-    root = act(identity, poly)
-    rep = {root: identity}
+    root = strip_degenerate_factors(poly)
+    rep = {root: Perm6.identity()}
     schreier = []
     boundary = [root]
     while boundary:
@@ -240,8 +240,8 @@ def _orbit_search(poly):
 def orbit(poly):
     """The S6 orbit of a component polynomial, as a set of canonical forms.
 
-    Exact: a breadth-first search from act(identity, poly) under the two
-    generators (0,1) and (0,1,inf,e1,e2,e3) of S6, so it costs 1 + 2 * size
+    Exact: a breadth-first search from the canonical form of poly under the
+    two generators (0,1) and (0,1,inf,e1,e2,e3) of S6, so it costs 2 * size
     calls to act.  Empty when poly is constant or degenerate-only.
     """
     try:

@@ -100,11 +100,7 @@ class TruncatedSeries:
         n = min(self.precision, other.precision)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            out[k] = out.get(k, 0) + c
         return TruncatedSeries(out, n)
 
     def __neg__(self):

@@ -135,10 +135,5 @@ def restricted_theta(char, disc, precision):
     """The restricted Fourier expansion as a TruncatedSeries."""
     terms = {}
     for _, _, sign, i, j in enumerate_lattice(char, disc, precision):
-        key = (i, j)
-        s = terms.get(key, 0) + sign
-        if s:
-            terms[key] = s
-        elif key in terms:
-            del terms[key]
+        terms[(i, j)] = terms.get((i, j), 0) + sign
     return TruncatedSeries(terms, precision)

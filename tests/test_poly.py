@@ -12,12 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import humbert
+from humbert import poly as poly_module
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
                           ParseError, ZeroPolynomial,
                           degenerate_factors, divide_degenerate, eval_complex,
                           eval_on_series, format_poly, parse_poly,
                           strip_degenerate_factors, substitute_rational)
 from humbert.rosenhain import rosenhain_triple
+from humbert.s6 import _S6_GENERATORS, all_perms, induced_map
 from humbert.series import TruncatedSeries
 from humbert.theta import humbert_params
 
@@ -367,3 +369,63 @@ def test_substitute_rational_swap():
     f = MultiPoly({(2, 1, 0): 1, (0, 0, 1): 7})
     g = substitute_rational(f, swap)
     assert g == MultiPoly({(1, 2, 0): 1, (0, 0, 1): 7})
+
+
+def _substitute_by_definition(f, phi):
+    """The cleared substitution from its definition: the sum, over the
+    terms coef * e1^e_1 e2^e_2 e3^e_3 of f, of coef * prod_i num_i^e_i *
+    den_i^(d_i - e_i), stripped of degenerate-locus factors."""
+    d = [f.degree_in(i) for i in range(3)]
+    total = {}
+    for exps, coef in f.terms.items():
+        term = {(0, 0, 0): coef}
+        for (num, den), e, d_i in zip(phi, exps, d):
+            for factor in [num] * e + [den] * (d_i - e):
+                term = _raw_mul_terms(term, factor)
+        for k, v in term.items():
+            total[k] = total.get(k, 0) + v
+    return strip_degenerate_factors(MultiPoly(total))
+
+
+_H8 = parse_poly((Path(__file__).resolve().parents[1] / "bench" / "refs"
+                  / "h8.txt").read_text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POLYS, st.sampled_from(all_perms()))
+@example(_H8, _S6_GENERATORS[0])
+@example(_H8, _S6_GENERATORS[1])
+@example(MultiPoly({(1, 1, 0): 1, (1, 0, 0): -1}),           # e1 (e2 - 1)
+         _S6_GENERATORS[0])
+def test_substitute_rational_matches_definition(f, sigma):
+    phi = induced_map(sigma)
+    try:
+        expected = _substitute_by_definition(f, phi)
+    except DegenerateOnly:
+        with pytest.raises(DegenerateOnly):
+            substitute_rational(f, phi)
+        return
+    assert substitute_rational(f, phi) == expected
+
+
+def test_substitute_rational_product_count(monkeypatch):
+    # the z_i[e] tables cost 3 d_i + 1 products per variable; the nested
+    # sums then cost one product per (a, b) and one per a: 75 + 47 + 9 for
+    # h12 under the 6-cycle
+    import importlib.resources as ir
+    h12 = parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
+    phi = induced_map(_S6_GENERATORS[1])
+    calls = []
+    mul = poly_module.raw_mul
+
+    def counting(f, g):
+        calls.append(1)
+        return mul(f, g)
+
+    monkeypatch.setattr(poly_module, "raw_mul", counting)
+    substitute_rational(h12, phi)
+    tables = sum(3 * h12.degree_in(i) + 1 for i in range(3))
+    pairs = {(a, b) for a, b, _ in h12.terms}
+    firsts = {a for a, _ in pairs}
+    assert (tables, len(pairs), len(firsts)) == (75, 47, 9)
+    assert len(calls) == tables + len(pairs) + len(firsts) == 131
