@@ -6,6 +6,8 @@ polynomials are then checked numerically against the exact results.
 """
 
 import cmath
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -61,25 +63,21 @@ def theta_direct(point, char, tol=1e-12):
     c, d = char.c, char.d
     t1, t2, t3 = point.tau1, point.tau2, point.tau3
     total = 0j
-    for shell in range(b_max + 1):
-        pts = _shell(shell)
-        for x1, x2 in pts:
-            y1 = x1 + a / 2.0
-            y2 = x2 + b / 2.0
-            quad = t1 * y1 * y1 + 2.0 * t2 * y1 * y2 + t3 * y2 * y2
-            lin = y1 * c / 2.0 + y2 * d / 2.0
-            total += cmath.exp(2j * math.pi * (0.5 * quad + lin))
+    for x1, x2 in _spiral(b_max):
+        y1 = x1 + a / 2.0
+        y2 = x2 + b / 2.0
+        quad = t1 * y1 * y1 + 2.0 * t2 * y1 * y2 + t3 * y2 * y2
+        lin = y1 * c / 2.0 + y2 * d / 2.0
+        total += cmath.exp(2j * math.pi * (0.5 * quad + lin))
     return total
 
 
-def _shell(r):
-    """Lattice points with max-norm exactly r, sorted deterministically."""
-    if r == 0:
-        return [(0, 0)]
-    pts = set()
-    for t in range(-r, r + 1):
-        pts.update({(t, r), (t, -r), (r, t), (-r, t)})
-    return sorted(pts)
+@functools.lru_cache(maxsize=16)
+def _spiral(b):
+    """The lattice points of the box |x|_inf <= b, sorted by (max-norm,
+    point): shell by shell outwards, each shell in point order."""
+    box = itertools.product(range(-b, b + 1), repeat=2)
+    return tuple(sorted(box, key=lambda x: (max(abs(x[0]), abs(x[1])), x)))
 
 
 _MAX_TRIES = 1000

@@ -136,8 +136,8 @@ def eval_on_series(poly, rosenhain):
         x, y = y, x
         terms = {(b, a, c): coef for (a, b, c), coef in terms.items()}
     n = min(x.precision, y.precision, e3.precision)
-    pows3 = [TruncatedSeries.one(n)] + _powers(e3, poly.degree_in(2) - 1, e3,
-                                               operator.mul)
+    pows3 = _powers(e3, poly.degree_in(2), TruncatedSeries.one(n),
+                    operator.mul)
     rows = {}
     for (a, b, c), coef in terms.items():
         rows.setdefault(a, {}).setdefault(b, []).append(
@@ -169,11 +169,12 @@ def _horner(x, coeffs):
 
 
 def _powers(x, d, one, mul):
-    """[one, x, x^2, ..., x^d] under the product `mul`."""
-    pows = [one]
-    for _ in range(d):
+    """[one, x, x^2, ..., x^d] under the product `mul`, in max(d - 1, 0)
+    products: x^0 and x^1 are `one` and `x` themselves."""
+    pows = [one, x]
+    for _ in range(d - 1):
         pows.append(mul(pows[-1], x))
-    return pows
+    return pows[:d + 1]
 
 
 def eval_complex(poly, z):
@@ -278,11 +279,14 @@ def substitute_rational(poly, phi):
 
         sum_a z1[a] * (sum_b z2[b] * (sum_c f_abc * z3[c])).
 
-    The c sums are integer combinations and cost no product; then there is
-    one product by z2[b] per (a, b) and one by z1[a] per a, each on the
-    small partial sums.  The result is normalized and stripped of
-    degenerate-locus factors (Moebius clearing can only introduce factors
-    supported on the degenerate loci).
+    Each table z_i costs 3(d_i - 1) products for d_i >= 1: the two power
+    ladders take d_i - 1 each, and the ends z_i[0] = den_i^d_i and
+    z_i[d_i] = num_i^d_i are read straight off them.  The c sums are
+    integer combinations and cost no product; then there is one product by
+    z2[b] per (a, b) and one by z1[a] per a, each on the small partial
+    sums.  The result is normalized and stripped of degenerate-locus
+    factors (Moebius clearing can only introduce factors supported on the
+    degenerate loci).
     """
     one = {(0, 0, 0): 1}
     z = []
@@ -290,8 +294,11 @@ def substitute_rational(poly, phi):
         d = poly.degree_in(i)
         num_pows = _powers(num, d, one, raw_mul)
         den_pows = _powers(den, d, one, raw_mul)
-        z.append([raw_mul(num_pows[e], den_pows[d - e])
-                  for e in range(d + 1)])
+        # the ends are plain powers; at d = 0 both are 1 and only z_i[0] is
+        # read
+        z.append([den_pows[d]]
+                 + [raw_mul(num_pows[e], den_pows[d - e]) for e in range(1, d)]
+                 + [num_pows[d]])
     rows = {}
     for (a, b, c), coef in poly.terms.items():
         rows.setdefault(a, {}).setdefault(b, []).append((coef, z[2][c]))

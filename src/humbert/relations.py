@@ -3,23 +3,29 @@
 Evaluate all monomials of degree at most d in the Rosenhain expansions and
 find the linear dependency between their coefficient vectors, exactly.
 
-Every exponent of e1, e2 and e3 lies on a lattice g_i Z x g_j Z, taken as
-the gcd of the exponents that occur (4Z x 4Z for every delta tried), and so
-does every monomial in them.  For each word-size prime p, the monomial rows
-are built mod p on the m_i x m_j grid of that lattice, m = ceil(N/g), by
-float64 matrix products: multiplying by e_i is a matrix T_i, and every
-product is reduced by fmod.  The bound m_i m_j (p-1)^2 < 2^53 is asserted,
-so every dot product is an exact integer (the FFLAS-FFPACK technique of
-Dumas, Giorgi and Pernet).  The nullity mod p is never below the nullity
-over Q, and only nullity 1 gives a relation, so nullity 0 at any prime or
-above 1 at the first prime decides the answer.  A one-dimensional kernel is
-lifted by CRT and rational reconstruction from the first three primes with
-nullity 1 (a later prime of larger nullity lost rank), adding the rest one
-at a time when that fails, up to six, which reconstructs coefficient ratios
-up to about 2^59.  A candidate relation is only ever accepted after an exact
-recheck in integers: it must evaluate to the identical zero series on a
-fresh triple at N + 8, and so also at the kernel's precision N, and it must
-not be a product of degenerate-locus factors.
+Every exponent of e1, e2 and e3 lies on 4Z x 4Z.  With Delta = 4k + l, the
+theta exponent formula gives t1-t4 (a = b = 0) the p-exponents
+4x1^2 + 4k x2^2 and the q-exponents 4(x1+x2)^2 + 4(k+l-1) x2^2.  After the
+division by p^(1+k) q^(k+l-1), t8 and t10 have 4x1(x1+1) + 4k x2(x2+1) and
+4(x1+x2+1)^2 + 4(k+l-1) x2(x2+1).  Products and unit inverses stay on the
+lattice, so every monomial in e1, e2, e3 lies on it too.  For each
+word-size prime p, the monomial rows are built mod p on the m x m grid of
+that lattice, m = ceil(N/4), by float64 matrix products: multiplying by e_i
+is a matrix T_i, and every product is reduced by fmod.  The bound
+m^2 (p-1)^2 < 2^53 is asserted, so every dot product is an exact integer
+(the FFLAS-FFPACK technique of Dumas, Giorgi and Pernet); it holds for
+every N up to _MAX_N = 360, which is checked before any theta series is
+expanded.  The nullity mod p is never below the nullity over Q, and only
+nullity 1 gives a relation, so nullity 0 at any prime or above 1 at the
+first prime decides the answer.  A one-dimensional kernel is lifted by CRT
+and rational reconstruction from the first three primes with nullity 1 (a
+later prime of larger nullity lost rank), adding the rest one at a time
+when that fails, up to six, which reconstructs coefficient ratios up to
+about 2^59.  Each attempt builds one Rosenhain triple, at N + 8; the kernel
+reads its truncation to N.  A candidate relation is only ever accepted
+after an exact recheck in integers: it must evaluate to the identical zero
+series on the N + 8 triple, and so also at the kernel's precision N, and
+it must not be a product of degenerate-locus factors.
 """
 
 import math
@@ -29,7 +35,7 @@ import numpy as np
 
 from .poly import (DegenerateOnly, MultiPoly, eval_on_series, format_poly,
                    strip_degenerate_factors)
-from .rosenhain import rosenhain_triple
+from .rosenhain import RosenhainSeries, check_precision, rosenhain_triple
 from .theta import NotAdmissible, humbert_params
 
 # primes just above 2^20, small enough that an elimination step of
@@ -37,6 +43,9 @@ from .theta import NotAdmissible, humbert_params
 # lattices of up to 8,191 points, such as 90 x 90 (both are asserted); the
 # first prime decides every nullity but 1, and only the lift needs more
 _PRIMES = (1048583, 1048589, 1048601, 1048609, 1048613, 1048627)
+# the largest N whose m x m grid, m = ceil(N/4), keeps the float64 rows exact
+# for every prime
+_MAX_N = 4 * math.isqrt((2 ** 53 - 1) // (max(_PRIMES) - 1) ** 2)
 
 
 class NoRelation(RuntimeError):
@@ -143,51 +152,37 @@ def default_precision(d):
 # -- the kernel modulo word-size primes -----------------------------------
 
 
-def _exponent_lattice(series):
-    """Steps (g_i, g_j): the gcd of every p- and of every q-exponent.
+def _mul_matrix(e, m, p):
+    """Multiplication by the series e mod p on the m x m grid of 4Z x 4Z,
+    as a float64 matrix.
 
-    Every term of the series, and so of every product of them, lies on
-    g_i Z x g_j Z.  A coordinate whose only exponent is 0 gets step N.
+    Grid point (I, J), the exponent (4I, 4J), is index I*m + J.  A term
+    c p^(4 di) q^(4 dj) of e sends every point (I, J) to (I + di, J + dj)
+    with weight c mod p, inside the grid.  A term off 4Z x 4Z is an
+    AssertionError.
     """
-    gi = gj = 0
-    for s in series:
-        for i, j in s.terms:
-            gi, gj = math.gcd(gi, i), math.gcd(gj, j)
-    n = series[0].precision
-    return gi or n, gj or n
-
-
-def _mul_matrix(e, steps, shape, p):
-    """Multiplication by the lattice series e mod p, as a float64 matrix.
-
-    Lattice point (I, J) is index I*m_j + J.  A term c p^(g_i di) q^(g_j dj)
-    of e sends every point (I, J) to (I + di, J + dj) with weight c mod p,
-    inside the grid.
-    """
-    (gi, gj), (mi, mj) = steps, shape
-    t = np.zeros(shape + shape)
+    t = np.zeros((m, m, m, m))
     for (i, j), c in e.terms.items():
-        di, dj = i // gi, j // gj
-        rows, cols = np.arange(di, mi)[:, None], np.arange(dj, mj)
+        assert i % 4 == 0 and j % 4 == 0, "term off the 4Z x 4Z lattice"
+        di, dj = i // 4, j // 4
+        rows, cols = np.arange(di, m)[:, None], np.arange(dj, m)
         t[rows, cols, rows - di, cols - dj] = c % p
-    return t.reshape(mi * mj, mi * mj)
+    return t.reshape(m * m, m * m)
 
 
 def _monomial_rows_mod(ros, basis, symmetry, p):
-    """Every basis element's series mod p on the exponent lattice, in basis
-    order, as an int64 matrix with one row per basis element.
+    """Every basis element's series mod p on 4Z x 4Z, in basis order, as an
+    int64 matrix with one row per basis element.
 
-    Column I*m_j + J holds the coefficient of p^(g_i I) q^(g_j J), with
-    m = ceil(N/g).  A monomial is T1^a T2^b T3^c applied to the unit vector
+    Column I*m + J holds the coefficient of p^(4I) q^(4J), with
+    m = ceil(N/4).  A monomial is T1^a T2^b T3^c applied to the unit vector
     of 1, T_v being multiplication by e_v; each power step is one float64
     matrix product over every column that needs it, reduced by fmod.  An
     e1e2 representative with a != b is the sum of its (a, b, c) and its
     (b, a, c) column.
     """
-    n, es = ros.precision, ros.series()
-    steps = _exponent_lattice(es)
-    shape = tuple(-(-n // g) for g in steps)
-    size = shape[0] * shape[1]
+    m = -(-ros.precision // 4)
+    size = m * m
     # a dot product sums at most `size` products of two residues; below
     # 2^53 every partial sum is an exact float64 integer
     assert size * (p - 1) ** 2 < 2 ** 53, "float64 rows inexact mod p"
@@ -197,14 +192,14 @@ def _monomial_rows_mod(ros, basis, symmetry, p):
     unit = np.zeros(size)
     unit[0] = 1
     cols = {(0, 0, 0): unit}
-    for v, e in enumerate(es):
+    for v, e in enumerate(ros.series()):
         # the prefixes through e_v of the needed triples, one power of e_v
         # per level
         grow = {t[:v + 1] + (0,) * (2 - v) for t in need}
         top = max(t[v] for t in grow)
         if not top:
             continue
-        mul = _mul_matrix(e, steps, shape, p)
+        mul = _mul_matrix(e, m, p)
         for k in range(1, top + 1):
             keys = sorted(t for t in grow if t[v] == k)
             src = np.stack([cols[t[:v] + (k - 1,) + t[v + 1:]] for t in keys],
@@ -282,10 +277,6 @@ def _lift_kernel_vector(vecs_mod, primes):
     m = 1
     combined = [0] * len(vecs_mod[0])
     for v, p in zip(vecs_mod, primes):
-        if m == 1:
-            combined = [int(x) % p for x in v]
-            m = p
-            continue
         mp = m * p
         inv = pow(m % p, p - 2, p)
         for i in range(len(combined)):
@@ -320,39 +311,55 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     candidate that fails the exact recheck or lies on the degenerate
     loci).  Without an explicit precision, an AmbiguousKernel is retried at
     up to three larger precisions; an ImprimitiveKernel is raised at once.
+    A precision past `_MAX_N` is a ValueError naming that N, raised before
+    any theta series is expanded.
     """
     disc = humbert_params(delta)
     if delta < 4:
         raise NotAdmissible("relation finding needs delta >= 4")
     if precision is not None:
-        return _find_relation_on(rosenhain_triple(disc, precision),
-                                 degree, symmetry)
-    # the (N/4)^2 column heuristic undershoots for some discriminants, and
-    # an undersized N only ever shows up as a too-large kernel; escalate
-    # until the kernel is separated (every accepted vector is still
-    # rechecked exactly, so this is purely a policy loop).  Below
-    # N = 4(k + l) + 1, e1 - 1 vanishes mod (p^N, q^N), so every multiple
-    # of it lies in the kernel; that N is never below smallest_precision
-    n = max(default_precision(degree), 4 * (disc.k + disc.ell) + 1)
+        schedule = [precision]
+    else:
+        # the (N/4)^2 column heuristic undershoots for some discriminants,
+        # and an undersized N only ever shows up as a too-large kernel;
+        # escalate until the kernel is separated (every accepted vector is
+        # still rechecked exactly, so this is purely a policy loop).  Below
+        # N = 4(k + l) + 1, e1 - 1 vanishes mod (p^N, q^N), so every
+        # multiple of it lies in the kernel; that N is never below
+        # smallest_precision
+        n = max(default_precision(degree), 4 * (disc.k + disc.ell) + 1)
+        schedule = []
+        for _ in range(4):
+            schedule.append(n)
+            n += max(16, n // 4)
     last = None
-    for _ in range(4):
+    for n in schedule:
+        check_precision(disc, n)
+        if n > _MAX_N:
+            raise ValueError("precision N=%d is too large for the kernel "
+                             "rows of delta=%d; the largest valid N is %d"
+                             % (n, delta, _MAX_N))
         try:
-            return _find_relation_on(rosenhain_triple(disc, n), degree,
-                                     symmetry)
+            return _find_relation_on(rosenhain_triple(disc, n + 8), n,
+                                     degree, symmetry)
         except ImprimitiveKernel:
             raise  # more precision leaves this kernel as it is
         except AmbiguousKernel as exc:
             last = exc
-            n += max(16, n // 4)
     raise last
 
 
-def _find_relation_on(ros, degree, symmetry):
-    """One search at the precision of the Rosenhain triple `ros`."""
-    disc, n = ros.disc, ros.precision
+def _find_relation_on(ros, n, degree, symmetry):
+    """One search at precision n, on the Rosenhain triple `ros` at n + 8.
+
+    The kernel reads the truncation of `ros` to n; the exact recheck
+    evaluates on `ros` itself.
+    """
+    disc = ros.disc
     delta = disc.delta
     basis = monomial_basis(degree, symmetry)
-    dim, vec = _modular_kernel(ros, basis, symmetry)
+    cut = RosenhainSeries(*(e.truncate(n) for e in ros.series()), disc, n)
+    dim, vec = _modular_kernel(cut, basis, symmetry)
 
     report = RelationReport(disc=disc, degree=degree, precision=n,
                             kernel_dim=dim,
@@ -362,16 +369,12 @@ def _find_relation_on(ros, degree, symmetry):
         raise NoRelation("no relation of degree %d for delta=%d at N=%d"
                          % (degree, delta, n))
     if dim > 1:
-        raise _ambiguity(ros, degree, dim, symmetry)
+        raise _ambiguity(ros, n, degree, dim, symmetry)
     poly = _poly_from_vector(vec, basis, symmetry)
 
-    # exact recheck at N and on a fresh triple at N + 8, from one evaluation:
-    # the N + 8 triple truncates to the kernel's triple, so the value at N
-    # is the truncation of the value at N + 8
-    fresh = rosenhain_triple(disc, n + 8)
-    cut = tuple(e.truncate(n) for e in fresh.series())
-    assert cut == ros.series(), "N + 8 triple does not truncate to N's"
-    value = eval_on_series(poly, fresh)
+    # exact recheck at N and at N + 8 from one evaluation: the value at N
+    # is the truncation of the value on the N + 8 triple
+    value = eval_on_series(poly, ros)
     report.residual_checks = [(n, value.truncate(n).is_zero()),
                               (n + 8, value.is_zero())]
     failed = [m for m, ok in report.residual_checks if not ok]
@@ -397,10 +400,10 @@ def _find_relation_on(ros, degree, symmetry):
     return report
 
 
-def _ambiguity(ros, degree, dim, symmetry):
-    """The error for nullity `dim` > 1 on the triple `ros`: ImprimitiveKernel
-    if `dim` is exactly the count of multiples of an exactly rechecked
-    relation of lower degree k, else AmbiguousKernel.
+def _ambiguity(ros, n, degree, dim, symmetry):
+    """The error for nullity `dim` > 1 at precision n, on the n + 8 triple
+    `ros`: ImprimitiveKernel if `dim` is exactly the count of multiples of
+    an exactly rechecked relation of lower degree k, else AmbiguousKernel.
 
     The multiples m*g with deg m <= degree - k are independent and vanish
     wherever g does, so they bound the rational nullity from below by
@@ -410,7 +413,7 @@ def _ambiguity(ros, degree, dim, symmetry):
     the multiples of g.  The counts strictly decrease in k, so at most one k
     matches.
     """
-    disc, n = ros.disc, ros.precision
+    disc = ros.disc
     fields = dict(kernel_dim=dim, degree=degree, delta=disc.delta,
                   precision=n)
     counts = {len(monomial_basis(degree - k, symmetry)): k
@@ -418,7 +421,7 @@ def _ambiguity(ros, degree, dim, symmetry):
     k = counts.get(dim)
     if k is not None:
         try:
-            factor = _find_relation_on(ros, k, symmetry).polynomial
+            factor = _find_relation_on(ros, n, k, symmetry).polynomial
         except (NoRelation, AmbiguousKernel):
             pass
         else:
@@ -442,19 +445,8 @@ def _modular_kernel(ros, basis, symmetry):
     (the bound `_ambiguity` needs), is returned at once.  A later prime
     with nullity above 1 lost rank and is skipped.  The lift takes the first
     three primes with nullity 1 and adds the rest of `_PRIMES` one at a
-    time while reconstruction fails; the caller rechecks it exactly.  An N
-    past the float64 row bound is a ValueError naming the largest valid N.
+    time while reconstruction fails; the caller rechecks it exactly.
     """
-    # the most lattice points whose float64 rows stay exact for every prime
-    most = (2 ** 53 - 1) // (max(_PRIMES) - 1) ** 2
-    n, steps = ros.precision, _exponent_lattice(ros.series())
-    top = n
-    while math.prod(-(-top // g) for g in steps) > most:
-        top -= 1
-    if top < n:
-        raise ValueError("precision N=%d is too large for the kernel rows "
-                         "of delta=%d; the largest valid N is %d"
-                         % (n, ros.disc.delta, top))
     vecs, lift_primes = [], []
     for p in _PRIMES:
         # unknowns are the monomial coefficients: solve rows^T v = 0 with one

@@ -48,6 +48,15 @@ def smallest_precision(disc):
     return max(4, disc.k + 2)
 
 
+def check_precision(disc, precision):
+    """A ValueError naming smallest_precision(disc) if N is below it."""
+    smallest = smallest_precision(disc)
+    if precision < smallest:
+        raise ValueError("precision N=%d is too small for delta=%d; the "
+                         "smallest valid N is %d"
+                         % (precision, disc.delta, smallest))
+
+
 def rosenhain_triple(disc, precision):
     """Compute (e1, e2, e3) on H_Delta to the given per-variable precision.
 
@@ -59,11 +68,7 @@ def rosenhain_triple(disc, precision):
         raise TypeError("disc must be a Discriminant")
     if disc.delta < 4:
         raise NotAdmissible("rosenhain_triple requires delta >= 4")
-    smallest = smallest_precision(disc)
-    if precision < smallest:
-        raise ValueError("precision N=%d is too small for delta=%d; the "
-                         "smallest valid N is %d"
-                         % (precision, disc.delta, smallest))
+    check_precision(disc, precision)
     t = {i: restricted_theta(ThetaChar.from_index(i), disc, precision)
          for i in (1, 2, 3, 4)}
     # t[8] and t[10] hold s8 and s10: cancel the ideal factor p^i0 q^j0 of

@@ -9,6 +9,7 @@ After the substitution r = pq the restricted expansion of theta_{abcd} is
 with Delta = 4k + l, l in {0, 1}.  All coefficients are integers.
 """
 
+import math
 from dataclasses import dataclass
 
 from .series import TruncatedSeries
@@ -90,17 +91,12 @@ def enumerate_lattice(char, disc, precision):
     kl = k + ell - 1
 
     def x_range(coef, off):
-        # all x with coef*(2x+off)^2 < n
-        out = []
-        x = 0
-        while coef * (2 * x + off) ** 2 < n:
-            out.append(x)
-            x += 1
-        x = -1
-        while coef * (2 * x + off) ** 2 < n:
-            out.append(x)
-            x -= 1
-        return sorted(out)
+        # all x with coef*(2x+off)^2 < n, that is |2x + off| <= r, ascending
+        r = math.isqrt((n - 1) // coef)
+        return range((-r - off + 1) // 2, (r - off) // 2 + 1)
+
+    if n < 1:
+        return  # nothing lies below the truncation
 
     x1s = x_range(1, a)
     if k >= 1:

@@ -10,9 +10,7 @@ from humbert import cli, relations
 from humbert.degrees import NonIntegralDegree
 from humbert.oracle import (NearVanishingDenominator, NonConvergent,
                             SamplingExhausted)
-from humbert.rosenhain import RosenhainSeries
-from humbert.series import NotAUnit, NotDivisible, TruncatedSeries
-from humbert.theta import humbert_params
+from humbert.series import NotAUnit, NotDivisible
 
 
 def run_cli(args, env_extra=None, cwd=None):
@@ -87,11 +85,12 @@ def test_too_small_precision_is_a_usage_error():
 
 
 def test_too_large_precision_is_a_usage_error(monkeypatch, capsys):
-    # a 91 x 91 lattice is past the float64 row bound; `--prec 361` for
-    # delta=5 reaches it too, but only after a long triple expansion
-    wide = RosenhainSeries(*[TruncatedSeries({(0, 0): 1, (1, 1): 1}, 91)] * 3,
-                           disc=humbert_params(5), precision=91)
-    monkeypatch.setattr(relations, "rosenhain_triple", lambda d, n: wide)
+    # delta=5 at N=361 needs a 91 x 91 grid, past the float64 row bound;
+    # the bound is checked before any theta series is expanded
+    def no_triple(disc, precision):
+        raise AssertionError("rosenhain_triple called at N=%d" % precision)
+
+    monkeypatch.setattr(relations, "rosenhain_triple", no_triple)
     monkeypatch.setattr(sys, "argv", ["humbert", "find", "--disc", "5",
                                       "--degree", "2", "--prec", "361"])
     with pytest.raises(SystemExit) as info:
@@ -99,8 +98,8 @@ def test_too_large_precision_is_a_usage_error(monkeypatch, capsys):
     assert info.value.code == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("error: precision N=91 is too large")
-    assert "the largest valid N is 90" in err
+    assert err.startswith("error: precision N=361 is too large")
+    assert "the largest valid N is 360" in err
 
 
 def test_find_starts_at_the_smallest_valid_precision():

@@ -409,9 +409,9 @@ def test_substitute_rational_matches_definition(f, sigma):
 
 
 def test_substitute_rational_product_count(monkeypatch):
-    # the z_i[e] tables cost 3 d_i + 1 products per variable; the nested
-    # sums then cost one product per (a, b) and one per a: 75 + 47 + 9 for
-    # h12 under the 6-cycle
+    # the z_i[e] tables cost 3 (d_i - 1) products per variable, as no
+    # product is by 1; the nested sums then cost one product per (a, b) and
+    # one per a: 63 + 47 + 9 for h12 under the 6-cycle
     import importlib.resources as ir
     h12 = parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
     phi = induced_map(_S6_GENERATORS[1])
@@ -424,8 +424,8 @@ def test_substitute_rational_product_count(monkeypatch):
 
     monkeypatch.setattr(poly_module, "raw_mul", counting)
     substitute_rational(h12, phi)
-    tables = sum(3 * h12.degree_in(i) + 1 for i in range(3))
+    tables = sum(3 * (h12.degree_in(i) - 1) for i in range(3))
     pairs = {(a, b) for a, b, _ in h12.terms}
     firsts = {a for a, _ in pairs}
-    assert (tables, len(pairs), len(firsts)) == (75, 47, 9)
-    assert len(calls) == tables + len(pairs) + len(firsts) == 131
+    assert (tables, len(pairs), len(firsts)) == (63, 47, 9)
+    assert len(calls) == tables + len(pairs) + len(firsts) == 119

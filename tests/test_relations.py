@@ -8,8 +8,8 @@ import pytest
 
 from humbert import relations
 from humbert.poly import MultiPoly, eval_on_series
-from humbert.relations import (_PRIMES, AmbiguousKernel, ImprimitiveKernel,
-                               NoRelation, _exponent_lattice,
+from humbert.relations import (_MAX_N, _PRIMES, AmbiguousKernel,
+                               ImprimitiveKernel, NoRelation,
                                _lift_kernel_vector, _modular_kernel,
                                _monomial_rows_mod, _nullspace_mod,
                                default_precision, find_relation,
@@ -72,21 +72,24 @@ def test_int64_headroom_is_asserted():
         _nullspace_mod(np.eye(2, dtype=np.int64), 2 ** 32 + 15)
     # the primes in use pass the bound that `_nullspace_mod` asserts
     assert all((p - 1) ** 2 + p < 2 ** 63 for p in _PRIMES)
-    # the float64 rows assert m_i m_j (p-1)^2 < 2^53 before building
-    # anything: a prime near 2^31 breaks it on a small lattice, and a
-    # 91 x 91 lattice (steps 1, N=91) breaks it for the primes in use
+    # the float64 rows assert m^2 (p-1)^2 < 2^53 before building anything:
+    # a prime near 2^31 breaks it on a small grid, and the 91 x 91 grid of
+    # N = _MAX_N + 1 = 361 breaks it for the primes in use
     small = rosenhain_triple(humbert_params(5), 16)
     with pytest.raises(AssertionError):
         _monomial_rows_mod(small, [(0, 0, 0)], None, 2 ** 31 - 1)
-    wide = _synthetic_triple([{(0, 0): 1, (1, 1): 1}] * 3, 91)
+    wide = _synthetic_triple([{(0, 0): 1, (4, 4): 1}] * 3, _MAX_N + 1)
     with pytest.raises(AssertionError):
         _monomial_rows_mod(wide, [(0, 0, 0)], None, _PRIMES[0])
-    # every prime passes it at N=136 for delta=12 (a 34 x 34 lattice) and at
-    # N=212 for delta=9 (53 x 53), the precisions of the degree-16 searches
+    # every prime passes it at N = _MAX_N (a 90 x 90 grid), and so at N=136
+    # for delta=12 (34 x 34) and at N=212 for delta=9 (53 x 53), the
+    # precisions of the degree-16 searches
+    assert _MAX_N == 360
+    for p in _PRIMES:
+        assert 90 * 90 * (p - 1) ** 2 < 2 ** 53
     for delta, n in ((12, 136), (9, 212)):
         ros = rosenhain_triple(humbert_params(delta), n)
         m = -(-n // 4)
-        assert _exponent_lattice(ros.series()) == (4, 4)
         for p in _PRIMES:
             assert m * m * (p - 1) ** 2 < 2 ** 53
             rows = _monomial_rows_mod(ros, [(0, 0, 0)], None, p)
@@ -103,8 +106,8 @@ def _naive_monomial(es, exps, n):
 
 def _assert_rows_are_naive(ros, basis, symmetry):
     """Every row mod p is its monomial (orbit sum with e1e2) by repeated
-    exact products, reduced mod p, on every lattice point; no term of those
-    products lies off the lattice."""
+    exact products, reduced mod p, on every point of 4Z x 4Z; no term of
+    those products lies off it."""
     es, n = ros.series(), ros.precision
     naive = []
     for a, b, c in basis:
@@ -112,9 +115,8 @@ def _assert_rows_are_naive(ros, basis, symmetry):
         if symmetry == "e1e2" and a != b:
             want = want + _naive_monomial(es, (b, a, c), n)
         naive.append(want)
-    gi, gj = _exponent_lattice(es)
-    assert all(i % gi == 0 and j % gj == 0 for f in naive for i, j in f.terms)
-    points = [(i, j) for i in range(0, n, gi) for j in range(0, n, gj)]
+    assert all(i % 4 == 0 and j % 4 == 0 for f in naive for i, j in f.terms)
+    points = [(i, j) for i in range(0, n, 4) for j in range(0, n, 4)]
     for p in _PRIMES:
         rows = _monomial_rows_mod(ros, basis, symmetry, p)
         assert rows.dtype == np.int64
@@ -143,29 +145,33 @@ def test_monomial_rows_are_the_naive_products(monkeypatch, symmetry):
     assert mat.any(axis=1).all()  # no all-zero column of the row matrix
 
 
-@pytest.mark.parametrize("delta", [4, 5, 8, 9, 12, 13])
+@pytest.mark.parametrize("delta", [4, 5, 8, 9, 12, 13, 100, 101])
 def test_exponent_lattice_is_4z(delta):
+    # the theta exponent formula, proved in the `relations` docstring
     ros = rosenhain_triple(humbert_params(delta), 48)
-    assert _exponent_lattice(ros.series()) == (4, 4)
+    for e in ros.series():
+        assert all(i % 4 == 0 and j % 4 == 0 for i, j in e.terms), delta
 
 
 @pytest.mark.parametrize("symmetry", [None, "e1e2"])
-def test_off_lattice_exponents_get_a_smaller_step(symmetry):
+def test_off_lattice_exponents_are_an_assertion_error(symmetry):
     # p^2 q^3 in e2 and q^9 in e3 put the terms on 2Z x 3Z, not 4Z x 4Z;
-    # the rows use that lattice and still equal the naive products mod p
+    # multiplying by them on the 4Z x 4Z grid would drop those terms
     ros = _synthetic_triple([{(0, 0): 1, (4, 6): 3, (8, 0): -1},
                              {(0, 0): 1, (2, 3): 2},
                              {(0, 0): 1, (0, 9): -1, (4, 6): 5}], 20)
-    assert _exponent_lattice(ros.series()) == (2, 3)
-    _assert_rows_are_naive(ros, monomial_basis(3, symmetry), symmetry)
+    with pytest.raises(AssertionError, match="off the 4Z x 4Z lattice"):
+        _monomial_rows_mod(ros, monomial_basis(3, symmetry), symmetry,
+                           _PRIMES[0])
 
 
 def test_constant_triple_has_a_one_point_lattice():
-    # no exponent but 0 occurs (as for delta=4 at N=4), so each step is N
-    # and the lattice is the single point (0, 0)
-    ros = _synthetic_triple([{(0, 0): 1}] * 3, 10)
-    assert _exponent_lattice(ros.series()) == (10, 10)
+    # at N=4 (as for delta=4 at its smallest N) the grid is the single
+    # point (0, 0)
+    ros = _synthetic_triple([{(0, 0): 1}] * 3, 4)
     _assert_rows_are_naive(ros, monomial_basis(2), None)
+    assert _monomial_rows_mod(ros, [(0, 0, 0)], None, _PRIMES[0]).shape == (
+        1, 1)
 
 
 def test_lift_needs_more_primes_for_large_coefficients(monkeypatch):
@@ -212,7 +218,7 @@ def _patched_kernel(monkeypatch, true, nullities):
     monkeypatch.setattr(relations, "_monomial_rows_mod", exact_rows)
     monkeypatch.setattr(relations, "_nullspace_mod", solving)
     monkeypatch.setattr(relations, "_lift_kernel_vector", lifting)
-    # the rows are patched; the triple only sets N for the row bound
+    # the rows are patched, so the triple is never read
     ros = _synthetic_triple([{(0, 0): 1}] * 3, 10)
     return _modular_kernel(ros, monomial_basis(1), None), solved, lifts
 
@@ -237,21 +243,34 @@ def test_a_later_prime_that_lost_rank_is_skipped(monkeypatch):
     assert lifts == [[_PRIMES[0], _PRIMES[2], _PRIMES[3]]]
 
 
+def _no_triple(disc, precision):
+    raise AssertionError("rosenhain_triple called at N=%d" % precision)
+
+
 def test_precision_past_the_row_bound_is_a_value_error(monkeypatch):
-    # 91 x 91 = 8,281 lattice points (steps 1) exceed the 8,191 the float64
-    # rows allow; the error names the largest valid N before any row is
-    # built, and on the 4Z x 4Z lattice of every delta tried that N is 360
+    # N=361 needs a 91 x 91 grid, whose 8,281 points exceed the 8,191 the
+    # float64 rows allow; the error names the largest valid N before any
+    # theta series is expanded
+    monkeypatch.setattr(relations, "rosenhain_triple", _no_triple)
+    with pytest.raises(ValueError, match="N=361 is too large for the kernel "
+                       "rows of delta=5; the largest valid N is 360$"):
+        find_relation(5, 2, precision=361)
+
+
+def test_each_attempt_builds_one_triple_at_n_plus_8(monkeypatch):
+    # N=60 is ambiguous for delta=5, degree 8, and N=76 gives the relation;
+    # each attempt's kernel reads the truncation of its N + 8 triple
     built = []
-    monkeypatch.setattr(relations, "_monomial_rows_mod",
-                        lambda *args: built.append(args))
-    wide = _synthetic_triple([{(0, 0): 1, (1, 1): 1}] * 3, 91)
-    with pytest.raises(ValueError, match="N=91 is too large .* the largest "
-                       "valid N is 90$"):
-        _modular_kernel(wide, monomial_basis(1), None)
-    lattice = _synthetic_triple([{(0, 0): 1, (4, 4): 1}] * 3, 361)
-    with pytest.raises(ValueError, match="the largest valid N is 360$"):
-        _modular_kernel(lattice, monomial_basis(1), None)
-    assert built == []
+    triple = relations.rosenhain_triple
+
+    def logging(disc, precision):
+        built.append(precision)
+        return triple(disc, precision)
+
+    monkeypatch.setattr(relations, "rosenhain_triple", logging)
+    report = find_relation(5, 8)
+    assert report.precision == 76
+    assert built == [68, 84]
 
 
 def test_no_relation_is_decided_at_the_first_prime(monkeypatch):
@@ -313,8 +332,8 @@ def test_explicit_overgenerous_degree_is_ambiguous():
 
 
 def test_imprimitive_search_reuses_the_callers_triple(monkeypatch):
-    # the degree-2 factor search runs on the N=48 triple already built; only
-    # its N + 8 confirmation triple is new
+    # the degree-2 factor search runs on the N + 8 = 56 triple already
+    # built, and builds none of its own
     built = []
     triple = relations.rosenhain_triple
 
@@ -326,7 +345,7 @@ def test_imprimitive_search_reuses_the_callers_triple(monkeypatch):
     with pytest.raises(ImprimitiveKernel) as info:
         find_relation(4, 4, precision=48)
     assert info.value.factor == MultiPoly({(1, 1, 0): 1, (0, 0, 1): -1})
-    assert built == [48, 56]
+    assert built == [56]
 
 
 def test_recheck_failure_names_the_failing_precision():

@@ -100,8 +100,10 @@ def _truncation_cases():
         k = humbert_params(delta).k
         for n in range(max(4, k + 2), 41):
             yield delta, n
-    yield 12, 76
-    yield 13, 76
+    # the precisions of the automatic searches
+    for delta, n in ((5, 60), (5, 76), (8, 76), (12, 60), (12, 76),
+                     (13, 76)):
+        yield delta, n
 
 
 def test_triple_is_the_truncation_of_a_longer_one():
