@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage, 2 NoRelation, 3 AmbiguousKernel (for an
+Exit codes: 0 success, 1 usage (also an --in or --out path that cannot be
+read or written), 2 NoRelation, 3 AmbiguousKernel (for an
 ImprimitiveKernel, stderr names the lower-degree factor and the --degree to
 search at), 4 verification failure, 5 parse error, 6 internal consistency
 failure (IntegralityViolation, NotAUnit, NotDivisible, NonIntegralDegree,
@@ -209,7 +210,7 @@ def _wrap_errors(fn):
         except (ParseError,) as exc:
             click.echo("parse error: %s" % exc, err=True)
             sys.exit(EXIT_PARSE)
-        except (NotAdmissible, SpecialCase, ValueError) as exc:
+        except (NotAdmissible, SpecialCase, ValueError, OSError) as exc:
             click.echo("error: %s" % exc, err=True)
             sys.exit(EXIT_USAGE)
         except (IntegralityViolation, NotAUnit, NotDivisible,

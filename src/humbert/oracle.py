@@ -80,24 +80,19 @@ def _spiral(b):
     return tuple(sorted(box, key=lambda x: (max(abs(x[0]), abs(x[1])), x)))
 
 
-_MAX_TRIES = 1000
-
-
 def sample_humbert_point(disc, seed=0):
     """A pseudorandom point of H_Delta with fast Gaussian decay.
 
     tau3 = k*tau1 + ell*tau2 by construction; Im(tau1) > Im(tau2) > 0 keeps
-    |p| < 1 and |q| < 1 for the series substitution.
+    |p| < 1 and |q| < 1 for the series substitution.  Every draw is valid:
+    y1 = Im(tau1) in [1.5, 2.5] and y2 = Im(tau2) in [0.2, 0.6] give
+    y1 > y2 > 0, and det Im(tau) = y1 (k y1 + ell y2) - y2^2 is at least
+    y1^2 - y2^2 > 0 for k >= 1 and equals y2 (y1 - y2) > 0 for Delta = 1.
     """
     rng = random.Random(seed)
-    for _ in range(_MAX_TRIES):
-        t1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(1.5, 2.5))
-        t2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.2, 0.6))
-        t3 = disc.k * t1 + disc.ell * t2
-        point = SiegelPoint(t1, t2, t3)
-        if point.is_valid() and t1.imag > t2.imag > 0:
-            return point
-    raise SamplingExhausted("no valid sample after %d tries" % _MAX_TRIES)
+    t1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(1.5, 2.5))
+    t2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.2, 0.6))
+    return SiegelPoint(t1, t2, disc.k * t1 + disc.ell * t2)
 
 
 _ROSENHAIN_QUOTIENTS = (

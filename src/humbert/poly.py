@@ -202,15 +202,6 @@ _DEGENERATE_LOCI = (
 )
 
 
-def degenerate_factors():
-    """The nine polynomials cutting out collided Weierstrass points."""
-    out = []
-    for i, t in _DEGENERATE_LOCI:
-        e_i = tuple(int(v == i) for v in range(3))
-        out.append(MultiPoly({e_i: 1} if t is None else {e_i: 1, t: -1}))
-    return out
-
-
 def divide_degenerate(terms, i, t):
     """The quotient of a term map by e_i - t, or None if not divisible.
 

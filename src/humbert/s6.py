@@ -12,13 +12,12 @@ determinant a0 b1 - b0 a1.  The images of the last three coordinates give a
 triple of rational functions in e1, e2, e3.
 """
 
-import math
 from functools import lru_cache
 from itertools import permutations
 
 from .degrees import SpecialCase
-from .poly import (DegenerateOnly, _grlex_key, raw_add, raw_mul,
-                   strip_degenerate_factors, substitute_rational)
+from .poly import (DegenerateOnly, raw_add, raw_mul, strip_degenerate_factors,
+                   substitute_rational)
 from .theta import humbert_params
 
 SYMBOLS = ("0", "1", "inf", "e1", "e2", "e3")
@@ -40,30 +39,12 @@ class Perm6:
         return cls(SYMBOLS)
 
     @classmethod
-    def from_mapping(cls, mapping):
-        return cls(tuple(mapping.get(s, s) for s in SYMBOLS))
-
-    @classmethod
-    def from_cycles(cls, cycles):
-        """Build from cycle notation, e.g. [("0", "e1"), ("1", "e2")]."""
-        mapping = {}
-        for cyc in cycles:
-            for s in cyc:
-                if s not in SYMBOLS:
-                    raise ValueError("unknown symbol %r" % (s,))
-                if s in mapping:
-                    raise ValueError("symbol %r repeated" % (s,))
-            for i, s in enumerate(cyc):
-                mapping[s] = cyc[(i + 1) % len(cyc)]
-        return cls.from_mapping(mapping)
-
-    @classmethod
     def parse(cls, text):
         """Parse cycle notation like "(0,e1,e3,inf,e2,1)(...)"."""
         text = text.replace(" ", "")
         if text in ("", "()", "id"):
             return cls.identity()
-        cycles = []
+        mapping = {}
         pos = 0
         while pos < len(text):
             if text[pos] != "(":
@@ -71,10 +52,17 @@ class Perm6:
             end = text.find(")", pos)
             if end < 0:
                 raise ValueError("unbalanced cycle in %r" % (text,))
-            cyc = tuple(text[pos + 1:end].split(","))
-            cycles.append(cyc)
+            cyc = text[pos + 1:end].split(",")
+            # each symbol is checked as it enters, so a repeat within one
+            # cycle is caught like a repeat across cycles
+            for s, image in zip(cyc, cyc[1:] + cyc[:1]):
+                if s not in SYMBOLS:
+                    raise ValueError("unknown symbol %r" % (s,))
+                if s in mapping:
+                    raise ValueError("symbol %r repeated" % (s,))
+                mapping[s] = image
             pos = end + 1
-        return cls.from_cycles(cycles)
+        return cls(mapping.get(s, s) for s in SYMBOLS)
 
     def __call__(self, symbol):
         return self.images[SYMBOLS.index(symbol)]
@@ -84,8 +72,7 @@ class Perm6:
         return Perm6(tuple(self(other(s)) for s in SYMBOLS))
 
     def inverse(self):
-        mapping = {img: s for s, img in zip(SYMBOLS, self.images)}
-        return Perm6.from_mapping(mapping)
+        return Perm6(SYMBOLS[self.images.index(s)] for s in SYMBOLS)
 
     def __eq__(self, other):
         if not isinstance(other, Perm6):
@@ -175,7 +162,9 @@ def induced_map(sigma):
     in it is +-1, and the two of them in one cross-ratio are equal, so they
     cancel as the limit 1 would.  The surviving factors are the constant
     +-1 or distinct degenerate-locus linear forms, so num and den share no
-    factor and the joint content removal fully reduces.
+    factor.  Their joint content and sign are left as they come: scaling
+    num_i and den_i together by g scales the cleared polynomial of
+    substitute_rational by g^(d_i), which its canonical form divides out.
     """
     u1, u2, u3, *xs = (_POINT[sigma(s)] for s in SYMBOLS)
     pairs = []
@@ -187,12 +176,6 @@ def induced_map(sigma):
             # e-coordinate to 0 or inf only when sigma moves it onto one of
             # the renormalised slots -- which the tuple layout rules out
             raise AssertionError("cross-ratio image degenerated")
-        # joint scaling only: relative sign/scale of num and den matters
-        g = math.gcd(*num.values(), *den.values())
-        if den[max(den, key=_grlex_key)] < 0:
-            g = -g
-        num = {k: v // g for k, v in num.items()}
-        den = {k: v // g for k, v in den.items()}
         pairs.append((num, den))
     return tuple(pairs)
 

@@ -41,25 +41,10 @@ class TruncatedSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, c, precision):
-        return cls({(0, 0): c}, precision)
-
-    @classmethod
-    def zero(cls, precision):
-        return cls({}, precision)
-
-    @classmethod
     def one(cls, precision):
         return cls({(0, 0): 1}, precision)
 
-    @classmethod
-    def monomial(cls, i, j, precision, coeff=1):
-        return cls({(i, j): coeff}, precision)
-
     # -- basic queries ------------------------------------------------
-
-    def coeff(self, i, j):
-        return self.terms.get((i, j), 0)
 
     def constant_term(self):
         return self.terms.get((0, 0), 0)
@@ -67,19 +52,10 @@ class TruncatedSeries:
     def is_zero(self):
         return not self.terms
 
-    def min_exponents(self):
-        """Componentwise minimum (i, j) over stored terms; None for zero."""
-        if not self.terms:
-            return None
-        return (min(i for i, _ in self.terms), min(j for _, j in self.terms))
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.precision == other.precision and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.precision, frozenset(self.terms.items())))
 
     def truncate(self, precision):
         """The image modulo (p^n, q^n) for n = `precision` <= N."""
@@ -198,14 +174,6 @@ class TruncatedSeries:
             out[(a - i, b - j)] = c
         return TruncatedSeries(out, self.precision)
 
-    def mul_monomial(self, i, j, coeff=1):
-        out = {}
-        n = self.precision
-        for (a, b), c in self.terms.items():
-            if a + i < n and b + j < n:
-                out[(a + i, b + j)] = c * coeff
-        return TruncatedSeries(out, n)
-
 
 # -- serialization ----------------------------------------------------
 
@@ -213,15 +181,3 @@ def series_to_record(f):
     """JSON-ready record: {precision, terms: sorted [i, j, "n/1"]}."""
     terms = [[i, j, "%d/1" % f.terms[(i, j)]] for (i, j) in sorted(f.terms)]
     return {"precision": f.precision, "terms": terms}
-
-
-def series_from_record(rec):
-    """Inverse of series_to_record; a denominator other than 1 is an error."""
-    terms = {}
-    for i, j, s in rec["terms"]:
-        num, den = s.split("/")
-        if int(den) != 1:
-            raise ValueError("coefficient %r of p^%s q^%s is not an integer"
-                             % (s, i, j))
-        terms[(int(i), int(j))] = int(num)
-    return TruncatedSeries(terms, int(rec["precision"]))

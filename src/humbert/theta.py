@@ -98,33 +98,19 @@ def enumerate_lattice(char, disc, precision):
     if n < 1:
         return  # nothing lies below the truncation
 
-    x1s = x_range(1, a)
-    if k >= 1:
-        x2s = x_range(k, b)
-        for x1 in x1s:
-            u = 2 * x1 + a
-            for x2 in x2s:
-                v = 2 * x2 + b
-                p_exp = u * u + k * v * v
-                if p_exp >= n:
-                    continue
-                q_exp = (u + v) ** 2 + kl * v * v
-                if q_exp >= n:
-                    continue
-                sign = -1 if (x1 * c + x2 * d) % 2 else 1
-                yield (x1, x2, sign, p_exp, q_exp)
-    else:
-        # Delta = 1: q-exponent reduces to (u+v)^2 and must bound x2
-        for x1 in x1s:
-            u = 2 * x1 + a
-            p_exp = u * u
-            for x2 in x_range(1, u + b):
-                v = 2 * x2 + b
-                q_exp = (u + v) ** 2
-                if q_exp >= n:
-                    continue
-                sign = -1 if (x1 * c + x2 * d) % 2 else 1
-                yield (x1, x2, sign, p_exp, q_exp)
+    for x1 in x_range(1, a):
+        u = 2 * x1 + a
+        # Delta = 1: the q-exponent reduces to (u+v)^2 and must bound x2
+        for x2 in x_range(k, b) if k else x_range(1, u + b):
+            v = 2 * x2 + b
+            p_exp = u * u + k * v * v
+            if p_exp >= n:
+                continue
+            q_exp = (u + v) ** 2 + kl * v * v
+            if q_exp >= n:
+                continue
+            sign = -1 if (x1 * c + x2 * d) % 2 else 1
+            yield (x1, x2, sign, p_exp, q_exp)
 
 
 def restricted_theta(char, disc, precision):

@@ -85,9 +85,9 @@ def test_criterion_3_theta_leading_terms():
         n = max(12, i0 + 2, j0 + 2)
         t8 = restricted_theta(ThetaChar.from_index(8), disc, n)
         t10 = restricted_theta(ThetaChar.from_index(10), disc, n)
-        ok = ok and t8.min_exponents() == (i0, j0) and t8.coeff(i0, j0) == 2
-        ok = ok and t10.min_exponents() == (i0, j0) \
-            and t10.coeff(i0, j0) == -2
+        for t, lead in ((t8, 2), (t10, -2)):
+            ok = ok and all(i >= i0 and j >= j0 for i, j in t.terms)
+            ok = ok and t.terms.get((i0, j0)) == lead
         for idx in (1, 2, 3, 4):
             f = restricted_theta(ThetaChar.from_index(idx), disc, n)
             ok = ok and f.constant_term() == 1
@@ -237,7 +237,9 @@ def test_criterion_9_property_suites():
         f = rand_series(n)
         kept = TruncatedSeries({k: c for k, c in f.terms.items()
                                 if k[0] + a < n and k[1] + b < n}, n)
-        ok = ok and f.mul_monomial(a, b).divide_monomial(a, b) == kept
+        shifted = TruncatedSeries({(i + a, j + b): c
+                                   for (i, j), c in f.terms.items()}, n)
+        ok = ok and shifted.divide_monomial(a, b) == kept
     for _ in range(200):
         terms = {(rng.randrange(4), rng.randrange(4), rng.randrange(4)):
                  rng.randint(-9, 9) for _ in range(5)}

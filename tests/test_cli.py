@@ -252,3 +252,20 @@ def test_rosenhain_output_byte_identity(tmp_path):
     for name in ("e1", "e2", "e3"):
         assert payload[name] == series_to_record(getattr(triple, name))
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("command", ["theta", "orbit"])
+def test_unusable_path_is_a_usage_error(tmp_path, command):
+    # an --out path in a missing directory, or a directory as --in
+    if command == "theta":
+        path = tmp_path / "no" / "such" / "dir" / "x.json"
+        args = ["theta", "--disc", "5", "--char", "1100", "--prec", "8",
+                "--out", str(path)]
+    else:
+        path = tmp_path
+        args = ["orbit", "--in", str(path)]
+    res = run_cli(args)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and str(path) in res.stderr

@@ -18,11 +18,14 @@ def h12_poly():
 
 
 def test_sampled_points_lie_in_domain():
-    for delta in (4, 5, 12):
+    # Delta = 1 (k = 0) and Delta = 101 are the two cases of the
+    # determinant bound that lets the sampler keep its first draw
+    for delta in (1, 4, 5, 12, 101):
         disc = humbert_params(delta)
         for seed in range(5):
             pt = sample_humbert_point(disc, seed=seed)
             assert pt.is_valid()
+            assert pt.tau1.imag > pt.tau2.imag > 0
             assert pt.tau3 == disc.k * pt.tau1 + disc.ell * pt.tau2
 
 

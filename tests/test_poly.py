@@ -14,16 +14,24 @@ from hypothesis import strategies as st
 import humbert
 from humbert import poly as poly_module
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
-                          ParseError, ZeroPolynomial,
-                          degenerate_factors, divide_degenerate, eval_complex,
-                          eval_on_series, format_poly, parse_poly,
-                          strip_degenerate_factors, substitute_rational)
+                          ParseError, ZeroPolynomial, divide_degenerate,
+                          eval_complex, eval_on_series, format_poly,
+                          parse_poly, strip_degenerate_factors,
+                          substitute_rational)
 from humbert.rosenhain import rosenhain_triple
 from humbert.s6 import _S6_GENERATORS, all_perms, induced_map
 from humbert.series import TruncatedSeries
 from humbert.theta import humbert_params
 
 rng = random.Random(424242)
+
+# the nine degenerate-locus factors e_i - t, in the order of _DEGENERATE_LOCI
+_FACTORS = [MultiPoly(t) for t in (
+    {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1},
+    {(1, 0, 0): 1, (0, 0, 0): -1}, {(0, 1, 0): 1, (0, 0, 0): -1},
+    {(0, 0, 1): 1, (0, 0, 0): -1},
+    {(1, 0, 0): 1, (0, 1, 0): -1}, {(1, 0, 0): 1, (0, 0, 1): -1},
+    {(0, 1, 0): 1, (0, 0, 1): -1})]
 
 
 def random_poly(max_terms=6, max_exp=4):
@@ -110,17 +118,17 @@ def test_eval_on_series_is_ring_homomorphism():
         # num/den, cleared to integers on both sides
         num, den = _content_ratio(f, g, fg)
         n = lhs.precision
-        assert (lhs * TruncatedSeries.constant(num, n)
-                == rhs * TruncatedSeries.constant(den, n))
+        assert (lhs * TruncatedSeries({(0, 0): num}, n)
+                == rhs * TruncatedSeries({(0, 0): den}, n))
 
 
 def _naive_eval(f, triple):
     """sum of coef * e1^a * e2^b * e3^c, each power by repeated products."""
     es = (triple.e1, triple.e2, triple.e3)
     n = min(e.precision for e in es)
-    total = TruncatedSeries.zero(n)
+    total = TruncatedSeries({}, n)
     for (a, b, c), coef in f.terms.items():
-        term = TruncatedSeries.constant(coef, n)
+        term = TruncatedSeries({(0, 0): coef}, n)
         for e, k in zip(es, (a, b, c)):
             for _ in range(k):
                 term = term * e
@@ -274,18 +282,17 @@ def test_fixture_round_trip():
 
 
 def test_degenerate_factor_set():
-    facs = degenerate_factors()
-    assert len(facs) == 9
-    assert MultiPoly({(1, 0, 0): 1}) in facs
-    assert MultiPoly({(1, 0, 0): 1, (0, 0, 0): -1}) in facs
-    assert MultiPoly({(1, 0, 0): 1, (0, 1, 0): -1}) in facs
+    # each locus (i, t) of _DEGENERATE_LOCI divides its factor e_i - t to 1
+    assert len(_DEGENERATE_LOCI) == len(set(_FACTORS)) == 9
+    for (i, t), fac in zip(_DEGENERATE_LOCI, _FACTORS):
+        assert divide_degenerate(fac.terms, i, t) == {(0, 0, 0): 1}
 
 
 def test_divide_degenerate_exact_and_inexact():
     # every factor e_i - t divides g * L^m exactly m times and no further:
     # g has a constant term of 100, so g(e_i = t) != 0
     assert len(_DEGENERATE_LOCI) == 9
-    for (i, t), fac in zip(_DEGENERATE_LOCI, degenerate_factors()):
+    for (i, t), fac in zip(_DEGENERATE_LOCI, _FACTORS):
         for _ in range(20):
             g = dict(random_poly().terms)
             g[(0, 0, 0)] = g.get((0, 0, 0), 0) + 100
@@ -321,7 +328,7 @@ _CORES = st.dictionaries(
 def test_strip_ignores_degenerate_multiples(core, mults):
     # strip(core * prod L^m) == strip(core), or both are degenerate-only
     dressed = core
-    for m, fac in zip(mults, degenerate_factors()):
+    for m, fac in zip(mults, _FACTORS):
         for _ in range(m):
             dressed = _raw_mul_terms(dressed, fac.terms)
     try:

@@ -120,7 +120,8 @@ def _assert_rows_are_naive(ros, basis, symmetry):
     for p in _PRIMES:
         rows = _monomial_rows_mod(ros, basis, symmetry, p)
         assert rows.dtype == np.int64
-        assert rows.tolist() == [[f.coeff(i, j) % p for i, j in points]
+        assert rows.tolist() == [[f.terms.get((i, j), 0) % p
+                                  for i, j in points]
                                  for f in naive]
 
 

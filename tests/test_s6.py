@@ -3,6 +3,7 @@
 import cmath
 import importlib.resources as ir
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,19 @@ def test_perm_parse_and_str_round_trip():
                  "(0,e1)(1,e2)(inf,e3)"]:
         s = Perm6.parse(text)
         assert Perm6.parse(str(s)) == s
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(0,0)", "symbol '0' repeated"),
+    ("(e1,e2,e1)", "symbol 'e1' repeated"),
+    ("(0,e1)(e1,e2)", "symbol 'e1' repeated"),
+    ("(0,e4)", "unknown symbol 'e4'"),
+    ("(0,1", "unbalanced cycle"),
+    ("0,1)", "expected '('"),
+])
+def test_perm_parse_rejects_bad_cycles(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Perm6.parse(text)
 
 
 def test_group_axioms_randomized():

@@ -7,7 +7,7 @@ from humbert.theta import (THETA_CHARS, Discriminant, NotAdmissible,
                            ThetaChar, enumerate_lattice, humbert_params,
                            restricted_theta)
 
-DISCS = [4, 5, 8, 12, 13]
+DISCS = [1, 4, 5, 8, 12, 13]
 
 
 def test_humbert_params_splits_delta():
@@ -47,10 +47,10 @@ def test_theta8_theta10_leading_terms(delta):
     n = max(12, i0 + 2, j0 + 2)
     t8 = restricted_theta(ThetaChar.from_index(8), disc, n)
     t10 = restricted_theta(ThetaChar.from_index(10), disc, n)
-    assert t8.min_exponents() == (i0, j0)
-    assert t8.coeff(i0, j0) == 2
-    assert t10.min_exponents() == (i0, j0)
-    assert t10.coeff(i0, j0) == -2
+    assert all(i >= i0 and j >= j0 for i, j in t8.terms)
+    assert t8.terms[(i0, j0)] == 2
+    assert all(i >= i0 and j >= j0 for i, j in t10.terms)
+    assert t10.terms[(i0, j0)] == -2
 
 
 @pytest.mark.parametrize("delta", DISCS)
