@@ -11,6 +11,8 @@ import math
 import operator
 import re
 
+import numpy as np
+
 from .series import TruncatedSeries
 
 
@@ -113,22 +115,54 @@ class MultiPoly:
 
 # -- evaluation --------------------------------------------------------
 
-def eval_on_series(poly, rosenhain):
-    """Evaluate on a Rosenhain series triple, in the truncated ring.
+def word_primes():
+    """The consecutive primes above 2^20, ascending, without end."""
+    p = 2 ** 20 + 1
+    while True:
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
 
-    Nested Horner scheme, exact in integers:
+
+def eval_on_series(poly, rosenhain):
+    """Evaluate on a Rosenhain series triple, exactly, in the truncated ring.
+
+    The value is found from its residues modulo word-size primes.  All work
+    happens on the grid of sZ x sZ, s the gcd of every exponent of e1, e2
+    and e3 below the precision N (4 for every Rosenhain triple, 1 for a
+    generic one): each series is an array of m x m cells, m = ceil(N/s),
+    with one layer per modulus.  Products and sums stay on that grid.
+
+    The evaluation keeps one nested Horner scheme,
 
         F = sum_a x^a * (sum_b y^b * L_ab),   L_ab = sum_c f_abc * e3^c,
 
     where y is the sparser of e1 and e2 by term count and x the other one,
-    with a and b their exponents.  Each L_ab is an integer combination of
-    the powers e3^0, ..., e3^d3 and costs no series product; the b sums are
-    folded by Horner's rule in y and the a sum by Horner's rule in x.  With
-    d_x, d3 the degrees of F in x and e3 and B_a the largest b in a term
+    with a and b their exponents.  Each L_ab is a combination of the powers
+    e3^0, ..., e3^d3 and costs no series product; the b sums are folded by
+    Horner's rule in y and the a sum by Horner's rule in x.  With d_x, d3
+    the degrees of F in x and e3 and B_a the largest b in a term
     x^a y^b e3^c of F, that is max(d3 - 1, 0) + sum_a B_a + d_x series
-    products: 70 for the 233 terms of the degree-16 h12, where forming each
-    monomial took 304 (one per term and one per (a, b) prefix).  The b
-    steps are most of them, so each multiplies by the sparser series.
+    products: 70 for the 233 terms of the degree-16 h12, of which the 55
+    b steps multiply by the sparser series.  It runs twice:
+
+    1. A proven bound B >= max |coefficient of F(e)|, as the float64
+       majorant sum |f_abc| |e1|^a |e2|^b |e3|^c, |e| being e with every
+       coefficient replaced by its absolute value.  Every input and every
+       intermediate value is nonnegative, so each rounding, to nearest,
+       multiplies an exact value by at least 1 - 2^-53, and after K
+       operations the computed majorant is at least (1 - 2^-53)^K >=
+       1 - K 2^-53 times the true one.  K is far below 2^52, so that factor
+       exceeds 1/2, and twice the computed majorant bounds every
+       coefficient.  When a coefficient does not convert to float, or the
+       majorant is not finite below 2^1000, B is the exact integer bound
+       sum |f_abc| |e1|_1^a |e2|_1^b |e3|_1^c of the l1 norms instead:
+       always finite, but looser.
+    2. The residues of F(e) modulo consecutive primes above 2^20, all
+       primes at once in int64 layers, taking primes until their product M
+       exceeds 2B + 1.  Each cell is mapped back to the unique integer of
+       absolute value below M/2 with those residues, which is the exact
+       coefficient.
     """
     x, y, e3 = rosenhain.e1, rosenhain.e2, rosenhain.e3
     terms = poly.terms
@@ -136,18 +170,131 @@ def eval_on_series(poly, rosenhain):
         x, y = y, x
         terms = {(b, a, c): coef for (a, b, c), coef in terms.items()}
     n = min(x.precision, y.precision, e3.precision)
-    pows3 = _powers(e3, poly.degree_in(2), TruncatedSeries.one(n),
-                    operator.mul)
+    series = [{k: c for k, c in e.terms.items() if max(k) < n}
+              for e in (x, y, e3)]
+    s = math.gcd(*(i for e in series for k in e for i in k)) or n
+    m = -(-n // s)
     rows = {}
     for (a, b, c), coef in terms.items():
-        rows.setdefault(a, {}).setdefault(b, []).append(
-            (coef, pows3[c].terms))
+        rows.setdefault(a, {}).setdefault(b, []).append((coef, c))
+    grid = (rows, poly.degree_in(2), series, s, m)
+
+    def magnitude(coef):
+        return np.full((1, 1, 1), float(abs(coef)))
+
+    try:
+        with np.errstate(over="ignore"):
+            top = _horner_grid(*grid, magnitude, None).max()
+    except OverflowError:  # float() of a coefficient past 2^1024
+        top = math.inf
+    if top < 2.0 ** 1000:
+        bound = math.ceil(2 * top)
+    else:
+        n1, n2, n3 = (sum(map(abs, e.values())) for e in series)
+        bound = sum(abs(f) * n1 ** a * n2 ** b * n3 ** c
+                    for (a, b, c), f in terms.items())
+    primes, mod = [], 1
+    for p in word_primes():
+        if mod > 2 * bound + 1:
+            break
+        primes.append(p)
+        mod *= p
+    mods = np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
+
+    def residues(coef):
+        return np.array([coef % p for p in primes],
+                        dtype=np.int64).reshape(-1, 1, 1)
+
+    values = _crt_symmetric(_horner_grid(*grid, residues, mods), primes,
+                            bound)
+    return TruncatedSeries({(k // m * s, k % m * s): v
+                            for k, v in values.items()}, n)
+
+
+def _horner_grid(rows, d3, series, s, m, weight, mods):
+    """The nested Horner scheme of `eval_on_series` on the m x m grid of
+    sZ x sZ, in one layer per modulus.
+
+    rows maps a to b to the (coef, c) pairs of the terms x^a y^b e3^c, and
+    series holds the term maps of x, y and e3.  weight turns an integer
+    into a (layers, 1, 1) array; mods is None for float64 layers, where no
+    value is reduced, and else the primes as a (layers, 1, 1) int64 array,
+    one per layer, and every sum and product is reduced modulo them.  An
+    L_ab sums at most d3 + 1 products of two residues, far inside int64.
+    """
+    x, y, z = ([(i // s, j // s, weight(c)) for (i, j), c in e.items()]
+               for e in series)
+    unit = weight(1)
+    one = np.zeros((len(unit), m, m), dtype=unit.dtype)
+    one[:, 0, 0] = 1
+    zero = np.zeros_like(one)
+
+    def mul(acc, factor):
+        return _grid_mul(acc, factor, mods)
+
+    def reduce(v):
+        return v if mods is None else v % mods
+
+    # the ladder starts from e3 itself as a grid: max(d3 - 1, 0) products
+    z_grid = zero.copy()
+    for i, j, w in z:
+        z_grid[:, i, j] = w[:, 0, 0]
+    pows = _powers(z_grid, d3, one, lambda acc, _: mul(acc, z))
     inner = []
     for a in range(max(rows) + 1):
         cols = rows.get(a, {})
-        inner.append(_horner(y, [TruncatedSeries(_lincomb(cols.get(b, ())), n)
-                                 for b in range(max(cols, default=0) + 1)]))
-    return _horner(x, inner)
+        inner.append(_horner(y, [
+            reduce(sum((weight(f) * pows[c] for f, c in cols.get(b, ())),
+                       zero))
+            for b in range(max(cols, default=0) + 1)], mul, reduce))
+    return _horner(x, inner, mul, reduce)
+
+
+def _grid_mul(acc, factor, mods):
+    """acc times a series on the m x m grid, in every layer at once.
+
+    factor lists the series' terms as (I, J, w): the term w at grid point
+    (I, J) sends every point (I', J') to (I' + I, J' + J) with weight w, a
+    (layers, 1, 1) array, inside the grid.  With int64 layers the result is
+    reduced modulo mods, and acc must hold residues.
+    """
+    m = acc.shape[-1]
+    out = np.zeros_like(acc)
+    if mods is not None:
+        # a cell sums at most len(factor) products of two residues
+        assert len(factor) * (int(mods.max()) - 1) ** 2 < 2 ** 63, \
+            "int64 overflow in _grid_mul"
+    for i, j, w in factor:
+        out[:, i:, j:] += w * acc[:, :m - i, :m - j]
+    return out if mods is None else out % mods
+
+
+def _horner(x, coeffs, mul, reduce):
+    """coeffs[0] + x * (coeffs[1] + x * (... + x * coeffs[-1]))."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = reduce(mul(acc, x) + c)
+    return acc
+
+
+def _crt_symmetric(residues, primes, bound):
+    """The nonzero integers of absolute value at most `bound` with the given
+    residues, as a map from flat grid index to value.
+
+    residues is an int64 (primes, m, m) array; the product M of the primes
+    must exceed 2 bound + 1, so that the symmetric residue mod M, in
+    (-M/2, M/2), is the integer itself.
+    """
+    mod = math.prod(primes)
+    assert mod > 2 * bound + 1, "CRT modulus too small for the bound"
+    basis = [mod // p * pow(mod // p, -1, p) for p in primes]
+    flat = residues.reshape(len(primes), -1)
+    cells = np.flatnonzero(flat.any(axis=0))
+    out = {}
+    for k, col in zip(cells.tolist(), flat[:, cells].T.tolist()):
+        v = sum(map(operator.mul, col, basis)) % mod
+        out[k] = v - mod if v > mod // 2 else v
+    return out
 
 
 def _lincomb(pairs):
@@ -158,14 +305,6 @@ def _lincomb(pairs):
         for k, v in f.items():
             out[k] = get(k, 0) + coef * v
     return out
-
-
-def _horner(x, coeffs):
-    """coeffs[0] + x * (coeffs[1] + x * (... + x * coeffs[-1]))."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
 
 
 def _powers(x, d, one, mul):

@@ -23,26 +23,31 @@ later prime of larger nullity lost rank), adding the rest one at a time
 when that fails, up to six, which reconstructs coefficient ratios up to
 about 2^59.  Each attempt builds one Rosenhain triple, at N + 8; the kernel
 reads its truncation to N.  A candidate relation is only ever accepted
-after an exact recheck in integers: it must evaluate to the identical zero
-series on the N + 8 triple, and so also at the kernel's precision N, and
-it must not be a product of degenerate-locus factors.
+after an exact recheck: it must evaluate to the identical zero series on
+the N + 8 triple, and so also at the kernel's precision N, and it must not
+be a product of degenerate-locus factors.  The recheck finds the exact
+series from its residues modulo consecutive primes above 2^20, enough of
+them for their product to exceed twice a proven bound on its coefficients,
+so a zero is a proof and a wrong candidate shows its exact nonzero value.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .poly import (DegenerateOnly, MultiPoly, eval_on_series, format_poly,
-                   strip_degenerate_factors)
+                   strip_degenerate_factors, word_primes)
 from .rosenhain import RosenhainSeries, check_precision, rosenhain_triple
 from .theta import NotAdmissible, humbert_params
 
-# primes just above 2^20, small enough that an elimination step of
-# `_nullspace_mod` stays inside int64 and that the float64 rows stay exact on
-# lattices of up to 8,191 points, such as 90 x 90 (both are asserted); the
-# first prime decides every nullity but 1, and only the lift needs more
-_PRIMES = (1048583, 1048589, 1048601, 1048609, 1048613, 1048627)
+# the first six primes above 2^20, the primes of the exact recheck too:
+# small enough that an elimination step of `_nullspace_mod` stays inside int64
+# and that the float64 rows stay exact on lattices of up to 8,191 points, such
+# as 90 x 90 (both are asserted); the first prime decides every nullity but 1,
+# and only the lift needs more
+_PRIMES = tuple(islice(word_primes(), 6))
 # the largest N whose m x m grid, m = ceil(N/4), keeps the float64 rows exact
 # for every prime
 _MAX_N = 4 * math.isqrt((2 ** 53 - 1) // (max(_PRIMES) - 1) ** 2)

@@ -3,6 +3,7 @@
 import ast
 import random
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 import humbert
 from humbert import poly as poly_module
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
-                          ParseError, ZeroPolynomial, divide_degenerate,
-                          eval_complex, eval_on_series, format_poly,
-                          parse_poly, strip_degenerate_factors,
-                          substitute_rational)
+                          ParseError, ZeroPolynomial, _crt_symmetric,
+                          _grid_mul, divide_degenerate, eval_complex,
+                          eval_on_series, format_poly, parse_poly, raw_add,
+                          strip_degenerate_factors, substitute_rational,
+                          word_primes)
 from humbert.rosenhain import rosenhain_triple
 from humbert.s6 import _S6_GENERATORS, all_perms, induced_map
 from humbert.series import TruncatedSeries
@@ -171,44 +173,159 @@ def test_eval_on_series_matches_naive_powers(f, triple):
         assert value.constant_term() == sum(f.terms.values()) != 0
 
 
+# series coefficients up to 2^130 and polynomial coefficients up to 2^64
+# need several primes and give negative symmetric residues; exponents are
+# drawn with no common stride, so the grid is usually the full N x N one
+_WIDE_PRECISION = st.shared(st.integers(1, 12), key="wide precision")
+_WIDE_SERIES = _WIDE_PRECISION.flatmap(lambda n: st.builds(
+    TruncatedSeries,
+    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    st.integers(-2 ** 130, 2 ** 130), max_size=8),
+    st.just(n)))
+_WIDE_TRIPLES = st.builds(
+    lambda e1, e2, e3: SimpleNamespace(e1=e1, e2=e2, e3=e3),
+    _WIDE_SERIES, _WIDE_SERIES, _WIDE_SERIES)
+_WIDE_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 4)] * 3),
+    st.integers(-2 ** 64, 2 ** 64).filter(bool),
+    min_size=1, max_size=12).map(MultiPoly)
+_ZERO_SERIES = SimpleNamespace(e1=TruncatedSeries({}, 6),
+                               e2=TruncatedSeries({}, 6),
+                               e3=TruncatedSeries({}, 6))
+# the coefficients of e1 sum to 0: only their absolute values bound
+_STRIDE_ONE = SimpleNamespace(
+    e1=TruncatedSeries({(0, 0): 2 ** 129, (1, 0): -(2 ** 129)}, 9),
+    e2=TruncatedSeries({(0, 1): -(2 ** 130), (5, 2): 7}, 9),
+    e3=TruncatedSeries({(3, 3): 5, (0, 0): -1}, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WIDE_POLYS, _WIDE_TRIPLES)
+# a coefficient past the float range: the exact l1-norm bound
+@example(MultiPoly({(1, 2, 0): 2 ** 1100 + 1, (0, 0, 3): -5}), _STRIDE_ONE)
+@example(MultiPoly({(2, 1, 1): 3, (0, 0, 0): -(2 ** 64)}), _ZERO_SERIES)
+@example(MultiPoly({(1, 1, 1): -(2 ** 63), (0, 0, 0): 2 ** 64}),
+         SimpleNamespace(e1=TruncatedSeries({(0, 0): -(2 ** 130)}, 1),
+                         e2=TruncatedSeries({(0, 0): 2 ** 130 - 1}, 1),
+                         e3=TruncatedSeries({(0, 0): 2 ** 129}, 1)))  # N = 1
+# unequal precisions: terms at or past the smallest are dropped
+@example(MultiPoly({(1, 1, 1): 3, (2, 0, 0): -1}),
+         SimpleNamespace(
+             e1=TruncatedSeries({(0, 0): 1, (7, 2): 2 ** 100}, 9),
+             e2=TruncatedSeries({(0, 1): -5, (3, 3): 1}, 4),
+             e3=TruncatedSeries({(0, 0): -(2 ** 70), (5, 1): 3}, 6)))
+def test_eval_on_series_matches_naive_on_wide_coefficients(f, triple):
+    assert eval_on_series(f, triple) == _naive_eval(f, triple)
+
+
+def _h12():
+    import importlib.resources as ir
+    return parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
+
+
+def _grid_products(monkeypatch, f, triple):
+    """The multiplier of every grid product that eval_on_series(f, triple)
+    makes, as its dtype and its set of (I, J, first-layer weight), and the
+    value."""
+    calls = []
+    mul = poly_module._grid_mul
+
+    def recording(acc, factor, mods):
+        calls.append((acc.dtype, frozenset((i, j, w.flat[0].item())
+                                           for i, j, w in factor)))
+        return mul(acc, factor, mods)
+
+    monkeypatch.setattr(poly_module, "_grid_mul", recording)
+    return calls, eval_on_series(f, triple)
+
+
 def test_eval_on_series_product_count(monkeypatch):
     # Horner costs max(d3 - 1, 0) + sum_a B_a + d1 products: 70 for h12,
-    # where one product per term and per (a, b) prefix took 304
-    import importlib.resources as ir
-    h12 = parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
+    # where one product per term and per (a, b) prefix took 304; the
+    # float64 bound and the int64 residues each make them once
     triple = rosenhain_triple(humbert_params(12), 24)
-    calls = []
-    mul = TruncatedSeries.__mul__
-
-    def counting(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
-    assert eval_on_series(h12, triple).is_zero()
-    assert len(calls) <= 70
+    calls, value = _grid_products(monkeypatch, _h12(), triple)
+    assert value.is_zero()
+    for dtype in (np.float64, np.int64):
+        assert 0 < sum(d == dtype for d, _ in calls) <= 70
+    assert len(calls) <= 140
 
 
 def test_eval_on_series_horner_steps_multiply_by_the_sparser_series(
         monkeypatch):
     # on the Delta = 12 triple e1 is much sparser than e2, so the 55 inner
-    # Horner steps of h12 multiply by e1 and only its d2 = 8 outer ones by e2
-    import importlib.resources as ir
-    h12 = parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
+    # Horner steps of h12 multiply by e1 and only its d2 = 8 outer ones by
+    # e2, in both passes: the float64 one weighs a term c by |c| and the
+    # int64 one by c mod p in the layer of the first prime p; every
+    # exponent lies on 4Z x 4Z, the grid's stride
+    h12 = _h12()
     triple = rosenhain_triple(humbert_params(12), 24)
-    sparse, dense = triple.e1, triple.e2
-    assert len(sparse.terms) < len(dense.terms)
-    factors = []
-    mul = TruncatedSeries.__mul__
+    assert len(triple.e1.terms) < len(triple.e2.terms)
+    p = next(word_primes())
+    calls, value = _grid_products(monkeypatch, h12, triple)
+    assert value.is_zero()
+    assert h12.degree_in(1) == 8
+    for dtype, weight in ((np.float64, lambda c: float(abs(c))),
+                          (np.int64, lambda c: c % p)):
+        sparse, dense = (frozenset((i // 4, j // 4, weight(c))
+                                   for (i, j), c in e.terms.items())
+                         for e in (triple.e1, triple.e2))
+        factors = [points for d, points in calls if d == dtype]
+        assert sum(points == sparse for points in factors) == 55
+        assert sum(points == dense for points in factors) == 8
 
-    def recording(self, other):
-        factors.append(other)
-        return mul(self, other)
 
-    monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
-    assert eval_on_series(h12, triple).is_zero()
-    assert sum(f is sparse for f in factors) == 55
-    assert sum(f is dense for f in factors) == h12.degree_in(1) == 8
+@pytest.mark.parametrize("g", [{(0, 0, 0): 1}, {(14, 1, 1): 1}])
+def test_a_wrong_candidate_shows_its_exact_value(g):
+    # h12 vanishes on the Delta = 12 triple, so h12 + g evaluates to the
+    # value of g alone: a nonzero series with coefficients far past one
+    # prime, found exactly
+    h12 = _h12()
+    triple = rosenhain_triple(humbert_params(12), 112)
+    wrong = MultiPoly(raw_add(h12.terms, g))
+    assert wrong.terms == raw_add(h12.terms, g)
+    value = eval_on_series(wrong, triple)
+    assert value == _naive_eval(MultiPoly(g), triple)
+    assert not value.is_zero()
+
+
+def test_grid_int64_headroom_is_asserted():
+    # a cell of a grid product sums T products of two residues: with a prime
+    # near 2^32, two terms already overflow int64
+    big = np.array([2 ** 32 + 15], dtype=np.int64).reshape(1, 1, 1)
+    acc = np.zeros((1, 3, 3), dtype=np.int64)
+    w = np.ones((1, 1, 1), dtype=np.int64)
+    with pytest.raises(AssertionError):
+        _grid_mul(acc, [(0, 0, w), (1, 0, w)], big)
+    # the primes in use pass it for every term count a grid of up to
+    # 2^22 points can need, far past the 90 x 90 grid of N = 360
+    p = max(islice(word_primes(), 64))
+    assert 2 ** 22 * (p - 1) ** 2 < 2 ** 63
+    mods = np.array([p], dtype=np.int64).reshape(1, 1, 1)
+    acc[0, 0, 0] = p - 1
+    out = _grid_mul(acc, [(0, 0, w * (p - 1)), (1, 2, w * (p - 1))], mods)
+    assert out[0].tolist() == [[1, 0, 0], [0, 0, 1], [0, 0, 0]]
+
+
+def test_crt_modulus_bound_is_asserted():
+    # the product M of the primes must exceed 2B + 1 for the symmetric
+    # residue to be the integer; one prime p covers |v| < (p - 1)/2 only
+    p, q = islice(word_primes(), 2)
+    half = (p - 1) // 2
+    with pytest.raises(AssertionError):
+        _crt_symmetric(np.zeros((1, 1, 1), dtype=np.int64), [p], half)
+    values = [-(half - 1), half - 1, 0, -1]
+    residues = np.array([[v % p for v in values]],
+                        dtype=np.int64).reshape(1, 2, 2)
+    assert _crt_symmetric(residues, [p], half - 1) == {0: -(half - 1),
+                                                        1: half - 1, 3: -1}
+    # two primes cover |v| <= (pq - 3)/2, the largest v of either sign
+    big = (p * q - 3) // 2
+    with pytest.raises(AssertionError):
+        _crt_symmetric(np.zeros((2, 1, 1), dtype=np.int64), [p, q], big + 1)
+    for v in (big, -big):
+        residues = np.array([v % p, v % q], dtype=np.int64).reshape(2, 1, 1)
+        assert _crt_symmetric(residues, [p, q], big) == {0: v}
 
 
 def _raw_mul_terms(f, g):

@@ -1,13 +1,14 @@
 """Tests for relation discovery by exact linear algebra."""
 
 import random
+from itertools import islice
 from math import comb
 
 import numpy as np
 import pytest
 
 from humbert import relations
-from humbert.poly import MultiPoly, eval_on_series
+from humbert.poly import MultiPoly, eval_on_series, word_primes
 from humbert.relations import (_MAX_N, _PRIMES, AmbiguousKernel,
                                ImprimitiveKernel, NoRelation,
                                _lift_kernel_vector, _modular_kernel,
@@ -94,6 +95,14 @@ def test_int64_headroom_is_asserted():
             assert m * m * (p - 1) ** 2 < 2 ** 53
             rows = _monomial_rows_mod(ros, [(0, 0, 0)], None, p)
             assert rows.tolist() == [[1] + [0] * (m * m - 1)]
+
+
+def test_kernel_primes_are_the_first_recheck_primes():
+    # one prime source: the kernel's primes are the first six of the exact
+    # recheck's consecutive primes above 2^20, the values they always had
+    assert _PRIMES == (1048583, 1048589, 1048601, 1048609, 1048613, 1048627)
+    assert _PRIMES == tuple(islice(word_primes(), 6))
+    assert _MAX_N == 360
 
 
 def _naive_monomial(es, exps, n):
