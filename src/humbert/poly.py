@@ -12,6 +12,7 @@ import operator
 import re
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import TruncatedSeries
 
@@ -131,7 +132,8 @@ def eval_on_series(poly, rosenhain):
     happens on the grid of sZ x sZ, s the gcd of every exponent of e1, e2
     and e3 below the precision N (4 for every Rosenhain triple, 1 for a
     generic one): each series is an array of m x m cells, m = ceil(N/s),
-    with one layer per modulus.  Products and sums stay on that grid.
+    with one float64 layer per modulus.  Products (`_grid_product`) and
+    sums stay on that grid.
 
     The evaluation keeps one nested Horner scheme,
 
@@ -159,7 +161,7 @@ def eval_on_series(poly, rosenhain):
        sum |f_abc| |e1|_1^a |e2|_1^b |e3|_1^c of the l1 norms instead:
        always finite, but looser.
     2. The residues of F(e) modulo consecutive primes above 2^20, all
-       primes at once in int64 layers, taking primes until their product M
+       primes at once, one layer each, taking primes until their product M
        exceeds 2B + 1.  Each cell is mapped back to the unique integer of
        absolute value below M/2 with those residues, which is the exact
        coefficient.
@@ -179,8 +181,8 @@ def eval_on_series(poly, rosenhain):
         rows.setdefault(a, {}).setdefault(b, []).append((coef, c))
     grid = (rows, poly.degree_in(2), series, s, m)
 
-    def magnitude(coef):
-        return np.full((1, 1, 1), float(abs(coef)))
+    def magnitude(coefs):
+        return np.array([[float(abs(c)) for c in coefs]])
 
     try:
         with np.errstate(over="ignore"):
@@ -199,73 +201,95 @@ def eval_on_series(poly, rosenhain):
             break
         primes.append(p)
         mod *= p
-    mods = np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
+    mods = np.array(primes, dtype=np.float64).reshape(-1, 1, 1)
 
-    def residues(coef):
-        return np.array([coef % p for p in primes],
-                        dtype=np.int64).reshape(-1, 1, 1)
+    def residues(coefs):
+        return np.array([[c % p for c in coefs] for p in primes],
+                        dtype=np.float64)
 
-    values = _crt_symmetric(_horner_grid(*grid, residues, mods), primes,
-                            bound)
+    values = _crt_symmetric(
+        _horner_grid(*grid, residues, mods).astype(np.int64), primes, bound)
     return TruncatedSeries({(k // m * s, k % m * s): v
                             for k, v in values.items()}, n)
 
 
 def _horner_grid(rows, d3, series, s, m, weight, mods):
     """The nested Horner scheme of `eval_on_series` on the m x m grid of
-    sZ x sZ, in one layer per modulus.
+    sZ x sZ, in one float64 layer per modulus.
 
     rows maps a to b to the (coef, c) pairs of the terms x^a y^b e3^c, and
-    series holds the term maps of x, y and e3.  weight turns an integer
-    into a (layers, 1, 1) array; mods is None for float64 layers, where no
-    value is reduced, and else the primes as a (layers, 1, 1) int64 array,
-    one per layer, and every sum and product is reduced modulo them.  An
-    L_ab sums at most d3 + 1 products of two residues, far inside int64.
+    series holds the term maps of x, y and e3.  weight turns k integers
+    into a (layers, k) array.  mods is None for the majorant, where nothing
+    is reduced, else the primes, (layers, 1, 1), and every value a residue.
     """
-    x, y, z = ([(i // s, j // s, weight(c)) for (i, j), c in e.items()]
-               for e in series)
-    unit = weight(1)
-    one = np.zeros((len(unit), m, m), dtype=unit.dtype)
+    x, y, z = (_grid_factor(e, s, m, weight) for e in series)
+    one = np.zeros_like(z[0][:, :, 0])
     one[:, 0, 0] = 1
-    zero = np.zeros_like(one)
 
     def mul(acc, factor):
-        return _grid_mul(acc, factor, mods)
+        return _grid_product(acc, factor, mods)
 
     def reduce(v):
         return v if mods is None else v % mods
 
+    # an L_ab sums at most d3 + 1 products of two residues
+    assert mods is None or d3 < _mod_chunk(1, int(mods.max()))
+
+    def combination(pairs):
+        w = weight([f for f, _ in pairs])[:, :, None, None]
+        terms = (w[:, k] * pows[c] for k, (_, c) in enumerate(pairs))
+        return reduce(sum(terms, np.zeros_like(one)))
+
     # the ladder starts from e3 itself as a grid: max(d3 - 1, 0) products
-    z_grid = zero.copy()
-    for i, j, w in z:
-        z_grid[:, i, j] = w[:, 0, 0]
-    pows = _powers(z_grid, d3, one, lambda acc, _: mul(acc, z))
+    pows = _powers(z[0][:, :, 0], d3, one, lambda acc, _: mul(acc, z))
     inner = []
     for a in range(max(rows) + 1):
         cols = rows.get(a, {})
-        inner.append(_horner(y, [
-            reduce(sum((weight(f) * pows[c] for f, c in cols.get(b, ())),
-                       zero))
-            for b in range(max(cols, default=0) + 1)], mul, reduce))
+        inner.append(_horner(y, [combination(cols.get(b, []))
+                                 for b in range(max(cols, default=0) + 1)],
+                             mul, reduce))
     return _horner(x, inner, mul, reduce)
 
 
-def _grid_mul(acc, factor, mods):
-    """acc times a series on the m x m grid, in every layer at once.
+def _mod_chunk(m, p):
+    """The most blocks c of an m x m `_grid_product` mod p to sum unreduced:
+    a block adds at most m (p-1)^2 to a residue, so c m (p-1)^2 + p < 2^53
+    keeps every value an exact float64 integer; c >= 1 is asserted."""
+    c = (2 ** 53 - 1 - p) // (m * (p - 1) ** 2)
+    assert c >= 1, "float64 grid product inexact mod %d" % p
+    return c
 
-    factor lists the series' terms as (I, J, w): the term w at grid point
-    (I, J) sends every point (I', J') to (I' + I, J' + J) with weight w, a
-    (layers, 1, 1) array, inside the grid.  With int64 layers the result is
-    reduced modulo mods, and acc must hold residues.
-    """
+
+def _grid_factor(e, s, m, weight):
+    """The term map e on sZ x sZ, weighted as in `_horner_grid`, as the
+    multiplier of `_grid_product`: the Toeplitz blocks T_di[j', j] =
+    E[di, j - j'] (0 for j < j') of the rows of its (layers, m, m) grid E,
+    a reversed sliding-window view of E left-padded by m - 1 zeros, never
+    stored (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 8),
+    and the indices di of the rows that hold its terms."""
+    assert all(i % s == 0 and j % s == 0 for i, j in e), \
+        "term off the %dZ x %dZ lattice" % (s, s)
+    w = weight(list(e.values()))
+    padded = np.zeros((len(w), m, 2 * m - 1))
+    padded[:, [i // s for i, _ in e], [m - 1 + j // s for _, j in e]] = w
+    return (sliding_window_view(padded, m, axis=-1)[..., ::-1, :],
+            sorted({i // s for i, _ in e}))
+
+
+def _grid_product(acc, factor, mods):
+    """acc times a `_grid_factor` E on the m x m grid, truncated to it, in
+    every layer (or acc of k layers against one): one float64 matmul
+    out[:, di:] += acc[:, :m - di] @ T_di per listed row di of E.  With
+    mods, acc and E hold residues and the sum is reduced after every
+    `_mod_chunk` blocks (Dumas, Giorgi and Pernet, FFLAS-FFPACK)."""
+    blocks, rows = factor
     m = acc.shape[-1]
+    chunk = None if mods is None else _mod_chunk(m, int(np.max(mods)))
     out = np.zeros_like(acc)
-    if mods is not None:
-        # a cell sums at most len(factor) products of two residues
-        assert len(factor) * (int(mods.max()) - 1) ** 2 < 2 ** 63, \
-            "int64 overflow in _grid_mul"
-    for i, j, w in factor:
-        out[:, i:, j:] += w * acc[:, :m - i, :m - j]
+    for k, di in enumerate(rows, 1):
+        out[:, di:] += acc[:, :m - di] @ blocks[:, di]
+        if chunk and k % chunk == 0:
+            out %= mods
     return out if mods is None else out % mods
 
 

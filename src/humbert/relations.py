@@ -10,11 +10,11 @@ division by p^(1+k) q^(k+l-1), t8 and t10 have 4x1(x1+1) + 4k x2(x2+1) and
 4(x1+x2+1)^2 + 4(k+l-1) x2(x2+1).  Products and unit inverses stay on the
 lattice, so every monomial in e1, e2, e3 lies on it too.  For each
 word-size prime p, the monomial rows are built mod p on the m x m grid of
-that lattice, m = ceil(N/4), by float64 matrix products: multiplying by e_i
-is a matrix T_i, and every product is reduced by fmod.  The bound
-m^2 (p-1)^2 < 2^53 is asserted, so every dot product is an exact integer
-(the FFLAS-FFPACK technique of Dumas, Giorgi and Pernet); it holds for
-every N up to _MAX_N = 360, which is checked before any theta series is
+that lattice, m = ceil(N/4), by `poly._grid_product`: one float64 matmul by
+an m x m Toeplitz block per nonzero row of e_i, reduced after every c
+blocks, with c m (p-1)^2 + p < 2^53 asserted, so every value is an exact
+integer.  Every prime in use meets it with c >= 1 for every N up to the
+supported cap _MAX_N = 360, which is checked before any theta series is
 expanded.  The nullity mod p is never below the nullity over Q, and only
 nullity 1 gives a relation, so nullity 0 at any prime or above 1 at the
 first prime decides the answer.  A one-dimensional kernel is lifted by CRT
@@ -37,20 +37,20 @@ from itertools import islice
 
 import numpy as np
 
-from .poly import (DegenerateOnly, MultiPoly, eval_on_series, format_poly,
+from .poly import (DegenerateOnly, MultiPoly, _grid_factor, _grid_product,
+                   _mod_chunk, eval_on_series, format_poly,
                    strip_degenerate_factors, word_primes)
 from .rosenhain import RosenhainSeries, check_precision, rosenhain_triple
 from .theta import NotAdmissible, humbert_params
 
-# the first six primes above 2^20, the primes of the exact recheck too:
-# small enough that an elimination step of `_nullspace_mod` stays inside int64
-# and that the float64 rows stay exact on lattices of up to 8,191 points, such
-# as 90 x 90 (both are asserted); the first prime decides every nullity but 1,
-# and only the lift needs more
+# the first six primes above 2^20, the primes of the exact recheck too: an
+# elimination step of `_nullspace_mod` stays inside int64 and the grid products
+# stay exact up to N = _MAX_N (both are asserted); the first prime decides
+# every nullity but 1, and only the lift needs more
 _PRIMES = tuple(islice(word_primes(), 6))
-# the largest N whose m x m grid, m = ceil(N/4), keeps the float64 rows exact
-# for every prime
-_MAX_N = 4 * math.isqrt((2 ** 53 - 1) // (max(_PRIMES) - 1) ** 2)
+# the supported precision cap, checked before any theta series is expanded;
+# it is not the exactness guard, which every grid product asserts for itself
+_MAX_N = 360
 
 
 class NoRelation(RuntimeError):
@@ -157,65 +157,41 @@ def default_precision(d):
 # -- the kernel modulo word-size primes -----------------------------------
 
 
-def _mul_matrix(e, m, p):
-    """Multiplication by the series e mod p on the m x m grid of 4Z x 4Z,
-    as a float64 matrix.
-
-    Grid point (I, J), the exponent (4I, 4J), is index I*m + J.  A term
-    c p^(4 di) q^(4 dj) of e sends every point (I, J) to (I + di, J + dj)
-    with weight c mod p, inside the grid.  A term off 4Z x 4Z is an
-    AssertionError.
-    """
-    t = np.zeros((m, m, m, m))
-    for (i, j), c in e.terms.items():
-        assert i % 4 == 0 and j % 4 == 0, "term off the 4Z x 4Z lattice"
-        di, dj = i // 4, j // 4
-        rows, cols = np.arange(di, m)[:, None], np.arange(dj, m)
-        t[rows, cols, rows - di, cols - dj] = c % p
-    return t.reshape(m * m, m * m)
-
-
 def _monomial_rows_mod(ros, basis, symmetry, p):
     """Every basis element's series mod p on 4Z x 4Z, in basis order, as an
     int64 matrix with one row per basis element.
 
     Column I*m + J holds the coefficient of p^(4I) q^(4J), with
-    m = ceil(N/4).  A monomial is T1^a T2^b T3^c applied to the unit vector
-    of 1, T_v being multiplication by e_v; each power step is one float64
-    matrix product over every column that needs it, reduced by fmod.  An
-    e1e2 representative with a != b is the sum of its (a, b, c) and its
-    (b, a, c) column.
+    m = ceil(N/4).  Each power step multiplies the m x m grids of every
+    monomial that needs it by e_v mod p in one `_grid_product`; a term of
+    e_v off 4Z x 4Z is an AssertionError.  An e1e2 representative with
+    a != b is the sum of its (a, b, c) and its (b, a, c) row.
     """
     m = -(-ros.precision // 4)
-    size = m * m
-    # a dot product sums at most `size` products of two residues; below
-    # 2^53 every partial sum is an exact float64 integer
-    assert size * (p - 1) ** 2 < 2 ** 53, "float64 rows inexact mod p"
+    _mod_chunk(m, p)  # the products are exact mod p: asserted up front
     need = set(basis)
     if symmetry == "e1e2":
         need |= {(b, a, c) for a, b, c in basis}
-    unit = np.zeros(size)
-    unit[0] = 1
-    cols = {(0, 0, 0): unit}
+    unit = np.zeros((m, m))
+    unit[0, 0] = 1
+    grids = {(0, 0, 0): unit}
     for v, e in enumerate(ros.series()):
         # the prefixes through e_v of the needed triples, one power of e_v
         # per level
         grow = {t[:v + 1] + (0,) * (2 - v) for t in need}
-        top = max(t[v] for t in grow)
-        if not top:
-            continue
-        mul = _mul_matrix(e, m, p)
-        for k in range(1, top + 1):
+        factor = _grid_factor(e.terms, 4, m, lambda cs: np.array(
+            [[c % p for c in cs]], dtype=np.float64))
+        for k in range(1, max(t[v] for t in grow) + 1):
             keys = sorted(t for t in grow if t[v] == k)
-            src = np.stack([cols[t[:v] + (k - 1,) + t[v + 1:]] for t in keys],
-                           axis=1)
-            cols.update(zip(keys, np.fmod(mul @ src, p).T))
+            src = np.stack([grids[t[:v] + (k - 1,) + t[v + 1:]]
+                            for t in keys])
+            grids.update(zip(keys, _grid_product(src, factor, p)))
     rows = []
     for a, b, c in basis:
-        row = cols[(a, b, c)]
+        row = grids[(a, b, c)]
         if symmetry == "e1e2" and a != b:
-            row = np.fmod(row + cols[(b, a, c)], p)
-        rows.append(row)
+            row = (row + grids[(b, a, c)]) % p
+        rows.append(row.ravel())
     return np.array(rows, dtype=np.int64)
 
 

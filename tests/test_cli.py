@@ -85,8 +85,8 @@ def test_too_small_precision_is_a_usage_error():
 
 
 def test_too_large_precision_is_a_usage_error(monkeypatch, capsys):
-    # delta=5 at N=361 needs a 91 x 91 grid, past the float64 row bound;
-    # the bound is checked before any theta series is expanded
+    # delta=5 at N=361 is past the supported precision cap of 360; the cap
+    # is checked before any theta series is expanded
     def no_triple(disc, precision):
         raise AssertionError("rosenhain_triple called at N=%d" % precision)
 

@@ -16,7 +16,8 @@ import humbert
 from humbert import poly as poly_module
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
                           ParseError, ZeroPolynomial, _crt_symmetric,
-                          _grid_mul, divide_degenerate, eval_complex,
+                          _grid_factor, _grid_product, _mod_chunk,
+                          divide_degenerate, eval_complex,
                           eval_on_series, format_poly, parse_poly, raw_add,
                           strip_degenerate_factors, substitute_rational,
                           word_primes)
@@ -225,29 +226,31 @@ def _h12():
 
 def _grid_products(monkeypatch, f, triple):
     """The multiplier of every grid product that eval_on_series(f, triple)
-    makes, as its dtype and its set of (I, J, first-layer weight), and the
-    value."""
+    makes, as whether it is reduced modulo primes and its set of
+    (I, J, first-layer weight), and the value."""
     calls = []
-    mul = poly_module._grid_mul
+    product = poly_module._grid_product
 
     def recording(acc, factor, mods):
-        calls.append((acc.dtype, frozenset((i, j, w.flat[0].item())
-                                           for i, j, w in factor)))
-        return mul(acc, factor, mods)
+        grid = factor[0][:, :, 0]  # row 0 of block di is row di of the grid
+        calls.append((mods is not None, frozenset(
+            (i, j, grid[0, i, j].item())
+            for i, j in np.argwhere(grid.any(axis=0)).tolist())))
+        return product(acc, factor, mods)
 
-    monkeypatch.setattr(poly_module, "_grid_mul", recording)
+    monkeypatch.setattr(poly_module, "_grid_product", recording)
     return calls, eval_on_series(f, triple)
 
 
 def test_eval_on_series_product_count(monkeypatch):
     # Horner costs max(d3 - 1, 0) + sum_a B_a + d1 products: 70 for h12,
     # where one product per term and per (a, b) prefix took 304; the
-    # float64 bound and the int64 residues each make them once
+    # float64 bound and the residues each make them once
     triple = rosenhain_triple(humbert_params(12), 24)
     calls, value = _grid_products(monkeypatch, _h12(), triple)
     assert value.is_zero()
-    for dtype in (np.float64, np.int64):
-        assert 0 < sum(d == dtype for d, _ in calls) <= 70
+    for reduced in (False, True):
+        assert 0 < sum(r == reduced for r, _ in calls) <= 70
     assert len(calls) <= 140
 
 
@@ -255,8 +258,8 @@ def test_eval_on_series_horner_steps_multiply_by_the_sparser_series(
         monkeypatch):
     # on the Delta = 12 triple e1 is much sparser than e2, so the 55 inner
     # Horner steps of h12 multiply by e1 and only its d2 = 8 outer ones by
-    # e2, in both passes: the float64 one weighs a term c by |c| and the
-    # int64 one by c mod p in the layer of the first prime p; every
+    # e2, in both passes: the float64 majorant weighs a term c by |c| and
+    # the residue pass by c mod p in the layer of the first prime p; every
     # exponent lies on 4Z x 4Z, the grid's stride
     h12 = _h12()
     triple = rosenhain_triple(humbert_params(12), 24)
@@ -265,12 +268,12 @@ def test_eval_on_series_horner_steps_multiply_by_the_sparser_series(
     calls, value = _grid_products(monkeypatch, h12, triple)
     assert value.is_zero()
     assert h12.degree_in(1) == 8
-    for dtype, weight in ((np.float64, lambda c: float(abs(c))),
-                          (np.int64, lambda c: c % p)):
+    for reduced, weight in ((False, lambda c: float(abs(c))),
+                            (True, lambda c: float(c % p))):
         sparse, dense = (frozenset((i // 4, j // 4, weight(c))
                                    for (i, j), c in e.terms.items())
                          for e in (triple.e1, triple.e2))
-        factors = [points for d, points in calls if d == dtype]
+        factors = [points for r, points in calls if r == reduced]
         assert sum(points == sparse for points in factors) == 55
         assert sum(points == dense for points in factors) == 8
 
@@ -289,22 +292,119 @@ def test_a_wrong_candidate_shows_its_exact_value(g):
     assert not value.is_zero()
 
 
-def test_grid_int64_headroom_is_asserted():
-    # a cell of a grid product sums T products of two residues: with a prime
-    # near 2^32, two terms already overflow int64
-    big = np.array([2 ** 32 + 15], dtype=np.int64).reshape(1, 1, 1)
-    acc = np.zeros((1, 3, 3), dtype=np.int64)
-    w = np.ones((1, 1, 1), dtype=np.int64)
-    with pytest.raises(AssertionError):
-        _grid_mul(acc, [(0, 0, w), (1, 0, w)], big)
-    # the primes in use pass it for every term count a grid of up to
-    # 2^22 points can need, far past the 90 x 90 grid of N = 360
-    p = max(islice(word_primes(), 64))
-    assert 2 ** 22 * (p - 1) ** 2 < 2 ** 63
-    mods = np.array([p], dtype=np.int64).reshape(1, 1, 1)
-    acc[0, 0, 0] = p - 1
-    out = _grid_mul(acc, [(0, 0, w * (p - 1)), (1, 2, w * (p - 1))], mods)
+def _on_grid(layers, n, s):
+    """The term maps on sZ x sZ, one per layer, as a float64 array of
+    (layers, m, m) cells, m = ceil(n/s)."""
+    m = -(-n // s)
+    out = np.zeros((len(layers), m, m))
+    for layer, f in zip(out, layers):
+        for (i, j), c in f.items():
+            layer[i // s, j // s] = c
+    return out
+
+
+def _exact(coefs):
+    """The weights of a one-layer grid: the integers themselves."""
+    return np.array([coefs], dtype=np.float64)
+
+
+def _naive_product(f, g, n):
+    """The dict convolution of two term maps, truncated mod (p^n, q^n)."""
+    out = {}
+    for (i1, j1), x in f.items():
+        for (i2, j2), y in g.items():
+            if i1 + i2 < n and j1 + j2 < n:
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + x * y
+    return out
+
+
+@st.composite
+def _grid_operands(draw, coefficients):
+    """A stride s, a precision n with ceil(n/s) = m <= 8, and two term maps
+    on sZ x sZ below n."""
+    s = draw(st.sampled_from([1, 4]))
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers((m - 1) * s + 1, m * s))
+    point = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    terms = st.dictionaries(point.map(lambda t: (s * t[0], s * t[1])),
+                            coefficients, max_size=12)
+    return s, n, draw(terms), draw(terms)
+
+
+# up to 2^24, so that a block of an 8 x 8 grid fits below 2^53
+_GRID_PRIMES = (2, 3, 65537, 1048583, 16777213)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_operands(st.integers(-2 ** 40, 2 ** 40)),
+       st.lists(st.sampled_from(_GRID_PRIMES), min_size=1, max_size=4))
+def test_grid_product_is_the_truncated_convolution_mod_primes(operands,
+                                                              primes):
+    # one layer per prime, each with its own residues as weights
+    s, n, f, g = operands
+    want = _naive_product(f, g, n)
+
+    def residues(h):
+        return _on_grid([{k: c % p for k, c in h.items()} for p in primes],
+                        n, s)
+
+    def weight(coefs):
+        return np.array([[c % p for c in coefs] for p in primes],
+                        dtype=np.float64)
+
+    mods = np.array(primes, dtype=np.float64).reshape(-1, 1, 1)
+    factor = _grid_factor(g, s, -(-n // s), weight)
+    out = _grid_product(residues(f), factor, mods)
+    assert out.tolist() == residues(want).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_operands(st.integers(0, 2 ** 12)))
+def test_grid_product_is_the_truncated_convolution_in_float(operands):
+    # the majorant's mode: no reduction, and small integers are exact
+    s, n, f, g = operands
+    out = _grid_product(_on_grid([f], n, s),
+                        _grid_factor(g, s, -(-n // s), _exact), None)
+    assert out.tolist() == _on_grid([_naive_product(f, g, n)], n, s).tolist()
+
+
+def test_grid_chunk_bound_is_asserted():
+    # a Toeplitz block of an m x m product mod p adds up to m (p-1)^2 to a
+    # cell: with a prime near 2^31 not one block of a 3 x 3 grid fits
+    # below 2^53
+    ones = {(i, j): 1 for i in range(3) for j in range(3)}
+    big = np.full((1, 1, 1), 2.0 ** 31 - 1)
+    with pytest.raises(AssertionError, match="inexact"):
+        _grid_product(_on_grid([ones], 3, 1), _grid_factor(ones, 1, 3, _exact),
+                      big)
+    # the primes in use admit c >= 1 up to the 92 x 92 grid of the N + 8
+    # recheck at N = 360
+    primes = list(islice(word_primes(), 64))
+    assert all(_mod_chunk(92, p) >= 1 for p in primes)
+    p = max(primes)
+    mods = np.full((1, 1, 1), float(p))
+    acc = _on_grid([{(0, 0): p - 1}], 3, 1)
+    factor = _grid_factor({(0, 0): p - 1, (1, 2): p - 1}, 1, 3, _exact)
+    out = _grid_product(acc, factor, mods)
     assert out[0].tolist() == [[1, 0, 0], [0, 0, 1], [0, 0, 0]]
+
+
+def test_grid_chunk_bound_forces_several_reductions():
+    # past 2^25 a single block of a 4 x 4 grid, up to 4 (p-1)^2 > 2^52 per
+    # cell, is all that fits: each of the 4 nonzero rows is reduced on its
+    # own, where their unreduced sum would pass 2^53 and lose bits
+    p = next(q for q in range(2 ** 25 + 1, 2 ** 26, 2)
+             if all(q % d for d in range(3, int(q ** 0.5) + 1, 2)))
+    assert _mod_chunk(4, p) == 1
+    assert 4 * 4 * (p - 1) ** 2 > 2 ** 53
+    f = {(i, j): p - 1 - i - 3 * j for i in range(4) for j in range(4)}
+    g = {(i, j): p - 1 - 2 * i - j for i in range(4) for j in range(4)}
+    mods = np.full((1, 1, 1), float(p))
+    out = _grid_product(_on_grid([f], 4, 1), _grid_factor(g, 1, 4, _exact),
+                        mods)
+    want = {k: v % p for k, v in _naive_product(f, g, 4).items()}
+    assert out.tolist() == _on_grid([want], 4, 1).tolist()
 
 
 def test_crt_modulus_bound_is_asserted():

@@ -1,6 +1,7 @@
 """Tests for relation discovery by exact linear algebra."""
 
 import random
+import tracemalloc
 from itertools import islice
 from math import comb
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from humbert import relations
-from humbert.poly import MultiPoly, eval_on_series, word_primes
+from humbert.poly import MultiPoly, _mod_chunk, eval_on_series, word_primes
 from humbert.relations import (_MAX_N, _PRIMES, AmbiguousKernel,
                                ImprimitiveKernel, NoRelation,
                                _lift_kernel_vector, _modular_kernel,
@@ -73,28 +74,44 @@ def test_int64_headroom_is_asserted():
         _nullspace_mod(np.eye(2, dtype=np.int64), 2 ** 32 + 15)
     # the primes in use pass the bound that `_nullspace_mod` asserts
     assert all((p - 1) ** 2 + p < 2 ** 63 for p in _PRIMES)
-    # the float64 rows assert m^2 (p-1)^2 < 2^53 before building anything:
-    # a prime near 2^31 breaks it on a small grid, and the 91 x 91 grid of
-    # N = _MAX_N + 1 = 361 breaks it for the primes in use
+    # the rows assert before building anything that a chunk of c >= 1
+    # Toeplitz blocks keeps c m (p-1)^2 + p < 2^53: a prime near 2^31
+    # breaks it on a small grid
     small = rosenhain_triple(humbert_params(5), 16)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="inexact"):
         _monomial_rows_mod(small, [(0, 0, 0)], None, 2 ** 31 - 1)
-    wide = _synthetic_triple([{(0, 0): 1, (4, 4): 1}] * 3, _MAX_N + 1)
-    with pytest.raises(AssertionError):
-        _monomial_rows_mod(wide, [(0, 0, 0)], None, _PRIMES[0])
-    # every prime passes it at N = _MAX_N (a 90 x 90 grid), and so at N=136
-    # for delta=12 (34 x 34) and at N=212 for delta=9 (53 x 53), the
-    # precisions of the degree-16 searches
+    # every kernel prime admits c >= 1 on the 92 x 92 grid of the N + 8
+    # recheck at N = _MAX_N, and so at N=136 for delta=12 (34 x 34) and at
+    # N=212 for delta=9 (53 x 53), the precisions of the degree-16 searches
     assert _MAX_N == 360
     for p in _PRIMES:
-        assert 90 * 90 * (p - 1) ** 2 < 2 ** 53
+        assert _mod_chunk(-(-(_MAX_N + 8) // 4), p) >= 1
     for delta, n in ((12, 136), (9, 212)):
         ros = rosenhain_triple(humbert_params(delta), n)
         m = -(-n // 4)
         for p in _PRIMES:
-            assert m * m * (p - 1) ** 2 < 2 ** 53
+            assert _mod_chunk(m, p) >= 1
             rows = _monomial_rows_mod(ros, [(0, 0, 0)], None, p)
             assert rows.tolist() == [[1] + [0] * (m * m - 1)]
+
+
+def test_rows_need_no_dense_multiplication_matrix():
+    # each power step multiplies by one Toeplitz block per nonzero row of
+    # e_v, read from a view of the padded grid; a dense m^2 x m^2 matrix
+    # on the 53 x 53 grid of N=212 alone would take 63 MB
+    n, m = 212, 53
+    dense = {(4 * i, 4 * j): 1 + (i + 2 * j) % 7
+             for i in range(m) for j in range(m)}
+    ros = _synthetic_triple([dense] * 3, n)
+    basis = monomial_basis(2)
+    tracemalloc.start()
+    try:
+        rows = _monomial_rows_mod(ros, basis, None, _PRIMES[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (len(basis), m * m)
+    assert peak < 8 * 2 ** 20
 
 
 def test_kernel_primes_are_the_first_recheck_primes():
@@ -258,9 +275,8 @@ def _no_triple(disc, precision):
 
 
 def test_precision_past_the_row_bound_is_a_value_error(monkeypatch):
-    # N=361 needs a 91 x 91 grid, whose 8,281 points exceed the 8,191 the
-    # float64 rows allow; the error names the largest valid N before any
-    # theta series is expanded
+    # N=361 is past the supported precision cap of 360; the error names the
+    # largest valid N before any theta series is expanded
     monkeypatch.setattr(relations, "rosenhain_triple", _no_triple)
     with pytest.raises(ValueError, match="N=361 is too large for the kernel "
                        "rows of delta=5; the largest valid N is 360$"):
