@@ -102,18 +102,29 @@ _ROSENHAIN_QUOTIENTS = (
 )
 
 
-def rosenhain_numeric(point):
-    """Gaudry's Rosenhain triple from direct theta values."""
+def rosenhain_numeric(point, disc):
+    """Gaudry's Rosenhain triple from direct theta values at a point of
+    H_Delta, Delta = disc.delta.
+
+    A denominator that nearly vanishes raises NearVanishingDenominator: on
+    H_Delta every term of theta10 carries p^(1+k) q^(k+l-1) (see
+    `rosenhain`), so |theta10| is held to the floor 1e-8 after dividing out
+    that monomial's modulus, and |theta2| and |theta4| as they are.
+    """
     vals = {i: theta_direct(point, ThetaChar.from_index(i))
             for i in (1, 2, 3, 4, 8, 10)}
+    p, q = pq_coordinates(point)
     floor = 1e-8
+    scale = {2: 1.0, 4: 1.0,
+             10: abs(p) ** (1 + disc.k) * abs(q) ** (disc.k + disc.ell - 1)}
     out = []
     for (n1, n2), (d1, d2) in _ROSENHAIN_QUOTIENTS:
-        if abs(vals[d1]) < floor or abs(vals[d2]) < floor:
+        den = vals[d1] ** 2 * vals[d2] ** 2  # 0 once it underflows
+        if (not den or abs(vals[d1]) < floor * scale[d1]
+                or abs(vals[d2]) < floor * scale[d2]):
             raise NearVanishingDenominator(
                 "theta denominator below %g at this point" % floor)
-        out.append((vals[n1] ** 2 * vals[n2] ** 2)
-                   / (vals[d1] ** 2 * vals[d2] ** 2))
+        out.append((vals[n1] ** 2 * vals[n2] ** 2) / den)
     return tuple(out)
 
 
@@ -161,7 +172,7 @@ def verify_component(poly, delta, trials=20, tol=1e-6, seed=0):
             point = sample_humbert_point(disc, seed=seed * 100003 + t * 8 +
                                          attempt + 1)
             try:
-                e = rosenhain_numeric(point)
+                e = rosenhain_numeric(point, disc)
                 break
             except NearVanishingDenominator:
                 continue

@@ -15,7 +15,11 @@ an m x m Toeplitz block per nonzero row of e_i, reduced after every c
 blocks, with c m (p-1)^2 + p < 2^53 asserted, so every value is an exact
 integer.  Every prime in use meets it with c >= 1 for every N up to the
 supported cap _MAX_N = 360, which is checked before any theta series is
-expanded.  The nullity mod p is never below the nullity over Q, and only
+expanded.  The kernel mod p comes from a Gauss-Jordan elimination in int64
+that reduces lazily: each pivot step reduces only the pivot column and the
+pivot row and leaves its rank-1 update unreduced, with
+n (p-1)^2 + p < 2^63 asserted for n unknowns.  The nullity mod p is never
+below the nullity over Q, and only
 nullity 1 gives a relation, so nullity 0 at any prime or above 1 at the
 first prime decides the answer.  A one-dimensional kernel is lifted by CRT
 and rational reconstruction from the first three primes with nullity 1 (a
@@ -43,10 +47,11 @@ from .poly import (DegenerateOnly, MultiPoly, _grid_factor, _grid_product,
 from .rosenhain import RosenhainSeries, check_precision, rosenhain_triple
 from .theta import NotAdmissible, humbert_params
 
-# the first six primes above 2^20, the primes of the exact recheck too: an
-# elimination step of `_nullspace_mod` stays inside int64 and the grid products
-# stay exact up to N = _MAX_N (both are asserted); the first prime decides
-# every nullity but 1, and only the lift needs more
+# the first six primes above 2^20, the primes of the exact recheck too: the
+# lazily reduced elimination of `_nullspace_mod` stays inside int64 for up to
+# 2^22 unknowns (it asserts n (p-1)^2 + p < 2^63 for n unknowns) and the grid
+# products stay exact up to N = _MAX_N (both are asserted); the first prime
+# decides every nullity but 1, and only the lift needs more
 _PRIMES = tuple(islice(word_primes(), 6))
 # the supported precision cap, checked before any theta series is expanded;
 # it is not the exactness guard, which every grid product asserts for itself
@@ -196,40 +201,49 @@ def _monomial_rows_mod(ros, basis, symmetry, p):
 
 
 def _nullspace_mod(mat, p):
-    """Right-nullspace basis of mat (equations x unknowns) over GF(p)."""
-    # a row update a - col * pivot_row stays within (p-1)^2 + p in magnitude
-    assert (p - 1) ** 2 + p < 2 ** 63, "int64 overflow in _nullspace_mod"
+    """Right-nullspace basis of mat (equations x unknowns) over GF(p).
+
+    Gauss-Jordan to the reduced echelon form with lazy reduction mod p:
+    the step at column c reduces only column c, to find its pivot, and the
+    pivot row, to scale it to a leading 1.  Its rank-1 update of the other
+    rows stays unreduced.  The pivot row is zero left of c, so the update covers
+    columns c onwards only.  An update subtracts between 0 and (p-1)^2 from
+    an entry, and there are at most n_cols steps, so every entry stays in
+    (-n_cols (p-1)^2, p): int64 holds it, as asserted.  The basis has one
+    vector per free column, with a 1 there and the negated, reduced entries
+    of the pivot rows in the pivot columns.
+    """
+    n_rows, n_cols = mat.shape
+    assert n_cols * (p - 1) ** 2 + p < 2 ** 63, \
+        "int64 overflow in _nullspace_mod"
     a = mat % p
-    n_rows, n_cols = a.shape
     pivots = []
     r = 0
     for c in range(n_cols):
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[:, c]
+        col %= p
+        nz = np.flatnonzero(col[r:])
         if len(nz) == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+        row = a[r, c:]
+        row %= p
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        f = col.copy()
+        f[r] = 0
+        a[:, c:] -= np.outer(f, row)
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    free = [c for c in range(n_cols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = np.zeros(n_cols, dtype=np.int64)
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-a[ri, fc]) % p
-        out.append(v)
-    return out
+    free = np.setdiff1d(np.arange(n_cols), pivots)
+    ker = np.zeros((len(free), n_cols), dtype=np.int64)
+    ker[np.arange(len(free)), free] = 1
+    ker[:, pivots] = (-a[:r, free].T) % p
+    return list(ker)
 
 
 def _rational_reconstruct(a, m):

@@ -222,6 +222,17 @@ def test_verify_pass_and_fail(tmp_path):
     assert "FAIL" in res.stdout
 
 
+def test_verify_samples_a_large_discriminant(tmp_path):
+    # every draw used to near-vanish on H_60 (exit 6); the Delta = 4
+    # component is not a relation there, so verification fails
+    poly = tmp_path / "h4.txt"
+    poly.write_text("e_1e_2 - e_3")
+    res = run_cli(["verify", "--in", str(poly), "--disc", "60",
+                   "--trials", "5", "--tol", "1e-12"])
+    assert res.returncode == 4, res.stderr
+    assert "FAIL" in res.stdout
+
+
 def test_orbit_and_fixgroup(tmp_path):
     poly = tmp_path / "h4.txt"
     poly.write_text("e_1e_2 - e_3")

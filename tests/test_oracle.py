@@ -1,13 +1,16 @@
 """Tests for the floating-point verification oracle."""
 
+import cmath
 import importlib.resources as ir
 
 import pytest
 
-from humbert.oracle import (SiegelPoint, eval_series_numeric,
-                            expansion_vs_direct, pq_coordinates,
-                            rosenhain_numeric, sample_humbert_point,
-                            theta_direct, verify_component)
+from humbert.degrees import admissible_range
+from humbert.oracle import (NearVanishingDenominator, SiegelPoint,
+                            eval_series_numeric, expansion_vs_direct,
+                            pq_coordinates, rosenhain_numeric,
+                            sample_humbert_point, theta_direct,
+                            verify_component)
 from humbert.poly import eval_complex, parse_poly
 from humbert.rosenhain import rosenhain_triple
 from humbert.theta import THETA_CHARS, ThetaChar, humbert_params
@@ -48,7 +51,7 @@ def test_expansion_matches_direct_sum_all_characteristics(delta):
             assert err < 1e-6, (delta, idx, seed, err)
 
 
-@pytest.mark.parametrize("delta", [4, 5, 12])
+@pytest.mark.parametrize("delta", [4, 5, 12, 57, 60, 120])
 def test_rosenhain_numeric_matches_series(delta):
     # the Rosenhain series are dense with growing coefficients, so unlike
     # the sparse theta expansions they need N = 120 to push the truncation
@@ -58,9 +61,31 @@ def test_rosenhain_numeric_matches_series(delta):
     for seed in range(5):
         pt = sample_humbert_point(disc, seed=seed)
         p, q = pq_coordinates(pt)
-        nums = rosenhain_numeric(pt)
+        nums = rosenhain_numeric(pt, disc)
         for f, val in zip(triple.series(), nums):
             assert abs(eval_series_numeric(f, p, q) - val) / abs(val) < 1e-6
+
+
+def test_every_admissible_delta_can_be_sampled():
+    # on H_Delta theta10 carries p^(1+k) q^(k+l-1), so its modulus falls
+    # below any fixed floor as k grows; held to the floor as it is, it
+    # rejected nearly every draw from Delta = 56 on.  Divided by that
+    # monomial's modulus it stays near 2, and every draw is accepted
+    for delta in admissible_range(120):
+        disc = humbert_params(delta)
+        for seed in range(5):
+            pt = sample_humbert_point(disc, seed=seed)
+            e = rosenhain_numeric(pt, disc)
+            assert all(cmath.isfinite(x) and x != 0 for x in e), (delta, seed)
+
+
+def test_an_underflowing_denominator_is_near_vanishing():
+    # at Delta = 2001 theta2^2 theta10^2 underflows float64 to zero at
+    # these points: a rejected point, not a ZeroDivisionError
+    disc = humbert_params(2001)
+    for seed in range(3):
+        with pytest.raises(NearVanishingDenominator):
+            rosenhain_numeric(sample_humbert_point(disc, seed=seed), disc)
 
 
 def test_verify_component_passes_on_own_surface():

@@ -68,12 +68,118 @@ def _synthetic_triple(terms, n):
     return RosenhainSeries(*es, disc=humbert_params(5), precision=n)
 
 
+def _reference_nullspace(rows, p):
+    """The right-nullspace basis over GF(p) read off a textbook reduced
+    echelon form in Python ints, reducing every entry at every step: one
+    vector per free column, with a 1 there."""
+    a = [[x % p for x in row] for row in rows]
+    n_cols = len(a[0])
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for j in range(len(a)):
+            f = a[j][c]
+            if j != r and f:
+                a[j] = [(x - f * y) % p for x, y in zip(a[j], a[r])]
+        pivots.append(c)
+    out = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        v = [0] * n_cols
+        v[fc] = 1
+        for ri, pc in enumerate(pivots):
+            v[pc] = -a[ri][fc] % p
+        out.append(v)
+    return out
+
+
+def _reference_cases(p, seed):
+    """(name, matrix, rank or None) for seeded matrices over GF(p) of
+    every shape the elimination meets, entries drawn from (-p, p)."""
+    gen = np.random.default_rng(seed)
+
+    def rand(m, n):
+        return gen.integers(-p + 1, p, size=(m, n), dtype=np.int64)
+
+    def product(m, n, k):
+        # L R has rank k over GF(p) for generic L and R; reduce the
+        # products in Python ints, then shift by random multiples of p
+        left, right = rand(m, k).tolist(), rand(k, n).T.tolist()
+        lr = [[sum(x * y for x, y in zip(row, col)) % p for col in right]
+              for row in left]
+        return np.array(lr, dtype=np.int64) + p * gen.integers(
+            -1, 2, size=(m, n))
+
+    cases = []
+    for m, n in ((12, 5), (5, 12), (8, 8), (30, 17), (17, 30)):
+        cases.append(("full %dx%d" % (m, n), rand(m, n), min(m, n)))
+    for m, n, k in ((12, 7, 3), (6, 14, 4), (10, 10, 6), (25, 20, 1),
+                    (9, 9, 8)):
+        cases.append(("rank %d of %dx%d" % (k, m, n), product(m, n, k), k))
+    for m, n in ((10, 8), (6, 11), (9, 9)):
+        mat = rand(m, n)
+        mat[:, gen.choice(n, size=3, replace=False)] = 0
+        cases.append(("zero columns %dx%d" % (m, n), mat, None))
+    mat = product(12, 10, 5)
+    mat[:, [0, 4]] = 0
+    cases.append(("zero columns of rank 5", mat, None))
+    cases.append(("all zero", np.zeros((7, 5), dtype=np.int64), 0))
+    cases.append(("single row", rand(1, 9), 1))
+    cases.append(("single zero-led row",
+                  np.array([[0, 0, 3, -1, p - 2]], dtype=np.int64), 1))
+    cases.append(("single column", rand(6, 1), 1))
+    return cases
+
+
+@pytest.mark.parametrize("p", [_PRIMES[0], _PRIMES[5]])
+def test_nullspace_mod_matches_a_reference_echelon_form(p):
+    # the lazily reduced int64 elimination against Python ints reduced at
+    # every step: the same basis, vector for vector
+    cases = _reference_cases(p, seed=p)
+    assert len(cases) >= 18
+    for name, mat, rank in cases:
+        want = _reference_nullspace(mat.tolist(), p)
+        got = _nullspace_mod(mat.copy(), p)
+        assert [v.tolist() for v in got] == want, name
+        if rank is not None:
+            assert len(want) == mat.shape[1] - rank, name
+
+
+def test_nullspace_mod_survives_many_deferred_steps():
+    # 290 pivot steps accumulate unreduced updates before the read-off;
+    # L R with L 400 x 290 and R 290 x 300 has nullity 10 over GF(p)
+    p = _PRIMES[0]
+    gen = np.random.default_rng(12)
+    lmat = gen.integers(0, 2 ** 10, size=(400, 290), dtype=np.int64)
+    rmat = gen.integers(0, 2 ** 10, size=(290, 300), dtype=np.int64)
+    mat = (lmat @ rmat) % p
+    vecs = _nullspace_mod(mat, p)
+    assert len(vecs) == 10
+    rows = mat.tolist()
+    for v in vecs:
+        v = v.tolist()
+        assert all(sum(x * y for x, y in zip(row, v)) % p == 0
+                   for row in rows)
+
+
 def test_int64_headroom_is_asserted():
     # a row update mod a prime near 2^32 could overflow int64
     with pytest.raises(AssertionError):
         _nullspace_mod(np.eye(2, dtype=np.int64), 2 ** 32 + 15)
-    # the primes in use pass the bound that `_nullspace_mod` asserts
-    assert all((p - 1) ** 2 + p < 2 ** 63 for p in _PRIMES)
+    # the unreduced updates of two pivot steps mod a prime just above 2^31
+    # could overflow int64, though one step could not
+    p = 2 ** 31 + 11
+    assert (p - 1) ** 2 + p < 2 ** 63 <= 2 * (p - 1) ** 2 + p
+    with pytest.raises(AssertionError, match="int64 overflow"):
+        _nullspace_mod(np.eye(2, dtype=np.int64), p)
+    # every prime in use admits 2^22 unknowns under the bound that
+    # `_nullspace_mod` asserts, n (p-1)^2 + p < 2^63 for n unknowns
+    assert all(2 ** 22 * (p - 1) ** 2 + p < 2 ** 63 for p in _PRIMES)
     # the rows assert before building anything that a chunk of c >= 1
     # Toeplitz blocks keeps c m (p-1)^2 + p < 2^53: a prime near 2^31
     # breaks it on a small grid
