@@ -7,10 +7,11 @@ polynomials are then checked numerically against the exact results.
 
 import cmath
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .poly import eval_complex
 from .theta import ThetaChar, humbert_params, restricted_theta
@@ -49,35 +50,35 @@ class SiegelPoint:
 
 
 def theta_direct(point, char, tol=1e-12):
-    """The lattice sum for theta_{abcd}(tau) truncated to a Gaussian tail
-    below tol, summed in a deterministic spiral (by max-norm shell)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """The lattice sum for theta_{abcd}(tau) over the box |x|_inf <= b_max
+    outside which the Gaussian tail lies below tol (the truncation of
+    Deconinck et al., Math. Comp. 73, 2004), evaluated as one numpy sum
+    over a fixed order of the box."""
+    if not 0 < tol < 1:
+        raise ValueError("tol must be a finite number with 0 < tol < 1, "
+                         "got %r" % (tol,))
     lam = point.min_im_eigenvalue()
     if lam <= 0 or not point.is_valid():
         raise NonConvergent("Im(tau) is not positive definite")
     # |term| <= exp(-pi * lam * |x + m'/2|^2); pad the box generously
     bound = math.sqrt((math.log(1.0 / tol) + 10.0) / (math.pi * lam))
-    b_max = int(math.ceil(bound)) + 2
-    a, b = char.a, char.b
-    c, d = char.c, char.d
-    t1, t2, t3 = point.tau1, point.tau2, point.tau3
-    total = 0j
-    for x1, x2 in _spiral(b_max):
-        y1 = x1 + a / 2.0
-        y2 = x2 + b / 2.0
-        quad = t1 * y1 * y1 + 2.0 * t2 * y1 * y2 + t3 * y2 * y2
-        lin = y1 * c / 2.0 + y2 * d / 2.0
-        total += cmath.exp(2j * math.pi * (0.5 * quad + lin))
-    return total
+    y11, y12, y22, lin = _box(int(math.ceil(bound)) + 2, char)
+    # term x: exp(pi i (tau1 y1^2 + 2 tau2 y1 y2 + tau3 y2^2 + c y1 + d y2))
+    expo = point.tau1 * y11 + point.tau2 * y12 + point.tau3 * y22 + lin
+    return complex(np.exp(1j * math.pi * expo).sum())
 
 
-@functools.lru_cache(maxsize=16)
-def _spiral(b):
-    """The lattice points of the box |x|_inf <= b, sorted by (max-norm,
-    point): shell by shell outwards, each shell in point order."""
-    box = itertools.product(range(-b, b + 1), repeat=2)
-    return tuple(sorted(box, key=lambda x: (max(abs(x[0]), abs(x[1])), x)))
+@functools.lru_cache(maxsize=32)
+def _box(b_max, char):
+    """y1^2, 2 y1 y2, y2^2 and c y1 + d y2 over y = x + (a, b)/2 for the
+    lattice points x of the box |x|_inf <= b_max, as read-only arrays."""
+    x1, x2 = np.mgrid[-b_max:b_max + 1, -b_max:b_max + 1]
+    y1 = x1.ravel() + char.a / 2.0
+    y2 = x2.ravel() + char.b / 2.0
+    arrays = (y1 * y1, 2.0 * y1 * y2, y2 * y2, char.c * y1 + char.d * y2)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def sample_humbert_point(disc, seed=0):
@@ -163,6 +164,8 @@ def verify_component(poly, delta, trials=20, tol=1e-6, seed=0):
     a coefficient-mass relative scale.  Returns (passed, max_residual,
     residuals).
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %r" % (trials,))
     disc = humbert_params(delta)
     coeff_mass = sum(abs(c) for c in poly.terms.values())
     deg = poly.degree()

@@ -2,9 +2,13 @@
 
 import cmath
 import importlib.resources as ir
+import itertools
+import math
+from pathlib import Path
 
 import pytest
 
+from humbert import oracle
 from humbert.degrees import admissible_range
 from humbert.oracle import (NearVanishingDenominator, SiegelPoint,
                             eval_series_numeric, expansion_vs_direct,
@@ -18,6 +22,30 @@ from humbert.theta import THETA_CHARS, ThetaChar, humbert_params
 
 def h12_poly():
     return parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
+
+
+def ref_poly(delta):
+    refs = Path(__file__).resolve().parents[1] / "bench" / "refs"
+    return parse_poly((refs / ("h%d.txt" % delta)).read_text())
+
+
+def reference_lattice_sum(point, char, tol):
+    """theta_{abcd}(tau) as one cmath.exp per lattice point of the same
+    box as theta_direct, summed shell by shell (by max-norm) outwards."""
+    lam = point.min_im_eigenvalue()
+    bound = math.sqrt((math.log(1.0 / tol) + 10.0) / (math.pi * lam))
+    b = int(math.ceil(bound)) + 2
+    box = sorted(itertools.product(range(-b, b + 1), repeat=2),
+                 key=lambda x: (max(abs(x[0]), abs(x[1])), x))
+    total = 0j
+    for x1, x2 in box:
+        y1 = x1 + char.a / 2.0
+        y2 = x2 + char.b / 2.0
+        quad = (point.tau1 * y1 * y1 + 2.0 * point.tau2 * y1 * y2
+                + point.tau3 * y2 * y2)
+        lin = y1 * char.c / 2.0 + y2 * char.d / 2.0
+        total += cmath.exp(2j * math.pi * (0.5 * quad + lin))
+    return total
 
 
 def test_sampled_points_lie_in_domain():
@@ -38,6 +66,27 @@ def test_theta_direct_converges_under_tightening():
     loose = theta_direct(pt, char, tol=1e-8)
     tight = theta_direct(pt, char, tol=1e-14)
     assert abs(loose - tight) < 1e-7
+
+
+@pytest.mark.parametrize("delta", [1, 4, 5, 12, 60, 101])
+def test_theta_direct_matches_reference_lattice_sum(delta):
+    disc = humbert_params(delta)
+    for seed in range(4):
+        pt = sample_humbert_point(disc, seed=seed)
+        for idx in THETA_CHARS:
+            char = ThetaChar.from_index(idx)
+            for tol in (1e-8, 1e-12, 1e-14):
+                val = theta_direct(pt, char, tol=tol)
+                ref = reference_lattice_sum(pt, char, tol)
+                assert type(val) is complex
+                assert abs(val - ref) <= 1e-14 * abs(ref), (idx, seed, tol)
+
+
+@pytest.mark.parametrize("tol", [0, -1, math.inf, math.nan, 1e30, 1])
+def test_theta_direct_rejects_tol_outside_unit_interval(tol):
+    pt = sample_humbert_point(humbert_params(5), seed=1)
+    with pytest.raises(ValueError, match="0 < tol < 1"):
+        theta_direct(pt, ThetaChar.from_index(1), tol=tol)
 
 
 @pytest.mark.parametrize("delta", [4, 5, 12])
@@ -94,6 +143,47 @@ def test_verify_component_passes_on_own_surface():
     assert passed
     assert max_res < 1e-12
     assert len(residuals) == 20
+
+
+@pytest.mark.parametrize("delta", [5, 8, 12])
+def test_verify_component_residuals_on_reference_components(delta):
+    # 200 trials at seed 1, as the bench's certify workload runs them;
+    # the largest residuals are about 5e-17, 6e-17 and 1e-17
+    poly = h12_poly() if delta == 12 else ref_poly(delta)
+    passed, max_res, residuals = verify_component(poly, delta, trials=200,
+                                                  seed=1)
+    assert passed
+    assert len(residuals) == 200
+    assert max_res < 1e-15
+
+
+def test_verify_component_evaluates_six_thetas_per_point(monkeypatch):
+    # rosenhain_numeric reaches theta_direct through the module attribute,
+    # so a wrapper there sees every lattice sum (the bench's span does too)
+    calls = []
+    direct = oracle.theta_direct
+
+    def counting(point, char, tol=1e-12):
+        calls.append(point)
+        return direct(point, char, tol)
+
+    monkeypatch.setattr(oracle, "theta_direct", counting)
+    trials = 7
+    _, _, residuals = verify_component(h12_poly(), 12, trials=trials, seed=3)
+    assert len(residuals) == trials
+    # no point was rejected at this seed: each trial drew one point
+    assert len(set(calls)) == trials
+    assert len(calls) == 6 * trials
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_component_rejects_nonpositive_trials(trials, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking trials")
+
+    monkeypatch.setattr(oracle, "sample_humbert_point", no_sampling)
+    with pytest.raises(ValueError, match="trials"):
+        verify_component(h12_poly(), 12, trials=trials)
 
 
 def test_verify_component_fails_on_wrong_surface():
