@@ -7,14 +7,14 @@ accepts only integers (anything `operator.index` takes), so a rational
 coefficient is a TypeError.
 """
 
+import functools
 import math
 import operator
 import re
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import TruncatedSeries
+from .series import _exact_grid, _grid_factor, _grid_product, _mod_chunk
 
 
 class ZeroPolynomial(ValueError):
@@ -116,26 +116,12 @@ class MultiPoly:
 
 # -- evaluation --------------------------------------------------------
 
-def word_primes():
-    """The consecutive primes above 2^20, ascending, without end."""
-    p = 2 ** 20 + 1
-    while True:
-        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
-            yield p
-        p += 2
-
-
 def eval_on_series(poly, rosenhain):
     """Evaluate on a Rosenhain series triple, exactly, in the truncated ring.
 
-    The value is found from its residues modulo word-size primes.  All work
-    happens on the grid of sZ x sZ, s the gcd of every exponent of e1, e2
-    and e3 below the precision N (4 for every Rosenhain triple, 1 for a
-    generic one): each series is an array of m x m cells, m = ceil(N/s),
-    with one float64 layer per modulus.  Products (`_grid_product`) and
-    sums stay on that grid.
-
-    The evaluation keeps one nested Horner scheme,
+    The value comes from `series._exact_grid`, on the grid of sZ x sZ that
+    holds every exponent of e1, e2 and e3 below the precision N, by one
+    nested Horner scheme,
 
         F = sum_a x^a * (sum_b y^b * L_ab),   L_ab = sum_c f_abc * e3^c,
 
@@ -145,26 +131,9 @@ def eval_on_series(poly, rosenhain):
     Horner's rule in y and the a sum by Horner's rule in x.  With d_x, d3
     the degrees of F in x and e3 and B_a the largest b in a term
     x^a y^b e3^c of F, that is max(d3 - 1, 0) + sum_a B_a + d_x series
-    products: 70 for the 233 terms of the degree-16 h12, of which the 55
-    b steps multiply by the sparser series.  It runs twice:
-
-    1. A proven bound B >= max |coefficient of F(e)|, as the float64
-       majorant sum |f_abc| |e1|^a |e2|^b |e3|^c, |e| being e with every
-       coefficient replaced by its absolute value.  Every input and every
-       intermediate value is nonnegative, so each rounding, to nearest,
-       multiplies an exact value by at least 1 - 2^-53, and after K
-       operations the computed majorant is at least (1 - 2^-53)^K >=
-       1 - K 2^-53 times the true one.  K is far below 2^52, so that factor
-       exceeds 1/2, and twice the computed majorant bounds every
-       coefficient.  When a coefficient does not convert to float, or the
-       majorant is not finite below 2^1000, B is the exact integer bound
-       sum |f_abc| |e1|_1^a |e2|_1^b |e3|_1^c of the l1 norms instead:
-       always finite, but looser.
-    2. The residues of F(e) modulo consecutive primes above 2^20, all
-       primes at once, one layer each, taking primes until their product M
-       exceeds 2B + 1.  Each cell is mapped back to the unique integer of
-       absolute value below M/2 with those residues, which is the exact
-       coefficient.
+    products (`_grid_product`): 70 for the 233 terms of the degree-16 h12,
+    of which the 55 b steps multiply by the sparser series.  The l1 bound
+    is sum |f_abc| |e1|_1^a |e2|_1^b |e3|_1^c.
     """
     x, y, e3 = rosenhain.e1, rosenhain.e2, rosenhain.e3
     terms = poly.terms
@@ -174,43 +143,12 @@ def eval_on_series(poly, rosenhain):
     n = min(x.precision, y.precision, e3.precision)
     series = [{k: c for k, c in e.terms.items() if max(k) < n}
               for e in (x, y, e3)]
-    s = math.gcd(*(i for e in series for k in e for i in k)) or n
-    m = -(-n // s)
     rows = {}
     for (a, b, c), coef in terms.items():
         rows.setdefault(a, {}).setdefault(b, []).append((coef, c))
-    grid = (rows, poly.degree_in(2), series, s, m)
-
-    def magnitude(coefs):
-        return np.array([[float(abs(c)) for c in coefs]])
-
-    try:
-        with np.errstate(over="ignore"):
-            top = _horner_grid(*grid, magnitude, None).max()
-    except OverflowError:  # float() of a coefficient past 2^1024
-        top = math.inf
-    if top < 2.0 ** 1000:
-        bound = math.ceil(2 * top)
-    else:
-        n1, n2, n3 = (sum(map(abs, e.values())) for e in series)
-        bound = sum(abs(f) * n1 ** a * n2 ** b * n3 ** c
-                    for (a, b, c), f in terms.items())
-    primes, mod = [], 1
-    for p in word_primes():
-        if mod > 2 * bound + 1:
-            break
-        primes.append(p)
-        mod *= p
-    mods = np.array(primes, dtype=np.float64).reshape(-1, 1, 1)
-
-    def residues(coefs):
-        return np.array([[c % p for c in coefs] for p in primes],
-                        dtype=np.float64)
-
-    values = _crt_symmetric(
-        _horner_grid(*grid, residues, mods).astype(np.int64), primes, bound)
-    return TruncatedSeries({(k // m * s, k % m * s): v
-                            for k, v in values.items()}, n)
+    return _exact_grid(series, n, functools.partial(
+        _horner_grid, rows, poly.degree_in(2), series), lambda norms: sum(
+            abs(f) * math.prod(map(pow, norms, k)) for k, f in terms.items()))
 
 
 def _horner_grid(rows, d3, series, s, m, weight, mods):
@@ -218,9 +156,8 @@ def _horner_grid(rows, d3, series, s, m, weight, mods):
     sZ x sZ, in one float64 layer per modulus.
 
     rows maps a to b to the (coef, c) pairs of the terms x^a y^b e3^c, and
-    series holds the term maps of x, y and e3.  weight turns k integers
-    into a (layers, k) array.  mods is None for the majorant, where nothing
-    is reduced, else the primes, (layers, 1, 1), and every value a residue.
+    series holds the term maps of x, y and e3; weight and mods are as in
+    `series._exact_grid`.
     """
     x, y, z = (_grid_factor(e, s, m, weight) for e in series)
     one = np.zeros_like(z[0][:, :, 0])
@@ -251,74 +188,12 @@ def _horner_grid(rows, d3, series, s, m, weight, mods):
     return _horner(x, inner, mul, reduce)
 
 
-def _mod_chunk(m, p):
-    """The most blocks c of an m x m `_grid_product` mod p to sum unreduced:
-    a block adds at most m (p-1)^2 to a residue, so c m (p-1)^2 + p < 2^53
-    keeps every value an exact float64 integer; c >= 1 is asserted."""
-    c = (2 ** 53 - 1 - p) // (m * (p - 1) ** 2)
-    assert c >= 1, "float64 grid product inexact mod %d" % p
-    return c
-
-
-def _grid_factor(e, s, m, weight):
-    """The term map e on sZ x sZ, weighted as in `_horner_grid`, as the
-    multiplier of `_grid_product`: the Toeplitz blocks T_di[j', j] =
-    E[di, j - j'] (0 for j < j') of the rows of its (layers, m, m) grid E,
-    a reversed sliding-window view of E left-padded by m - 1 zeros, never
-    stored (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 8),
-    and the indices di of the rows that hold its terms."""
-    assert all(i % s == 0 and j % s == 0 for i, j in e), \
-        "term off the %dZ x %dZ lattice" % (s, s)
-    w = weight(list(e.values()))
-    padded = np.zeros((len(w), m, 2 * m - 1))
-    padded[:, [i // s for i, _ in e], [m - 1 + j // s for _, j in e]] = w
-    return (sliding_window_view(padded, m, axis=-1)[..., ::-1, :],
-            sorted({i // s for i, _ in e}))
-
-
-def _grid_product(acc, factor, mods):
-    """acc times a `_grid_factor` E on the m x m grid, truncated to it, in
-    every layer (or acc of k layers against one): one float64 matmul
-    out[:, di:] += acc[:, :m - di] @ T_di per listed row di of E.  With
-    mods, acc and E hold residues and the sum is reduced after every
-    `_mod_chunk` blocks (Dumas, Giorgi and Pernet, FFLAS-FFPACK)."""
-    blocks, rows = factor
-    m = acc.shape[-1]
-    chunk = None if mods is None else _mod_chunk(m, int(np.max(mods)))
-    out = np.zeros_like(acc)
-    for k, di in enumerate(rows, 1):
-        out[:, di:] += acc[:, :m - di] @ blocks[:, di]
-        if chunk and k % chunk == 0:
-            out %= mods
-    return out if mods is None else out % mods
-
-
 def _horner(x, coeffs, mul, reduce):
     """coeffs[0] + x * (coeffs[1] + x * (... + x * coeffs[-1]))."""
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc = reduce(mul(acc, x) + c)
     return acc
-
-
-def _crt_symmetric(residues, primes, bound):
-    """The nonzero integers of absolute value at most `bound` with the given
-    residues, as a map from flat grid index to value.
-
-    residues is an int64 (primes, m, m) array; the product M of the primes
-    must exceed 2 bound + 1, so that the symmetric residue mod M, in
-    (-M/2, M/2), is the integer itself.
-    """
-    mod = math.prod(primes)
-    assert mod > 2 * bound + 1, "CRT modulus too small for the bound"
-    basis = [mod // p * pow(mod // p, -1, p) for p in primes]
-    flat = residues.reshape(len(primes), -1)
-    cells = np.flatnonzero(flat.any(axis=0))
-    out = {}
-    for k, col in zip(cells.tolist(), flat[:, cells].T.tolist()):
-        v = sum(map(operator.mul, col, basis)) % mod
-        out[k] = v - mod if v > mod // 2 else v
-    return out
 
 
 def _lincomb(pairs):

@@ -10,7 +10,7 @@ division by p^(1+k) q^(k+l-1), t8 and t10 have 4x1(x1+1) + 4k x2(x2+1) and
 4(x1+x2+1)^2 + 4(k+l-1) x2(x2+1).  Products and unit inverses stay on the
 lattice, so every monomial in e1, e2, e3 lies on it too.  For each
 word-size prime p, the monomial rows are built mod p on the m x m grid of
-that lattice, m = ceil(N/4), by `poly._grid_product`: one float64 matmul by
+that lattice, m = ceil(N/4), by `series._grid_product`: one float64 matmul by
 an m x m Toeplitz block per nonzero row of e_i, reduced after every c
 blocks, with c m (p-1)^2 + p < 2^53 asserted, so every value is an exact
 integer.  Every prime in use meets it with c >= 1 for every N up to the
@@ -41,10 +41,10 @@ from itertools import islice
 
 import numpy as np
 
-from .poly import (DegenerateOnly, MultiPoly, _grid_factor, _grid_product,
-                   _mod_chunk, eval_on_series, format_poly,
-                   strip_degenerate_factors, word_primes)
+from .poly import (DegenerateOnly, MultiPoly, eval_on_series, format_poly,
+                   strip_degenerate_factors)
 from .rosenhain import RosenhainSeries, check_precision, rosenhain_triple
+from .series import _crt, _grid_factor, _grid_product, _mod_chunk, word_primes
 from .theta import NotAdmissible, humbert_params
 
 # the first six primes above 2^20, the primes of the exact recheck too: the
@@ -269,15 +269,7 @@ def _lift_kernel_vector(vecs_mod, primes):
     L = lcm(d_i) gives first entry L > 0 and content 1: a prime dividing L
     to its full power in some d_j divides neither L/d_j nor n_j.
     """
-    m = 1
-    combined = [0] * len(vecs_mod[0])
-    for v, p in zip(vecs_mod, primes):
-        mp = m * p
-        inv = pow(m % p, p - 2, p)
-        for i in range(len(combined)):
-            t = ((int(v[i]) - combined[i]) * inv) % p
-            combined[i] = (combined[i] + m * t) % mp
-        m = mp
+    m, combined = _crt(zip(*(map(int, v) for v in vecs_mod)), primes)
     pairs = [_rational_reconstruct(x, m) for x in combined]
     if None in pairs:
         return None

@@ -4,9 +4,18 @@ Series are stored sparsely as a map from exponent pairs (i, j) to nonzero
 Python int coefficients.  The constructor accepts only integers (anything
 `operator.index` takes), so integrality is a property of the type: a rational
 coefficient is a TypeError, never a value to check for later.
+
+Products, and `poly.eval_on_series`, are found exactly from their residues
+modulo word-size primes on an exponent grid (`_exact_grid`); `inverse` is
+a graded solve over the term map.
 """
 
+import itertools
+import math
 import operator
+
+import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class NotAUnit(ArithmeticError):
@@ -29,10 +38,10 @@ class TruncatedSeries:
         clean = {}
         index = operator.index
         for (i, j), c in terms.items():
-            if i >= precision or j >= precision:
-                continue
             if i < 0 or j < 0:
                 raise ValueError("negative exponent (%d, %d)" % (i, j))
+            if i >= precision or j >= precision:
+                continue
             c = index(c)
             if c:
                 clean[(i, j)] = c
@@ -89,34 +98,18 @@ class TruncatedSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """The exact product: one `_grid_product` by the operand with fewer
+        terms, under `_exact_grid` with the l1 bound ||a||_1 ||b||_1."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.precision, other.precision)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        # bucket the larger operand by p-exponent, columns sorted, so the
-        # truncation cutoff turns into loop breaks instead of per-term tests
-        rows = {}
-        for (i, j), c in b.items():
-            rows.setdefault(i, []).append((j, c))
-        rows = sorted((i, sorted(cols)) for i, cols in rows.items())
-        out = {}
-        get = out.get
-        for (i1, j1), c1 in a.items():
-            imax = n - i1
-            jmax = n - j1
-            for i2, cols in rows:
-                if i2 >= imax:
-                    break
-                i = i1 + i2
-                for j2, c2 in cols:
-                    if j2 >= jmax:
-                        break
-                    k = (i, j1 + j2)
-                    v = get(k)
-                    out[k] = c1 * c2 if v is None else v + c1 * c2
-        return TruncatedSeries(out, n)
+        a, b = sorted(({k: c for k, c in e.terms.items() if max(k) < n}
+                       for e in (self, other)), key=len)
+
+        def product(s, m, weight, mods):
+            return _grid_product(_grid(b, s, m, weight),
+                                 _grid_factor(a, s, m, weight), mods)
+        return _exact_grid((a, b), n, product, math.prod)
 
     def inverse(self):
         """Multiplicative inverse in the quotient ring.
@@ -181,3 +174,140 @@ def series_to_record(f):
     """JSON-ready record: {precision, terms: sorted [i, j, "n/1"]}."""
     terms = [[i, j, "%d/1" % f.terms[(i, j)]] for (i, j) in sorted(f.terms)]
     return {"precision": f.precision, "terms": terms}
+
+
+# -- exact products on the residue grid ---------------------------------
+
+_WORD_PRIMES = []  # the primes above 2^20 found so far, ascending
+
+
+def word_primes():
+    """The consecutive primes above 2^20, ascending, without end.  Each is
+    found by trial division once per process and kept in `_WORD_PRIMES`."""
+    for k in itertools.count():
+        if k == len(_WORD_PRIMES):
+            p = _WORD_PRIMES[-1] + 2 if _WORD_PRIMES else 2 ** 20 + 1
+            while not all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+                p += 2
+            _WORD_PRIMES.append(p)
+        yield _WORD_PRIMES[k]
+
+
+def _exact_grid(series, n, compute, l1_bound):
+    """The exact series mod (p^n, q^n) that compute(s, m, weight, mods)
+    forms from the term maps `series`, all below n, on the grid of sZ x sZ.
+
+    s is the gcd of their exponents (4 on every Rosenhain triple, 1 on a
+    generic series) or n, and m = ceil(n/s).  compute reads each integer
+    through weight (k integers to a (layers, k) array), only adds and
+    multiplies, and returns (layers, m, m); mods is None, or the primes as
+    (layers, 1, 1) and every value a residue.  B >= max |coefficient| is
+    the exact l1_bound(l1 norms of the series) or, where that needs more
+    than one prime, the smaller of it and twice the float64 majorant:
+    compute on absolute values, where each rounding to nearest of a
+    nonnegative value multiplies it by at least 1 - 2^-53, so that after
+    K << 2^52 steps the computed majorant is at least (1 - 2^-53)^K > 1/2
+    of the true one.  A coefficient past the float range, or a majorant
+    not below 2^1000, leaves B the l1 bound.  Then compute runs modulo
+    consecutive primes above 2^20, all at once, until their product M
+    exceeds 2B + 1, and CRT maps each cell to the integer below M/2 in
+    absolute value with its residues: the exact coefficient.
+    """
+    s = math.gcd(*(i for e in series for k in e for i in k)) or n
+    m = -(-n // s)
+    bound = l1_bound([sum(map(abs, e.values())) for e in series])
+    if 2 * bound + 1 >= next(word_primes()):  # the majorant may save primes
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                top = compute(s, m, lambda cs: np.array(
+                    [[float(abs(c)) for c in cs]]), None).max()
+        except OverflowError:  # float() of a coefficient past 2^1024
+            top = math.inf
+        if top < 2.0 ** 1000:
+            bound = min(bound, math.ceil(2 * top))
+    primes, more = [], word_primes()
+    while math.prod(primes) <= 2 * bound + 1:
+        primes.append(next(more))
+    mods = np.array(primes, dtype=np.float64).reshape(-1, 1, 1)
+
+    def residues(coefs):
+        return np.array([[c % p for c in coefs] for p in primes],
+                        dtype=np.float64)
+
+    values = _crt_symmetric(
+        compute(s, m, residues, mods).astype(np.int64), primes, bound)
+    return TruncatedSeries({(k // m * s, k % m * s): v
+                            for k, v in values.items()}, n)
+
+
+def _mod_chunk(m, p):
+    """The most blocks c of an m x m `_grid_product` mod p to sum unreduced:
+    a block adds at most m (p-1)^2 to a residue, so c m (p-1)^2 + p < 2^53
+    keeps every value an exact float64 integer; c >= 1 is asserted."""
+    c = (2 ** 53 - 1 - p) // (m * (p - 1) ** 2)
+    assert c >= 1, "float64 grid product inexact mod %d" % p
+    return c
+
+
+def _grid(e, s, m, weight, pad=0):
+    """The term map e on sZ x sZ as a (layers, m, m) float64 array, left-
+    padded by `pad` zero columns: the term c p^i q^j sits in cell
+    (i/s, pad + j/s) as the layers of weight([c])."""
+    assert all(i % s == 0 and j % s == 0 for i, j in e), \
+        "term off the %dZ x %dZ lattice" % (s, s)
+    w = weight(list(e.values()))
+    out = np.zeros((len(w), m, pad + m))
+    out[:, [i // s for i, _ in e], [pad + j // s for _, j in e]] = w
+    return out
+
+
+def _grid_factor(e, s, m, weight):
+    """The term map e on sZ x sZ, weighted as in `_grid`, as the multiplier
+    of `_grid_product`: the Toeplitz blocks T_di[j', j] = E[di, j - j'] (0
+    for j < j') of the rows of its (layers, m, m) grid E, a strided view of
+    E left-padded by m - 1 zeros, never stored (von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 8), and the indices di of the rows that
+    hold its terms."""
+    padded = _grid(e, s, m, weight, m - 1)
+    layer, row, col = padded.strides
+    return (as_strided(padded[..., m - 1:], padded.shape[:2] + (m, m),
+                       (layer, row, -col, col), writeable=False),
+            sorted({i // s for i, _ in e}))
+
+
+def _grid_product(acc, factor, mods):
+    """acc times a `_grid_factor` E on the m x m grid, truncated to it, in
+    every layer (or acc of k layers against one): one float64 matmul
+    out[:, di:] += acc[:, :m - di] @ T_di per listed row di of E.  With
+    mods, acc and E hold residues and the sum is reduced after every
+    `_mod_chunk` blocks (Dumas, Giorgi and Pernet, FFLAS-FFPACK)."""
+    blocks, rows = factor
+    m = acc.shape[-1]
+    chunk = None if mods is None else _mod_chunk(m, int(np.max(mods)))
+    out = np.zeros_like(acc)
+    for k, di in enumerate(rows, 1):
+        out[:, di:] += acc[:, :m - di] @ blocks[:, di]
+        if chunk and k % chunk == 0:
+            out %= mods
+    return out if mods is None else out % mods
+
+
+def _crt(columns, primes):
+    """M, the product of the primes, and for each column (one int residue
+    per prime) the residue mod M with those residues."""
+    mod = math.prod(primes)
+    basis = [mod // p * pow(mod // p, -1, p) for p in primes]
+    return mod, [sum(map(operator.mul, col, basis)) % mod for col in columns]
+
+
+def _crt_symmetric(residues, primes, bound):
+    """The nonzero integers of absolute value at most `bound` with the
+    residues of the int64 (primes, m, m) array, as a map from flat grid
+    index to value.  The product M of the primes must exceed 2 bound + 1:
+    then the symmetric residue mod M, in (-M/2, M/2), is the integer."""
+    flat = residues.reshape(len(primes), -1)
+    cells = np.flatnonzero(flat.any(axis=0))
+    mod, values = _crt(flat[:, cells].T.tolist(), primes)
+    assert mod > 2 * bound + 1, "CRT modulus too small for the bound"
+    return {k: v - mod if v > mod // 2 else v
+            for k, v in zip(cells.tolist(), values)}

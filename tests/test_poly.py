@@ -15,16 +15,16 @@ from hypothesis import strategies as st
 import humbert
 from humbert import poly as poly_module
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
-                          ParseError, ZeroPolynomial, _crt_symmetric,
-                          _grid_factor, _grid_product, _mod_chunk,
-                          divide_degenerate, eval_complex,
-                          eval_on_series, format_poly, parse_poly, raw_add,
-                          strip_degenerate_factors, substitute_rational,
-                          word_primes)
+                          ParseError, ZeroPolynomial, divide_degenerate,
+                          eval_complex, eval_on_series, format_poly,
+                          parse_poly, raw_add, strip_degenerate_factors,
+                          substitute_rational)
 from humbert.rosenhain import rosenhain_triple
 from humbert.s6 import _S6_GENERATORS, all_perms, induced_map
-from humbert.series import TruncatedSeries
+from humbert.series import (TruncatedSeries, _crt_symmetric, _grid_factor,
+                            _grid_product, _mod_chunk, word_primes)
 from humbert.theta import humbert_params
+from test_series import reference_product
 
 rng = random.Random(424242)
 
@@ -126,7 +126,8 @@ def test_eval_on_series_is_ring_homomorphism():
 
 
 def _naive_eval(f, triple):
-    """sum of coef * e1^a * e2^b * e3^c, each power by repeated products."""
+    """sum of coef * e1^a * e2^b * e3^c, each power by repeated products of
+    the dict convolution, not the grid engine under test."""
     es = (triple.e1, triple.e2, triple.e3)
     n = min(e.precision for e in es)
     total = TruncatedSeries({}, n)
@@ -134,7 +135,7 @@ def _naive_eval(f, triple):
         term = TruncatedSeries({(0, 0): coef}, n)
         for e, k in zip(es, (a, b, c)):
             for _ in range(k):
-                term = term * e
+                term = reference_product(term, e)
         total = total + term
     return total
 
@@ -309,14 +310,9 @@ def _exact(coefs):
 
 
 def _naive_product(f, g, n):
-    """The dict convolution of two term maps, truncated mod (p^n, q^n)."""
-    out = {}
-    for (i1, j1), x in f.items():
-        for (i2, j2), y in g.items():
-            if i1 + i2 < n and j1 + j2 < n:
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + x * y
-    return out
+    """The truncated convolution of two term maps mod (p^n, q^n)."""
+    return reference_product(TruncatedSeries(f, n),
+                             TruncatedSeries(g, n)).terms
 
 
 @st.composite

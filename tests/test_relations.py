@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from humbert import relations
-from humbert.poly import MultiPoly, _mod_chunk, eval_on_series, word_primes
+from humbert.poly import MultiPoly, eval_on_series
 from humbert.relations import (_MAX_N, _PRIMES, AmbiguousKernel,
                                ImprimitiveKernel, NoRelation,
                                _lift_kernel_vector, _modular_kernel,
@@ -19,7 +19,7 @@ from humbert.relations import (_MAX_N, _PRIMES, AmbiguousKernel,
 from humbert.degrees import admissible_range
 from humbert.rosenhain import (RosenhainSeries, rosenhain_triple,
                                smallest_precision)
-from humbert.series import TruncatedSeries
+from humbert.series import TruncatedSeries, _mod_chunk, word_primes
 from humbert.theta import humbert_params
 
 rng = random.Random(777)

@@ -1,15 +1,53 @@
 """Tests for the truncated bivariate power series ring."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from humbert import series
+from humbert.rosenhain import rosenhain_triple
 from humbert.series import (NotAUnit, NotDivisible, TruncatedSeries,
-                            series_to_record)
+                            series_to_record, word_primes)
+from humbert.theta import humbert_params
 
 rng = random.Random(20260826)
+
+
+def reference_product(f, g):
+    """The dict convolution of f and g modulo (p^n, q^n), n the smaller
+    precision: an independent reference for `TruncatedSeries.__mul__`."""
+    n = min(f.precision, g.precision)
+    a, b = f.terms, g.terms
+    if len(a) > len(b):
+        a, b = b, a
+    # bucket the larger operand by p-exponent, columns sorted, so the
+    # truncation cutoff turns into loop breaks instead of per-term tests
+    rows = {}
+    for (i, j), c in b.items():
+        rows.setdefault(i, []).append((j, c))
+    rows = sorted((i, sorted(cols)) for i, cols in rows.items())
+    out = {}
+    get = out.get
+    for (i1, j1), c1 in a.items():
+        imax = n - i1
+        jmax = n - j1
+        for i2, cols in rows:
+            if i2 >= imax:
+                break
+            i = i1 + i2
+            for j2, c2 in cols:
+                if j2 >= jmax:
+                    break
+                k = (i, j1 + j2)
+                v = get(k)
+                out[k] = c1 * c2 if v is None else v + c1 * c2
+    return TruncatedSeries(out, n)
 
 
 def random_series(precision, max_terms=8, unit=False):
@@ -136,3 +174,69 @@ def test_serialization_is_sorted_and_stringly_exact():
     rec = series_to_record(f)
     assert rec["precision"] == 5
     assert rec["terms"] == [[0, 0, "-2/1"], [2, 1, "3/1"]]
+
+
+@st.composite
+def _product_operands(draw):
+    """Two series on one lattice sZ x sZ, s = 1 or 4, of independent
+    precisions, with small or very large coefficients."""
+    s = draw(st.sampled_from([1, 4]))
+    coefficients = st.one_of(st.integers(-9, 9),
+                             st.integers(-2 ** 1100, 2 ** 1100))
+
+    def operand():
+        n = draw(st.integers(1, 40))
+        cell = st.integers(0, (n - 1) // s).map(lambda i: s * i)
+        terms = st.dictionaries(st.tuples(cell, cell), coefficients,
+                                max_size=12)
+        return TruncatedSeries(draw(terms), n)
+    return operand(), operand()
+
+
+_WIDE = TruncatedSeries({(0, 0): 2 ** 1100 + 1, (1, 2): -(2 ** 1030),
+                         (3, 0): 5}, 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product_operands())
+@example((TruncatedSeries({}, 9), _WIDE))  # zero operand
+@example((TruncatedSeries({(0, 0): -7}, 12), _WIDE))  # constant operand
+@example((TruncatedSeries({(0, 0): 3}, 1), TruncatedSeries({(0, 0): 5}, 1)))
+# coefficients past 2^1024: the exact l1-norm bound
+@example((_WIDE, TruncatedSeries({(0, 1): 2 ** 1025, (2, 2): -1}, 5)))
+@example((TruncatedSeries({(4, 0): 3, (0, 8): -1}, 13),
+          TruncatedSeries({(0, 0): 1, (8, 4): 2 ** 70}, 30)))  # stride 4
+def test_product_matches_the_reference_product(operands):
+    f, g = operands
+    want = reference_product(f, g)
+    assert f * g == want
+    assert g * f == want
+
+
+def test_rosenhain_triple_matches_the_reference_product(monkeypatch):
+    # the Delta = 12 triple at N = 112, rebuilt with the dict convolution
+    # for every product, is the triple of the grid product
+    disc = humbert_params(12)
+    want = rosenhain_triple(disc, 112)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", reference_product)
+    assert rosenhain_triple(disc, 112).series() == want.series()
+
+
+@pytest.mark.parametrize("key", [(-1, 5), (-1, 50), (50, -1), (-3, -3)])
+def test_a_negative_exponent_is_an_error(key):
+    # also past the precision, where the term would otherwise be cut
+    with pytest.raises(ValueError, match="negative exponent"):
+        TruncatedSeries({key: 1}, 10)
+
+
+def test_word_primes_are_found_once():
+    # the consecutive primes above 2^20, each found by trial division once
+    # per process and kept: a later walk reads the kept list
+    want = [p for p in range(2 ** 20 + 1, 2 ** 20 + 2000, 2)
+            if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+    assert list(islice(word_primes(), len(want))) == want
+    kept = series._WORD_PRIMES
+    assert kept[:len(want)] == want
+    found = len(kept)
+    assert list(islice(word_primes(), found)) == kept
+    assert len(series._WORD_PRIMES) == found
