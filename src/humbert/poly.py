@@ -38,17 +38,6 @@ def _grlex_key(mono):
 
 # -- raw term-dict arithmetic (exponent triple -> integer) -------------
 
-def raw_add(f, g):
-    out = dict(f)
-    for k, c in g.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
-
-
 def raw_mul(f, g):
     out = {}
     for (a1, b1, c1), x in f.items():

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .degrees import SpecialCase
-from .poly import (DegenerateOnly, raw_add, raw_mul, strip_degenerate_factors,
+from .poly import (DegenerateOnly, _lincomb, raw_mul, strip_degenerate_factors,
                    substitute_rational)
 from .theta import humbert_params
 
@@ -148,8 +148,7 @@ _POINT = {
 
 def _det(a, b):
     """a0 b1 - b0 a1, which is a - b when both points are finite."""
-    return raw_add(raw_mul(a[0], b[1]),
-                   raw_mul(b[0], {k: -v for k, v in a[1].items()}))
+    return _lincomb(((1, raw_mul(a[0], b[1])), (-1, raw_mul(b[0], a[1]))))
 
 
 @lru_cache(maxsize=None)
@@ -189,19 +188,25 @@ def act(sigma, poly):
 _S6_GENERATORS = (Perm6.parse("(0,1)"), Perm6.parse("(0,1,inf,e1,e2,e3)"))
 
 
-def _orbit_search(poly):
-    """Breadth-first search of the S6 orbit of poly over two generators.
+def orbit_and_stabilizer(poly):
+    """The S6 orbit and the stabilizer of a component polynomial, as sets.
 
-    Returns (root, rep, schreier).  root = strip_degenerate_factors(poly)
-    is the canonical form, which is act(identity, poly) because the identity
-    induces the identity map; rep maps each orbit element y to a coset
-    representative with act(rep[y], poly) == y; schreier holds the
-    nontrivial Schreier generators rep[y]^-1 * g * rep[x], which generate the
-    stabilizer of root (Schreier's lemma).  Both rest on act(s * t, f) ==
-    act(s, act(t, f)).  Costs one act per generator and orbit element.
-    Raises DegenerateOnly when poly has no factor off the degenerate loci.
+    One breadth-first search from root = strip_degenerate_factors(poly) =
+    act(identity, poly) under (0,1) and (0,1,inf,e1,e2,e3), at one act per
+    generator and orbit element.  rep maps each image y to a permutation
+    with act(rep[y], root) == y; a step onto a known image gives the
+    Schreier generator rep[y]^-1 * g * rep[x], and these generate the
+    stabilizer of root (Schreier's lemma; both rest on act(s * t, f) ==
+    act(s, act(t, f))).  A constant gives (set(), all 720); a
+    degenerate-only poly (set(), set()); a non-canonical poly the orbit of
+    its canonical form and an empty stabilizer.
     """
-    root = strip_degenerate_factors(poly)
+    if poly.degree() == 0:
+        return set(), set(all_perms())
+    try:
+        root = strip_degenerate_factors(poly)
+    except DegenerateOnly:
+        return set(), set()
     rep = {root: Perm6.identity()}
     schreier = []
     boundary = [root]
@@ -217,40 +222,19 @@ def _orbit_search(poly):
                 elif h != rep[y]:
                     schreier.append(rep[y].inverse() * h)
         boundary = new
-    return root, rep, schreier
+    if root != poly:
+        return set(rep), set()
+    return set(rep), mulclose(schreier)
 
 
 def orbit(poly):
-    """The S6 orbit of a component polynomial, as a set of canonical forms.
-
-    Exact: a breadth-first search from the canonical form of poly under the
-    two generators (0,1) and (0,1,inf,e1,e2,e3) of S6, so it costs 2 * size
-    calls to act.  Empty when poly is constant or degenerate-only.
-    """
-    try:
-        _, rep, _ = _orbit_search(poly)
-    except DegenerateOnly:
-        return set()
-    return set(rep)
+    """The orbit half of orbit_and_stabilizer(poly)."""
+    return orbit_and_stabilizer(poly)[0]
 
 
 def fixed_group(poly):
-    """All permutations fixing the canonical form of poly, as a set.
-
-    Exact: the breadth-first search of orbit() records a Schreier generator
-    for every generator step that lands on an image already found, and the
-    stabilizer is their closure.  A constant is fixed by all 720
-    permutations; a degenerate-only or non-canonical poly by none.
-    """
-    if poly.degree() == 0:
-        return set(all_perms())
-    try:
-        root, _, schreier = _orbit_search(poly)
-    except DegenerateOnly:
-        return set()
-    if root != poly:
-        return set()
-    return mulclose(schreier)
+    """The stabilizer half of orbit_and_stabilizer(poly)."""
+    return orbit_and_stabilizer(poly)[1]
 
 
 # generator sets quoted from the fixed-group classification

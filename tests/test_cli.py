@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from humbert import cli, relations
 from humbert.degrees import NonIntegralDegree
@@ -280,3 +285,88 @@ def test_unusable_path_is_a_usage_error(tmp_path, command):
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
     assert res.stderr.startswith("error: ") and str(path) in res.stderr
+
+
+# tiny inputs for the in-process property test: two small components, a
+# constant, a degenerate-only polynomial, a non-canonical one, input that
+# cancels to zero and a parse error; _POLY adds a path that does not exist
+_POLY_FILES = {"h4": "e_1e_2 - e_3", "linear": "e_1 + e_2 - 3",
+               "constant": "5", "degenerate": "e_1 - e_2",
+               "noncanonical": "e_1^2e_2 - 2e_1e_2", "zero": "e_1 - e_1",
+               "bad": "e_1 + @@@"}
+
+
+@pytest.fixture(scope="module")
+def poly_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("polys")
+    for name, text in _POLY_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+# mostly admissible discriminants, with a few that are not (Delta = 1 is
+# admissible but special)
+_DISC = st.sampled_from([-1, 0, 1, 2, 4, 5, 7, 8, 9, 12, 13, 17, 21, 24])
+_PREC = st.integers(-2, 40)
+_FLAG = st.booleans()
+
+
+def _options(**opts):
+    """Strategy for one command's arguments: each option's value is drawn
+    from its strategy; a flag is passed when it draws True, and an option
+    is left out when it draws None or False."""
+    def flatten(drawn):
+        args = []
+        for name, value in drawn.items():
+            if value is True:
+                args.append(name)
+            elif value is not None and value is not False:
+                args += [name, str(value)]
+        return args
+    return st.fixed_dictionaries(opts).map(flatten)
+
+
+_POLY = st.sampled_from(sorted(_POLY_FILES) + ["missing"])
+_COMMANDS = st.one_of(
+    st.tuples(st.just(["degrees"]), _options(
+        **{"--max": st.none() | st.integers(-3, 40), "--json": _FLAG})),
+    st.tuples(st.just(["theta"]), _options(
+        **{"--disc": _DISC, "--prec": _PREC,
+           "--char": st.sampled_from(["0000", "1100", "0011", "1111",
+                                      "0110", "1", "11001", "abcd"])})),
+    st.tuples(st.just(["rosenhain"]), _options(
+        **{"--disc": _DISC, "--prec": _PREC})),
+    st.tuples(st.just(["find"]), _options(
+        **{"--disc": _DISC, "--degree": st.integers(-1, 3),
+           "--prec": st.none() | _PREC,
+           "--symmetry": st.sampled_from([None, "e1e2"]),
+           "--json": _FLAG})),
+    st.tuples(st.sampled_from([["orbit"], ["fixgroup"]]), _options(
+        **{"--json": _FLAG})),
+    st.tuples(st.just(["verify"]), _options(
+        **{"--disc": _DISC, "--trials": st.none() | st.integers(-1, 2),
+           "--tol": st.sampled_from([None, "1e-6", "1e-12", "0.5", "0",
+                                     "-1"]),
+           "--seed": st.none() | st.integers(0, 3), "--json": _FLAG})),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=_COMMANDS, poly=_POLY)
+def test_exit_codes_are_documented_and_never_a_traceback(poly_files,
+                                                         command, poly):
+    # every bounded argument list ends in one of the exit codes 0-6 of the
+    # cli module docstring, never in a traceback
+    name, args = command
+    if name[0] in ("orbit", "fixgroup", "verify"):
+        args = ["--in", str(poly_files / poly)] + args
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "argv", ["humbert"] + name + args), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.cli_entry()
+            code = 0
+        except SystemExit as exc:
+            code = exc.code or 0
+    assert 0 <= code <= 6, (name + args, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -376,6 +376,24 @@ def test_a_later_prime_that_lost_rank_is_skipped(monkeypatch):
     assert lifts == [[_PRIMES[0], _PRIMES[2], _PRIMES[3]]]
 
 
+def test_reconstruction_failing_at_every_prime_is_ambiguous(monkeypatch):
+    # a lift that never reconstructs: the search tries three, four, five
+    # and six primes, then gives up with no kernel dimension
+    lifts = []
+
+    def failing(vecs, primes):
+        lifts.append(list(primes))
+
+    monkeypatch.setattr(relations, "_lift_kernel_vector", failing)
+    with pytest.raises(AmbiguousKernel) as info:
+        _patched_kernel(monkeypatch, [2, -3, 5, 7], [1] * 6)
+    assert type(info.value) is AmbiguousKernel
+    assert info.value.kernel_dim is None
+    assert str(info.value) == ("rational reconstruction failed with 6 "
+                               "primes; kernel not stable across primes")
+    assert lifts == [list(_PRIMES[:k]) for k in (3, 4, 5, 6)]
+
+
 def _no_triple(disc, precision):
     raise AssertionError("rosenhain_triple called at N=%d" % precision)
 
@@ -478,6 +496,29 @@ def test_imprimitive_search_reuses_the_callers_triple(monkeypatch):
         find_relation(4, 4, precision=48)
     assert info.value.factor == MultiPoly({(1, 1, 0): 1, (0, 0, 1): -1})
     assert built == [56]
+
+
+@pytest.mark.parametrize("failure", [NoRelation, AmbiguousKernel])
+def test_failed_factor_search_leaves_a_plain_ambiguous_kernel(monkeypatch,
+                                                              failure):
+    # the degree-4 kernel for Delta = 4 at N=48 has dimension 10, the count
+    # of degree-2 multiples; when the degree-2 search does not give the
+    # factor, the kernel is only called ambiguous
+    search = relations._find_relation_on
+
+    def failing_below_4(ros, n, degree, symmetry):
+        if degree < 4:
+            raise failure("no factor")
+        return search(ros, n, degree, symmetry)
+
+    monkeypatch.setattr(relations, "_find_relation_on", failing_below_4)
+    with pytest.raises(AmbiguousKernel) as info:
+        find_relation(4, 4, precision=48)
+    assert type(info.value) is AmbiguousKernel
+    assert info.value.kernel_dim == 10
+    assert str(info.value) == (
+        "kernel dimension 10 at degree 4 for delta=4 at N=48; the precision "
+        "is too small or the relation has a lower degree")
 
 
 def test_recheck_failure_names_the_failing_precision():

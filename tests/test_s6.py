@@ -11,7 +11,8 @@ from humbert import s6
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
                           divide_degenerate, parse_poly)
 from humbert.s6 import (Perm6, act, all_perms, fixed_group, induced_map,
-                        mulclose, orbit, paper_generators)
+                        mulclose, orbit, orbit_and_stabilizer,
+                        paper_generators)
 
 rng = random.Random(31415)
 
@@ -108,8 +109,7 @@ def test_induced_map_of_zero_one_swap():
 def test_orbit_stabilizer_product():
     f0 = MultiPoly({(2, 1, 0): 1, (0, 0, 1): -3, (1, 1, 1): 2,
                     (0, 0, 0): 5})
-    orb = orbit(f0)
-    fix = fixed_group(f0)
+    orb, fix = orbit_and_stabilizer(f0)
     assert len(orb) * len(fix) == 720
 
 
@@ -139,8 +139,7 @@ def test_orbit_stabilizer_product_randomized():
         if degenerate:
             continue
         assert len(images) * len(stab) == 720
-        assert orbit(f) == images
-        assert fixed_group(f) == stab
+        assert orbit_and_stabilizer(f) == (images, stab)
         done += 1
 
 
@@ -198,7 +197,8 @@ def test_orbit_and_fixed_group_edge_cases():
 
 
 def test_fixed_group_act_count(monkeypatch):
-    # one act per generator and orbit element; the root costs none
+    # one act per generator and orbit element; the root costs none, and the
+    # one search that finds the 15 images also gives the stabilizer
     h12 = parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
     calls = []
 
@@ -208,6 +208,10 @@ def test_fixed_group_act_count(monkeypatch):
 
     monkeypatch.setattr(s6, "act", counting_act)
     assert len(s6.fixed_group(h12)) == 48
+    assert len(calls) == 2 * 15
+    calls.clear()
+    orb, fix = s6.orbit_and_stabilizer(h12)
+    assert (len(orb), len(fix)) == (15, 48)
     assert len(calls) == 2 * 15
 
 
