@@ -375,9 +375,10 @@ def parse_poly(text):
     while pos < n:
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
-            if text[pos:].strip() == "":
+            at = n - len(text[pos:].lstrip())
+            if at == n:
                 break
-            raise ParseError("unexpected character %r" % text[pos], pos)
+            raise ParseError("unexpected character %r" % text[at], at)
         pos = m.end()
         if star is not None and not m.group("var"):
             raise ParseError("'*' not followed by a factor", star)

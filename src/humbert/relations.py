@@ -239,7 +239,7 @@ def _nullspace_mod(mat, p):
         r += 1
         if r == n_rows:
             break
-    free = np.setdiff1d(np.arange(n_cols), pivots)
+    free = np.delete(np.arange(n_cols), pivots)
     ker = np.zeros((len(free), n_cols), dtype=np.int64)
     ker[np.arange(len(free)), free] = 1
     ker[:, pivots] = (-a[:r, free].T) % p

@@ -20,7 +20,7 @@ from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
                           parse_poly, strip_degenerate_factors,
                           substitute_rational)
 from humbert.rosenhain import rosenhain_triple
-from humbert.s6 import _S6_GENERATORS, all_perms, induced_map
+from humbert.s6 import _S6_GENERATORS, Perm6, all_perms, induced_map
 from humbert.series import (TruncatedSeries, _crt_symmetric, _grid_factor,
                             _grid_product, _mod_chunk, word_primes)
 from humbert.theta import humbert_params
@@ -473,8 +473,12 @@ def test_parse_variants():
 
 
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError):
-        parse_poly("e_1 + @")
+    # a bad character is named at its own position, not at the whitespace
+    # before it
+    for text, pos in (("e_1 + @@@", 6), ("e_1 @", 4)):
+        with pytest.raises(ParseError, match="'@'") as info:
+            parse_poly(text)
+        assert info.value.pos == pos, text
     with pytest.raises(ParseError):
         parse_poly("e_1^")
     with pytest.raises(ParseError):
@@ -615,10 +619,13 @@ _H8 = parse_poly((Path(__file__).resolve().parents[1] / "bench" / "refs"
 
 @settings(max_examples=300, deadline=None)
 @given(_POLYS, st.sampled_from(all_perms()))
+@example(_H8, Perm6.parse("(0,1)"))
+@example(_H8, Perm6.parse("(0,1,inf,e1,e2,e3)"))
+@example(MultiPoly({(1, 1, 0): 1, (1, 0, 0): -1}),           # e1 (e2 - 1)
+         Perm6.parse("(0,1)"))
 @example(_H8, _S6_GENERATORS[0])
 @example(_H8, _S6_GENERATORS[1])
-@example(MultiPoly({(1, 1, 0): 1, (1, 0, 0): -1}),           # e1 (e2 - 1)
-         _S6_GENERATORS[0])
+@example(MultiPoly({(1, 1, 0): 1, (1, 0, 0): -1}), _S6_GENERATORS[1])
 def test_substitute_rational_matches_definition(f, sigma):
     phi = induced_map(sigma)
     try:
@@ -636,7 +643,7 @@ def test_substitute_rational_product_count(monkeypatch):
     # one per a: 63 + 47 + 9 for h12 under the 6-cycle
     import importlib.resources as ir
     h12 = parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
-    phi = induced_map(_S6_GENERATORS[1])
+    phi = induced_map(Perm6.parse("(0,1,inf,e1,e2,e3)"))
     calls = []
     mul = poly_module.raw_mul
 

@@ -62,6 +62,7 @@ def test_all_perms_count():
 def test_mulclose_full_group():
     gens = [Perm6.parse("(0,1)"), Perm6.parse("(0,1,inf,e1,e2,e3)")]
     assert len(mulclose(gens)) == 720
+    assert len(mulclose(s6._S6_GENERATORS)) == 720
 
 
 def test_generator_closure_orders():
@@ -111,6 +112,16 @@ def test_orbit_stabilizer_product():
                     (0, 0, 0): 5})
     orb, fix = orbit_and_stabilizer(f0)
     assert len(orb) * len(fix) == 720
+
+
+def test_orbit_and_stabilizer_of_h4_match_all_720_acts():
+    # the search over the generating pair against one pass over all of S6
+    h4 = parse_poly("e_1e_2 - e_3")
+    image = {s: act(s, h4) for s in all_perms()}
+    images = set(image.values())
+    stab = {s for s, y in image.items() if y == h4}
+    assert (len(images), len(stab)) == (15, 48)
+    assert orbit_and_stabilizer(h4) == (images, stab)
 
 
 def test_orbit_stabilizer_product_randomized():
