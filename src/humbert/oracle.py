@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import eval_complex
+from .poly import complex_evaluator
 from .theta import ThetaChar, humbert_params, restricted_theta
 
 
@@ -49,11 +49,13 @@ class SiegelPoint:
         return a > 0 and a * c - b * b > 0
 
 
-def theta_direct(point, char, tol=1e-12):
-    """The lattice sum for theta_{abcd}(tau) over the box |x|_inf <= b_max
-    outside which the Gaussian tail lies below tol (the truncation of
-    Deconinck et al., Math. Comp. 73, 2004), evaluated as one numpy sum
-    over a fixed order of the box."""
+def theta_constants(point, chars, tol=1e-12):
+    """The lattice sums for theta_{abcd}(tau), one per characteristic in
+    chars, over the box |x|_inf <= b_max outside which the Gaussian tail
+    lies below tol (the truncation of Deconinck et al., Math. Comp. 73,
+    2004).  One numpy expression and one exp run over the stacked boxes;
+    each row is summed on its own in a fixed order of the box.  Returns a
+    tuple of complex, in the order of chars."""
     if not 0 < tol < 1:
         raise ValueError("tol must be a finite number with 0 < tol < 1, "
                          "got %r" % (tol,))
@@ -62,20 +64,30 @@ def theta_direct(point, char, tol=1e-12):
         raise NonConvergent("Im(tau) is not positive definite")
     # |term| <= exp(-pi * lam * |x + m'/2|^2); pad the box generously
     bound = math.sqrt((math.log(1.0 / tol) + 10.0) / (math.pi * lam))
-    y11, y12, y22, lin = _box(int(math.ceil(bound)) + 2, char)
+    y11, y12, y22, lin = _box(int(math.ceil(bound)) + 2, tuple(chars))
     # term x: exp(pi i (tau1 y1^2 + 2 tau2 y1 y2 + tau3 y2^2 + c y1 + d y2))
     expo = point.tau1 * y11 + point.tau2 * y12 + point.tau3 * y22 + lin
-    return complex(np.exp(1j * math.pi * expo).sum())
+    return tuple(np.exp(1j * math.pi * expo).sum(axis=1).tolist())
+
+
+def theta_direct(point, char, tol=1e-12):
+    """theta_constants for the one characteristic char."""
+    return theta_constants(point, (char,), tol)[0]
 
 
 @functools.lru_cache(maxsize=32)
-def _box(b_max, char):
+def _box(b_max, chars):
     """y1^2, 2 y1 y2, y2^2 and c y1 + d y2 over y = x + (a, b)/2 for the
-    lattice points x of the box |x|_inf <= b_max, as read-only arrays."""
+    lattice points x of the box |x|_inf <= b_max, one row per
+    characteristic (a, b, c, d) of chars, as read-only arrays."""
     x1, x2 = np.mgrid[-b_max:b_max + 1, -b_max:b_max + 1]
-    y1 = x1.ravel() + char.a / 2.0
-    y2 = x2.ravel() + char.b / 2.0
-    arrays = (y1 * y1, 2.0 * y1 * y2, y2 * y2, char.c * y1 + char.d * y2)
+    # float columns: int64 ones send the arithmetic below through numpy's
+    # mixed-dtype loops, which page in 64 KB more of its library code
+    a, b, c, d = np.array([[ch.a, ch.b, ch.c, ch.d] for ch in chars],
+                          dtype=float).T[:, :, None]
+    y1 = x1.ravel() + a / 2.0
+    y2 = x2.ravel() + b / 2.0
+    arrays = (y1 * y1, 2.0 * y1 * y2, y2 * y2, c * y1 + d * y2)
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
@@ -101,6 +113,8 @@ _ROSENHAIN_QUOTIENTS = (
     ((3, 8), (4, 10)),  # e2
     ((1, 8), (2, 10)),  # e3
 )
+_ROSENHAIN_INDICES = (1, 2, 3, 4, 8, 10)
+_ROSENHAIN_CHARS = tuple(ThetaChar.from_index(i) for i in _ROSENHAIN_INDICES)
 
 
 def rosenhain_numeric(point, disc):
@@ -112,8 +126,8 @@ def rosenhain_numeric(point, disc):
     `rosenhain`), so |theta10| is held to the floor 1e-8 after dividing out
     that monomial's modulus, and |theta2| and |theta4| as they are.
     """
-    vals = {i: theta_direct(point, ThetaChar.from_index(i))
-            for i in (1, 2, 3, 4, 8, 10)}
+    vals = dict(zip(_ROSENHAIN_INDICES,
+                    theta_constants(point, _ROSENHAIN_CHARS)))
     p, q = pq_coordinates(point)
     floor = 1e-8
     scale = {2: 1.0, 4: 1.0,
@@ -162,27 +176,34 @@ def verify_component(poly, delta, trials=20, tol=1e-6, seed=0):
 
     The residual at a point is |F(e)| / (sum |coeff| * max(1, |e|)^deg F),
     a coefficient-mass relative scale.  Returns (passed, max_residual,
-    residuals).
+    residuals); passed means max_residual < tol, so tol must be a number
+    with 0 < tol < inf.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %r" % (trials,))
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be a number with 0 < tol < inf, got %r"
+                         % (tol,))
     disc = humbert_params(delta)
     coeff_mass = sum(abs(c) for c in poly.terms.values())
     deg = poly.degree()
+    evaluate = complex_evaluator(poly)
     residuals = []
     for t in range(trials):
-        for attempt in range(8):
-            point = sample_humbert_point(disc, seed=seed * 100003 + t * 8 +
-                                         attempt + 1)
+        seeds = [seed * 100003 + t * 8 + attempt + 1 for attempt in range(8)]
+        for point_seed in seeds:
+            point = sample_humbert_point(disc, seed=point_seed)
             try:
                 e = rosenhain_numeric(point, disc)
                 break
             except NearVanishingDenominator:
                 continue
         else:
-            raise SamplingExhausted("could not sample away from degenerate "
-                                    "loci")
+            raise SamplingExhausted(
+                "could not sample away from degenerate loci on H_%d: "
+                "trial %d rejected all %d points, drawn with seeds %s"
+                % (delta, t, len(seeds), ", ".join(map(str, seeds))))
         scale = coeff_mass * max(1.0, max(abs(x) for x in e)) ** deg
-        residuals.append(abs(eval_complex(poly, e)) / scale)
+        residuals.append(abs(evaluate(e)) / scale)
     max_residual = max(residuals)
     return max_residual < tol, max_residual, residuals

@@ -204,17 +204,28 @@ def _powers(x, d, one, mul):
     return pows[:d + 1]
 
 
+def complex_evaluator(poly):
+    """The evaluation of poly at complex triples, summed term by term in
+    graded-lex order; the order, the coefficients and the degree in each
+    variable are read from poly once, here."""
+    terms = [(poly.terms[k],) + k for k in sorted(poly.terms, key=_grlex_key)]
+    d1, d2, d3 = (poly.degree_in(i) for i in range(3))
+
+    def evaluate(z):
+        z1, z2, z3 = z
+        p1 = [z1 ** i for i in range(d1 + 1)]
+        p2 = [z2 ** i for i in range(d2 + 1)]
+        p3 = [z3 ** i for i in range(d3 + 1)]
+        total = 0j
+        for coeff, a, b, c in terms:
+            total += coeff * p1[a] * p2[b] * p3[c]
+        return total
+    return evaluate
+
+
 def eval_complex(poly, z):
     """Evaluate at a complex triple with a deterministic summation order."""
-    z1, z2, z3 = z
-    d1, d2, d3 = (poly.degree_in(i) for i in range(3))
-    p1 = [z1 ** i for i in range(d1 + 1)]
-    p2 = [z2 ** i for i in range(d2 + 1)]
-    p3 = [z3 ** i for i in range(d3 + 1)]
-    total = 0j
-    for (a, b, c) in sorted(poly.terms, key=_grlex_key):
-        total += poly.terms[(a, b, c)] * p1[a] * p2[b] * p3[c]
-    return total
+    return complex_evaluator(poly)(z)
 
 
 # -- degenerate loci and rational substitution --------------------------

@@ -185,6 +185,14 @@ def test_verify_rejects_a_nonpositive_tolerance(tmp_path):
                        "--tol", tol])
         assert res.returncode == 1
         assert res.stdout == "" and "'--tol'" in res.stderr
+    # click's range check lets nan and inf through; verify_component
+    # rejects them before it samples
+    for tol in ("nan", "inf"):
+        res = run_cli(["verify", "--in", str(poly), "--disc", "4",
+                       "--tol", tol])
+        assert res.returncode == 1
+        assert res.stdout == "" and "0 < tol < inf" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -236,6 +244,18 @@ def test_verify_samples_a_large_discriminant(tmp_path):
                    "--trials", "5", "--tol", "1e-12"])
     assert res.returncode == 4, res.stderr
     assert "FAIL" in res.stdout
+
+
+def test_verify_explains_sampling_exhausted(tmp_path):
+    # every draw of the first trial underflows a denominator on H_2001
+    poly = tmp_path / "h4.txt"
+    poly.write_text("e_1e_2 - e_3")
+    res = run_cli(["verify", "--in", str(poly), "--disc", "2001"])
+    assert res.returncode == 6
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    assert ("could not sample away from degenerate loci on H_2001: trial 0 "
+            "rejected all 8 points, drawn with seeds 1, 2, 3, 4, 5, 6, 7, 8"
+            in res.stderr)
 
 
 def test_orbit_and_fixgroup(tmp_path):
@@ -346,7 +366,7 @@ _COMMANDS = st.one_of(
     st.tuples(st.just(["verify"]), _options(
         **{"--disc": _DISC, "--trials": st.none() | st.integers(-1, 2),
            "--tol": st.sampled_from([None, "1e-6", "1e-12", "0.5", "0",
-                                     "-1"]),
+                                     "-1", "nan", "inf"]),
            "--seed": st.none() | st.integers(0, 3), "--json": _FLAG})),
 )
 

@@ -1,20 +1,22 @@
 """Tests for the floating-point verification oracle."""
 
 import cmath
+import functools
 import importlib.resources as ir
 import itertools
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from humbert import oracle
 from humbert.degrees import admissible_range
-from humbert.oracle import (NearVanishingDenominator, SiegelPoint,
-                            eval_series_numeric, expansion_vs_direct,
-                            pq_coordinates, rosenhain_numeric,
-                            sample_humbert_point, theta_direct,
-                            verify_component)
+from humbert.oracle import (NearVanishingDenominator, SamplingExhausted,
+                            SiegelPoint, eval_series_numeric,
+                            expansion_vs_direct, pq_coordinates,
+                            rosenhain_numeric, sample_humbert_point,
+                            theta_constants, theta_direct, verify_component)
 from humbert.poly import eval_complex, parse_poly
 from humbert.rosenhain import rosenhain_triple
 from humbert.theta import THETA_CHARS, ThetaChar, humbert_params
@@ -46,6 +48,38 @@ def reference_lattice_sum(point, char, tol):
         lin = y1 * char.c / 2.0 + y2 * char.d / 2.0
         total += cmath.exp(2j * math.pi * (0.5 * quad + lin))
     return total
+
+
+def reference_single_sum(point, char, tol=1e-12):
+    """theta_{abcd}(tau) as a numpy sum over a flat box of its own, one
+    characteristic at a time: the per-element operations of
+    theta_constants, then one pairwise sum."""
+    lam = point.min_im_eigenvalue()
+    bound = math.sqrt((math.log(1.0 / tol) + 10.0) / (math.pi * lam))
+    b = int(math.ceil(bound)) + 2
+    x1, x2 = np.mgrid[-b:b + 1, -b:b + 1]
+    y1 = x1.ravel() + char.a / 2.0
+    y2 = x2.ravel() + char.b / 2.0
+    expo = (point.tau1 * (y1 * y1) + point.tau2 * (2.0 * y1 * y2)
+            + point.tau3 * (y2 * y2) + (char.c * y1 + char.d * y2))
+    return complex(np.exp(1j * math.pi * expo).sum())
+
+
+def reference_eval_complex(poly, z):
+    """The polynomial at a complex triple, its terms sorted graded-lex
+    and its powers built afresh at each call."""
+    z1, z2, z3 = z
+    d1, d2, d3 = (poly.degree_in(i) for i in range(3))
+    p1 = [z1 ** i for i in range(d1 + 1)]
+    p2 = [z2 ** i for i in range(d2 + 1)]
+    p3 = [z3 ** i for i in range(d3 + 1)]
+    total = 0j
+    for (a, b, c) in sorted(poly.terms, key=lambda m: (sum(m),) + m):
+        total += poly.terms[(a, b, c)] * p1[a] * p2[b] * p3[c]
+    return total
+
+
+ROSENHAIN_CHARS = [ThetaChar.from_index(i) for i in (1, 2, 3, 4, 8, 10)]
 
 
 def test_sampled_points_lie_in_domain():
@@ -87,6 +121,23 @@ def test_theta_direct_rejects_tol_outside_unit_interval(tol):
     pt = sample_humbert_point(humbert_params(5), seed=1)
     with pytest.raises(ValueError, match="0 < tol < 1"):
         theta_direct(pt, ThetaChar.from_index(1), tol=tol)
+    with pytest.raises(ValueError, match="0 < tol < 1"):
+        theta_constants(pt, ROSENHAIN_CHARS, tol=tol)
+
+
+@pytest.mark.parametrize("delta", [1, 5, 12, 101, 600])
+def test_theta_constants_rows_are_the_single_character_sums(delta):
+    # each row of the stacked sum is bit for bit the sum of its own box
+    disc = humbert_params(delta)
+    chars = [ThetaChar.from_index(i) for i in THETA_CHARS]
+    for seed in range(3):
+        pt = sample_humbert_point(disc, seed=seed)
+        for tol in (1e-8, 1e-12, 1e-14):
+            vals = theta_constants(pt, chars, tol)
+            assert all(type(v) is complex for v in vals)
+            assert vals == tuple(reference_single_sum(pt, ch, tol)
+                                 for ch in chars)
+            assert theta_direct(pt, chars[2], tol) == vals[2]
 
 
 @pytest.mark.parametrize("delta", [4, 5, 12])
@@ -157,23 +208,45 @@ def test_verify_component_residuals_on_reference_components(delta):
     assert max_res < 1e-15
 
 
-def test_verify_component_evaluates_six_thetas_per_point(monkeypatch):
-    # rosenhain_numeric reaches theta_direct through the module attribute,
-    # so a wrapper there sees every lattice sum (the bench's span does too)
+def test_verify_component_makes_one_lattice_sum_per_point(monkeypatch):
+    # rosenhain_numeric reaches theta_constants through the module
+    # attribute, so a wrapper there sees every lattice sum
     calls = []
-    direct = oracle.theta_direct
+    constants = oracle.theta_constants
 
-    def counting(point, char, tol=1e-12):
-        calls.append(point)
-        return direct(point, char, tol)
+    def counting(point, chars, tol=1e-12):
+        calls.append((point, list(chars)))
+        return constants(point, chars, tol)
 
-    monkeypatch.setattr(oracle, "theta_direct", counting)
+    monkeypatch.setattr(oracle, "theta_constants", counting)
     trials = 7
     _, _, residuals = verify_component(h12_poly(), 12, trials=trials, seed=3)
     assert len(residuals) == trials
-    # no point was rejected at this seed: each trial drew one point
-    assert len(set(calls)) == trials
-    assert len(calls) == 6 * trials
+    # no point was rejected at this seed: each trial drew one point, and
+    # each point's six Rosenhain thetas came from one call
+    assert len(calls) == trials
+    assert len({point for point, _ in calls}) == trials
+    assert all(chars == ROSENHAIN_CHARS for _, chars in calls)
+
+
+@pytest.mark.parametrize("component,delta", [(5, 5), (8, 8), (12, 12),
+                                             (12, 5), (12, 8), (12, 9),
+                                             (12, 13)])
+def test_verify_component_matches_single_sums_bit_for_bit(component, delta,
+                                                          monkeypatch):
+    # the stacked theta sum and the evaluator built once per polynomial
+    # give the same floats as six single sums per point and an evaluation
+    # that sorts the terms at each point: compared with ==, no tolerance
+    poly = h12_poly() if component == 12 else ref_poly(component)
+    result = verify_component(poly, delta, trials=200, seed=1)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "theta_constants",
+                  lambda point, chars, tol=1e-12: tuple(
+                      reference_single_sum(point, ch, tol) for ch in chars))
+        m.setattr(oracle, "complex_evaluator",
+                  lambda p: functools.partial(reference_eval_complex, p))
+        reference = verify_component(poly, delta, trials=200, seed=1)
+    assert result == reference
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -184,6 +257,27 @@ def test_verify_component_rejects_nonpositive_trials(trials, monkeypatch):
     monkeypatch.setattr(oracle, "sample_humbert_point", no_sampling)
     with pytest.raises(ValueError, match="trials"):
         verify_component(h12_poly(), 12, trials=trials)
+
+
+@pytest.mark.parametrize("tol", [0, -1e-6, math.inf, -math.inf, math.nan])
+def test_verify_component_rejects_a_tolerance_outside_0_inf(tol,
+                                                            monkeypatch):
+    # tol = nan failed every point and tol = inf passed any polynomial
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking tol")
+
+    monkeypatch.setattr(oracle, "sample_humbert_point", no_sampling)
+    with pytest.raises(ValueError, match="0 < tol < inf"):
+        verify_component(h12_poly(), 12, tol=tol)
+
+
+def test_sampling_exhausted_names_delta_trial_and_seeds():
+    # on H_2001 every draw of the first trial underflows a denominator
+    with pytest.raises(SamplingExhausted) as info:
+        verify_component(h12_poly(), 2001, trials=2)
+    msg = str(info.value)
+    assert "H_2001" in msg and "trial 0" in msg
+    assert "seeds 1, 2, 3, 4, 5, 6, 7, 8" in msg
 
 
 def test_verify_component_fails_on_wrong_surface():
