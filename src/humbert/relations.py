@@ -1,7 +1,10 @@
 """Finding the defining polynomial of a Humbert component.
 
 Evaluate all monomials of degree at most d in the Rosenhain expansions and
-find the linear dependency between their coefficient vectors, exactly.
+find the linear dependency between their coefficient vectors, exactly.  The
+unknowns are the orbits of monomials under the chosen permutations of e1,
+e2 and e3, listed before any theta series is expanded: an orbit's row is the
+sum of its monomials' rows, and its kernel coefficient goes to each of them.
 
 Every exponent of e1, e2 and e3 lies on 4Z x 4Z.  With Delta = 4k + l, the
 theta exponent formula gives t1-t4 (a = b = 0) the p-exponents
@@ -15,24 +18,25 @@ an m x m Toeplitz block per nonzero row of e_i, reduced after every c
 blocks, with c m (p-1)^2 + p < 2^53 asserted, so every value is an exact
 integer.  Every prime in use meets it with c >= 1 for every N up to the
 supported cap _MAX_N = 360, which is checked before any theta series is
-expanded.  The kernel mod p comes from a Gauss-Jordan elimination in int64
-that reduces lazily: each pivot step reduces only the pivot column and the
-pivot row and leaves its rank-1 update unreduced, with
+expanded; the automatic schedule stops at it and re-raises its last
+AmbiguousKernel.  The kernel mod p comes from a Gauss-Jordan elimination in
+int64 that reduces lazily: each pivot step reduces only the pivot column
+and the pivot row and leaves its rank-1 update unreduced, with
 n (p-1)^2 + p < 2^63 asserted for n unknowns.  The nullity mod p is never
-below the nullity over Q, and only
-nullity 1 gives a relation, so nullity 0 at any prime or above 1 at the
-first prime decides the answer.  A one-dimensional kernel is lifted by CRT
-and rational reconstruction from the first three primes with nullity 1 (a
-later prime of larger nullity lost rank), adding the rest one at a time
-when that fails, up to six, which reconstructs coefficient ratios up to
-about 2^59.  Each attempt builds one Rosenhain triple, at N + 8; the kernel
-reads its truncation to N.  A candidate relation is only ever accepted
-after an exact recheck: it must evaluate to the identical zero series on
-the N + 8 triple, and so also at the kernel's precision N, and it must not
-be a product of degenerate-locus factors.  The recheck finds the exact
-series from its residues modulo consecutive primes above 2^20, enough of
-them for their product to exceed twice a proven bound on its coefficients,
-so a zero is a proof and a wrong candidate shows its exact nonzero value.
+below the nullity over Q, and only nullity 1 gives a relation, so nullity 0
+at any prime or above 1 at the first prime decides the answer.  A
+one-dimensional kernel is lifted by CRT and rational reconstruction from
+the first three primes with nullity 1 (a later prime of larger nullity lost
+rank), adding the rest one at a time when that fails, up to six, which
+reconstructs coefficient ratios up to about 2^59.  Each attempt builds one
+Rosenhain triple, at N + 8; the kernel reads its truncation to N.  A
+candidate relation is only ever accepted after an exact recheck: it must
+evaluate to the identical zero series on the N + 8 triple, and so also at
+the kernel's precision N, and it must not be a product of degenerate-locus
+factors.  The recheck finds the exact series from its residues modulo
+consecutive primes above 2^20, enough of them for their product to exceed
+twice a proven bound on its coefficients, so a zero is a proof and a wrong
+candidate shows its exact nonzero value.
 """
 
 import math
@@ -56,6 +60,8 @@ _PRIMES = tuple(islice(word_primes(), 6))
 # the supported precision cap, checked before any theta series is expanded;
 # it is not the exactness guard, which every grid product asserts for itself
 _MAX_N = 360
+# by name, the permutations of (e1, e2, e3) besides the identity
+_SYMMETRIES = {None: (), "e1e2": ((1, 0, 2),)}
 
 
 class NoRelation(RuntimeError):
@@ -125,24 +131,25 @@ class RelationReport:
 
 
 def monomial_basis(d, symmetry=None):
-    """Exponent triples (a, b, c) with a+b+c <= d, graded-lex ascending.
-
-    With symmetry ("e1e2"), only representatives with a >= b are kept; a
-    representative with a > b stands for the orbit sum e1^a e2^b + e1^b e2^a
-    sharing one unknown coefficient.
+    """The unknowns of a degree-d search: the orbits of the exponent triples
+    (a, b, c) with a+b+c <= d, each led by its largest triple, graded-lex
+    ascending by that triple, so degree k <= d gives a prefix.  Without
+    symmetry an orbit is one monomial; under "e1e2" it is
+    ((a, b, c), (b, a, c)) with a > b, or ((a, a, c),).
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if symmetry not in (None, "e1e2"):
+    if symmetry not in _SYMMETRIES:
         raise ValueError("unsupported symmetry %r" % (symmetry,))
     out = []
     for total in range(d + 1):
         for a in range(total + 1):
             for b in range(total - a + 1):
-                c = total - a - b
-                if symmetry == "e1e2" and a < b:
-                    continue
-                out.append((a, b, c))
+                t = (a, b, total - a - b)
+                orbit = {t} | {tuple(t[i] for i in g)
+                               for g in _SYMMETRIES[symmetry]}
+                if t == max(orbit):
+                    out.append(tuple(sorted(orbit, reverse=True)))
     return out
 
 
@@ -162,21 +169,20 @@ def default_precision(d):
 # -- the kernel modulo word-size primes -----------------------------------
 
 
-def _monomial_rows_mod(ros, basis, symmetry, p):
-    """Every basis element's series mod p on 4Z x 4Z, in basis order, as an
-    int64 matrix with one row per basis element.
+def _monomial_rows_mod(ros, basis, p):
+    """Every orbit's series mod p on 4Z x 4Z, the sum of its monomials', in
+    basis order, as an int64 matrix with one row per orbit.
 
     Column I*m + J holds the coefficient of p^(4I) q^(4J), with
     m = ceil(N/4).  Each power step multiplies the m x m grids of every
     monomial that needs it by e_v mod p in one `_grid_product`; a term of
-    e_v off 4Z x 4Z is an AssertionError.  An e1e2 representative with
-    a != b is the sum of its (a, b, c) and its (b, a, c) row.
+    e_v off 4Z x 4Z is an AssertionError.  The grids are stacked in basis
+    order, leaving the dict so the sum needs no more memory than the grids
+    did, and each orbit's run of them is summed by one `np.add.reduceat`.
     """
     m = -(-ros.precision // 4)
     _mod_chunk(m, p)  # the products are exact mod p: asserted up front
-    need = set(basis)
-    if symmetry == "e1e2":
-        need |= {(b, a, c) for a, b, c in basis}
+    need = [t for orbit in basis for t in orbit]
     unit = np.zeros((m, m))
     unit[0, 0] = 1
     grids = {(0, 0, 0): unit}
@@ -191,13 +197,10 @@ def _monomial_rows_mod(ros, basis, symmetry, p):
             src = np.stack([grids[t[:v] + (k - 1,) + t[v + 1:]]
                             for t in keys])
             grids.update(zip(keys, _grid_product(src, factor, p)))
-    rows = []
-    for a, b, c in basis:
-        row = grids[(a, b, c)]
-        if symmetry == "e1e2" and a != b:
-            row = (row + grids[(b, a, c)]) % p
-        rows.append(row.ravel())
-    return np.array(rows, dtype=np.int64)
+    flat = np.array([grids.pop(t).ravel() for t in need], dtype=np.int64)
+    rows = np.add.reduceat(flat, np.cumsum([0] + [len(o) for o in basis[:-1]]))
+    rows %= p
+    return rows
 
 
 def _nullspace_mod(mat, p):
@@ -277,15 +280,10 @@ def _lift_kernel_vector(vecs_mod, primes):
     return [n * (den // d) for n, d in pairs]
 
 
-def _poly_from_vector(vec, basis, symmetry):
-    # each basis element writes its own monomial, and an e1e2 representative
-    # also its (b, a, c) mirror, so a nonzero vector never cancels
-    terms = {}
-    for coef, (a, b, c) in zip(vec, basis):
-        terms[(a, b, c)] = coef
-        if symmetry == "e1e2":
-            terms[(b, a, c)] = coef
-    return MultiPoly(terms)
+def _poly_from_vector(vec, basis):
+    # each orbit writes its coefficient to every monomial in it, so a
+    # nonzero vector never cancels
+    return MultiPoly({t: c for c, orbit in zip(vec, basis) for t in orbit})
 
 
 def find_relation(delta, degree, precision=None, symmetry=None):
@@ -297,13 +295,15 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     it names) or AmbiguousKernel (any other kernel of dimension > 1, or a
     candidate that fails the exact recheck or lies on the degenerate
     loci).  Without an explicit precision, an AmbiguousKernel is retried at
-    up to three larger precisions; an ImprimitiveKernel is raised at once.
-    A precision past `_MAX_N` is a ValueError naming that N, raised before
-    any theta series is expanded.
+    up to three larger precisions up to `_MAX_N`, and the last one raised;
+    an ImprimitiveKernel is raised at once.  A bad degree or symmetry, or a
+    first precision past `_MAX_N` (a ValueError naming that N), is raised
+    before any theta series is expanded.
     """
     disc = humbert_params(delta)
     if delta < 4:
         raise NotAdmissible("relation finding needs delta >= 4")
+    basis = monomial_basis(degree, symmetry)
     if precision is not None:
         schedule = [precision]
     else:
@@ -313,22 +313,23 @@ def find_relation(delta, degree, precision=None, symmetry=None):
         # still rechecked exactly, so this is purely a policy loop).  Below
         # N = 4(k + l) + 1, e1 - 1 vanishes mod (p^N, q^N), so every
         # multiple of it lies in the kernel; that N is never below
-        # smallest_precision
+        # smallest_precision.  Retries past _MAX_N are dropped
         n = max(default_precision(degree), 4 * (disc.k + disc.ell) + 1)
-        schedule = []
-        for _ in range(4):
-            schedule.append(n)
+        schedule = [n]
+        for _ in range(3):
             n += max(16, n // 4)
-    last = None
+            if n <= _MAX_N:
+                schedule.append(n)
+    check_precision(disc, schedule[0])
+    if schedule[0] > _MAX_N:
+        raise ValueError("precision N=%d is too large for the kernel rows of "
+                         "delta=%d; the largest valid N is %d"
+                         % (schedule[0], delta, _MAX_N))
     for n in schedule:
-        check_precision(disc, n)
-        if n > _MAX_N:
-            raise ValueError("precision N=%d is too large for the kernel "
-                             "rows of delta=%d; the largest valid N is %d"
-                             % (n, delta, _MAX_N))
         try:
-            return _find_relation_on(rosenhain_triple(disc, n + 8), n,
-                                     degree, symmetry)
+            report = _find_relation_on(rosenhain_triple(disc, n + 8), n, basis)
+            report.symmetry_used = symmetry is not None
+            return report
         except ImprimitiveKernel:
             raise  # more precision leaves this kernel as it is
         except AmbiguousKernel as exc:
@@ -336,34 +337,33 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     raise last
 
 
-def _find_relation_on(ros, n, degree, symmetry):
-    """One search at precision n, on the Rosenhain triple `ros` at n + 8.
+def _find_relation_on(ros, n, basis):
+    """One search at precision n for the orbits `basis`, on the Rosenhain
+    triple `ros` at a larger precision.
 
     The kernel reads the truncation of `ros` to n; the exact recheck
     evaluates on `ros` itself.
     """
     disc = ros.disc
     delta = disc.delta
-    basis = monomial_basis(degree, symmetry)
+    degree = sum(basis[-1][0])
     cut = RosenhainSeries(*(e.truncate(n) for e in ros.series()), disc, n)
-    dim, vec = _modular_kernel(cut, basis, symmetry)
+    dim, vec = _modular_kernel(cut, basis)
 
     report = RelationReport(disc=disc, degree=degree, precision=n,
-                            kernel_dim=dim,
-                            monomial_count=len(basis),
-                            symmetry_used=symmetry is not None)
+                            kernel_dim=dim, monomial_count=len(basis))
     if dim == 0:
         raise NoRelation("no relation of degree %d for delta=%d at N=%d"
                          % (degree, delta, n))
     if dim > 1:
-        raise _ambiguity(ros, n, degree, dim, symmetry)
-    poly = _poly_from_vector(vec, basis, symmetry)
+        raise _ambiguity(ros, n, basis, dim)
+    poly = _poly_from_vector(vec, basis)
 
-    # exact recheck at N and at N + 8 from one evaluation: the value at N
-    # is the truncation of the value on the N + 8 triple
+    # exact recheck at N and at the triple's precision from one evaluation:
+    # the value at N is the truncation of the value on the triple
     value = eval_on_series(poly, ros)
     report.residual_checks = [(n, value.truncate(n).is_zero()),
-                              (n + 8, value.is_zero())]
+                              (ros.precision, value.is_zero())]
     failed = [m for m, ok in report.residual_checks if not ok]
     if failed:
         raise AmbiguousKernel(
@@ -387,28 +387,28 @@ def _find_relation_on(ros, n, degree, symmetry):
     return report
 
 
-def _ambiguity(ros, n, degree, dim, symmetry):
-    """The error for nullity `dim` > 1 at precision n, on the n + 8 triple
-    `ros`: ImprimitiveKernel if `dim` is exactly the count of multiples of
-    an exactly rechecked relation of lower degree k, else AmbiguousKernel.
+def _ambiguity(ros, n, basis, dim):
+    """The error for nullity `dim` > 1 at precision n for the orbits `basis`,
+    on the triple `ros`: ImprimitiveKernel if `dim` is exactly the count of
+    multiples of an exactly rechecked relation g of lower degree k, else
+    AmbiguousKernel.  The orbits of degree <= j are the prefix basis[:ends[j]].
 
-    The multiples m*g with deg m <= degree - k are independent and vanish
-    wherever g does, so they bound the rational nullity from below by
-    len(monomial_basis(degree - k)).  `dim` is the nullity at the first
-    prime, and a nullity mod p is never below the rational one, so `dim`
-    bounds it from above; when `dim` equals that count the kernel is exactly
-    the multiples of g.  The counts strictly decrease in k, so at most one k
-    matches.
+    The invariant multiples m*g with deg m <= degree - k are independent and
+    vanish wherever g does, so they bound the rational nullity from below by
+    ends[degree - k].  `dim`, the nullity at the first prime, bounds it from
+    above, so when the two are equal the kernel is exactly the multiples of
+    g.  The counts strictly decrease in k, so at most one k matches.
     """
     disc = ros.disc
+    degree = sum(basis[-1][0])
     fields = dict(kernel_dim=dim, degree=degree, delta=disc.delta,
                   precision=n)
-    counts = {len(monomial_basis(degree - k, symmetry)): k
-              for k in range(1, degree)}
+    ends = {sum(orbit[0]): i + 1 for i, orbit in enumerate(basis)}
+    counts = {ends[degree - k]: k for k in range(1, degree)}
     k = counts.get(dim)
     if k is not None:
         try:
-            factor = _find_relation_on(ros, n, k, symmetry).polynomial
+            factor = _find_relation_on(ros, n, basis[:ends[k]]).polynomial
         except (NoRelation, AmbiguousKernel):
             pass
         else:
@@ -424,7 +424,7 @@ def _ambiguity(ros, n, degree, dim, symmetry):
         % (dim, degree, disc.delta, n), **fields)
 
 
-def _modular_kernel(ros, basis, symmetry):
+def _modular_kernel(ros, basis):
     """Nullity and (nullity 1 only) the lifted integer kernel vector.
 
     Only nullity 1 gives a relation, and the nullity mod p is never below
@@ -436,10 +436,10 @@ def _modular_kernel(ros, basis, symmetry):
     """
     vecs, lift_primes = [], []
     for p in _PRIMES:
-        # unknowns are the monomial coefficients: solve rows^T v = 0 with one
+        # unknowns are the orbit coefficients: solve rows^T v = 0 with one
         # equation per lattice point; the points where every row vanishes
         # mod p would only be zero equations
-        rows = _monomial_rows_mod(ros, basis, symmetry, p)
+        rows = _monomial_rows_mod(ros, basis, p)
         ker = _nullspace_mod(rows.T[rows.any(axis=0)], p)
         if not ker:
             return 0, None

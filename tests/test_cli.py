@@ -107,6 +107,17 @@ def test_too_large_precision_is_a_usage_error(monkeypatch, capsys):
     assert "the largest valid N is 360" in err
 
 
+def test_find_stops_escalating_at_the_precision_cap():
+    # delta=289 is ambiguous at its first N=293, and the next attempt
+    # (N=366) is past the cap: the ambiguity stands (exit 3), not a usage
+    # error
+    res = run_cli(["find", "--disc", "289", "--degree", "2"])
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "kernel dimension 3 at degree 2 for delta=289 at N=293" in (
+        res.stderr)
+
+
 def test_find_starts_at_the_smallest_valid_precision():
     # degree 1 alone would start at N=16, below delta=60's smallest N=17;
     # the search starts at 4(k + l) + 1 = 61, where e1 - 1 no longer

@@ -33,11 +33,26 @@ def test_monomial_basis_counts():
 
 def test_monomial_basis_symmetry_classes():
     basis = monomial_basis(2, symmetry="e1e2")
-    # degree <= 2 orbit representatives under e1 <-> e2: seven classes
+    plain = monomial_basis(2)
+    # without symmetry every orbit is one monomial
+    assert all(len(orbit) == 1 for orbit in plain)
+    # the degree <= 2 orbits under e1 <-> e2 partition the plain basis:
+    # seven classes, each closed under the swap and led by a >= b
     assert len(basis) == 7
-    for rep in basis:
-        a, b, c = rep
+    flat = [t for orbit in basis for t in orbit]
+    assert sorted(flat) == sorted(t for (t,) in plain)
+    assert len(set(flat)) == len(flat)
+    for orbit in basis:
+        assert {(b, a, c) for a, b, c in orbit} == set(orbit)
+        a, b, c = orbit[0]
         assert a >= b
+    # graded-lex by the leading triple, so each degree is a prefix
+    assert [orbit[0] for orbit in basis] == [
+        t for (t,) in plain if t[0] >= t[1]]
+    for sym in (None, "e1e2"):
+        for k in range(1, 6):
+            assert monomial_basis(6, sym)[:len(monomial_basis(k, sym))] == (
+                monomial_basis(k, sym))
 
 
 def test_default_precision_grows_with_degree():
@@ -49,7 +64,7 @@ def test_modular_kernel_rank_at_degree_one():
     # 1, e1, e2, e3 are linearly independent power series on any H_Delta;
     # nullity 0 mod p proves nullity 0 over Q
     triple = rosenhain_triple(humbert_params(5), 24)
-    assert _modular_kernel(triple, monomial_basis(1), None) == (0, None)
+    assert _modular_kernel(triple, monomial_basis(1)) == (0, None)
 
 
 def test_nullspace_mod_simple_cases():
@@ -185,7 +200,7 @@ def test_int64_headroom_is_asserted():
     # breaks it on a small grid
     small = rosenhain_triple(humbert_params(5), 16)
     with pytest.raises(AssertionError, match="inexact"):
-        _monomial_rows_mod(small, [(0, 0, 0)], None, 2 ** 31 - 1)
+        _monomial_rows_mod(small, [((0, 0, 0),)], 2 ** 31 - 1)
     # every kernel prime admits c >= 1 on the 92 x 92 grid of the N + 8
     # recheck at N = _MAX_N, and so at N=136 for delta=12 (34 x 34) and at
     # N=212 for delta=9 (53 x 53), the precisions of the degree-16 searches
@@ -197,7 +212,7 @@ def test_int64_headroom_is_asserted():
         m = -(-n // 4)
         for p in _PRIMES:
             assert _mod_chunk(m, p) >= 1
-            rows = _monomial_rows_mod(ros, [(0, 0, 0)], None, p)
+            rows = _monomial_rows_mod(ros, [((0, 0, 0),)], p)
             assert rows.tolist() == [[1] + [0] * (m * m - 1)]
 
 
@@ -212,7 +227,7 @@ def test_rows_need_no_dense_multiplication_matrix():
     basis = monomial_basis(2)
     tracemalloc.start()
     try:
-        rows = _monomial_rows_mod(ros, basis, None, _PRIMES[0])
+        rows = _monomial_rows_mod(ros, basis, _PRIMES[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -236,21 +251,21 @@ def _naive_monomial(es, exps, n):
     return term
 
 
-def _assert_rows_are_naive(ros, basis, symmetry):
-    """Every row mod p is its monomial (orbit sum with e1e2) by repeated
-    exact products, reduced mod p, on every point of 4Z x 4Z; no term of
-    those products lies off it."""
+def _assert_rows_are_naive(ros, basis):
+    """Every row mod p is the sum over its orbit of the monomials by
+    repeated exact products, reduced mod p, on every point of 4Z x 4Z; no
+    term of those products lies off it."""
     es, n = ros.series(), ros.precision
     naive = []
-    for a, b, c in basis:
-        want = _naive_monomial(es, (a, b, c), n)
-        if symmetry == "e1e2" and a != b:
-            want = want + _naive_monomial(es, (b, a, c), n)
+    for orbit in basis:
+        want = TruncatedSeries({}, n)
+        for t in orbit:
+            want = want + _naive_monomial(es, t, n)
         naive.append(want)
     assert all(i % 4 == 0 and j % 4 == 0 for f in naive for i, j in f.terms)
     points = [(i, j) for i in range(0, n, 4) for j in range(0, n, 4)]
     for p in _PRIMES:
-        rows = _monomial_rows_mod(ros, basis, symmetry, p)
+        rows = _monomial_rows_mod(ros, basis, p)
         assert rows.dtype == np.int64
         assert rows.tolist() == [[f.terms.get((i, j), 0) % p
                                   for i, j in points]
@@ -261,7 +276,7 @@ def _assert_rows_are_naive(ros, basis, symmetry):
 def test_monomial_rows_are_the_naive_products(monkeypatch, symmetry):
     ros = rosenhain_triple(humbert_params(5), 16)
     basis = monomial_basis(4, symmetry)
-    _assert_rows_are_naive(ros, basis, symmetry)
+    _assert_rows_are_naive(ros, basis)
     # the kernel's matrix keeps exactly the lattice points where some row is
     # nonzero mod p, one equation each
     seen = []
@@ -271,9 +286,9 @@ def test_monomial_rows_are_the_naive_products(monkeypatch, symmetry):
         return []
 
     monkeypatch.setattr(relations, "_nullspace_mod", capture)
-    assert _modular_kernel(ros, basis, symmetry) == (0, None)
+    assert _modular_kernel(ros, basis) == (0, None)
     [(mat, p)] = seen
-    rows = _monomial_rows_mod(ros, basis, symmetry, p)
+    rows = _monomial_rows_mod(ros, basis, p)
     assert mat.tolist() == [col for col in rows.T.tolist() if any(col)]
     assert mat.any(axis=1).all()  # no all-zero column of the row matrix
 
@@ -294,16 +309,15 @@ def test_off_lattice_exponents_are_an_assertion_error(symmetry):
                              {(0, 0): 1, (2, 3): 2},
                              {(0, 0): 1, (0, 9): -1, (4, 6): 5}], 20)
     with pytest.raises(AssertionError, match="off the 4Z x 4Z lattice"):
-        _monomial_rows_mod(ros, monomial_basis(3, symmetry), symmetry,
-                           _PRIMES[0])
+        _monomial_rows_mod(ros, monomial_basis(3, symmetry), _PRIMES[0])
 
 
 def test_constant_triple_has_a_one_point_lattice():
     # at N=4 (as for delta=4 at its smallest N) the grid is the single
     # point (0, 0)
     ros = _synthetic_triple([{(0, 0): 1}] * 3, 4)
-    _assert_rows_are_naive(ros, monomial_basis(2), None)
-    assert _monomial_rows_mod(ros, [(0, 0, 0)], None, _PRIMES[0]).shape == (
+    _assert_rows_are_naive(ros, monomial_basis(2))
+    assert _monomial_rows_mod(ros, [((0, 0, 0),)], _PRIMES[0]).shape == (
         1, 1)
 
 
@@ -334,7 +348,7 @@ def _patched_kernel(monkeypatch, true, nullities):
     solved, lifts = [], []
     nullspace, lift = relations._nullspace_mod, relations._lift_kernel_vector
 
-    def exact_rows(ros, basis, symmetry, p):
+    def exact_rows(ros, basis, p):
         return np.array([[x % p for x in row] for row in rows],
                         dtype=np.int64)
 
@@ -353,7 +367,7 @@ def _patched_kernel(monkeypatch, true, nullities):
     monkeypatch.setattr(relations, "_lift_kernel_vector", lifting)
     # the rows are patched, so the triple is never read
     ros = _synthetic_triple([{(0, 0): 1}] * 3, 10)
-    return _modular_kernel(ros, monomial_basis(1), None), solved, lifts
+    return _modular_kernel(ros, monomial_basis(1)), solved, lifts
 
 
 def test_nullity_above_one_at_the_first_prime_is_returned_at_once(
@@ -407,9 +421,8 @@ def test_precision_past_the_row_bound_is_a_value_error(monkeypatch):
         find_relation(5, 2, precision=361)
 
 
-def test_each_attempt_builds_one_triple_at_n_plus_8(monkeypatch):
-    # N=60 is ambiguous for delta=5, degree 8, and N=76 gives the relation;
-    # each attempt's kernel reads the truncation of its N + 8 triple
+def _spy_on_triples(monkeypatch):
+    """Log the precision of every `relations.rosenhain_triple` call."""
     built = []
     triple = relations.rosenhain_triple
 
@@ -418,6 +431,44 @@ def test_each_attempt_builds_one_triple_at_n_plus_8(monkeypatch):
         return triple(disc, precision)
 
     monkeypatch.setattr(relations, "rosenhain_triple", logging)
+    return built
+
+
+@pytest.mark.parametrize("degree, symmetry, message", [
+    (0, None, "degree must be >= 1"),
+    (8, "e2e3", "unsupported symmetry 'e2e3'")])
+def test_bad_degree_or_symmetry_builds_no_triple(monkeypatch, degree,
+                                                 symmetry, message):
+    # the orbit list is formed before the schedule, so a bad degree or
+    # symmetry is rejected before any Rosenhain triple is expanded
+    built = _spy_on_triples(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        find_relation(5, degree, symmetry=symmetry)
+    assert built == []
+
+
+def test_automatic_schedule_stops_at_the_cap(monkeypatch):
+    # delta=289 (k=72, l=1) starts at N = 4(k + l) + 1 = 293, whose kernel
+    # has dimension 3; the next attempt, N=366, is past the cap of 360, so
+    # the schedule ends and the N=293 AmbiguousKernel is raised
+    built = _spy_on_triples(monkeypatch)
+    with pytest.raises(AmbiguousKernel) as info:
+        find_relation(289, 2)
+    assert type(info.value) is AmbiguousKernel
+    assert (info.value.kernel_dim, info.value.precision) == (3, 293)
+    assert built == [301]
+    # a start past the cap is still a ValueError before any theta series:
+    # delta=361 (k=90, l=1) would start at N=365
+    with pytest.raises(ValueError, match="N=365 is too large for the kernel "
+                       "rows of delta=361; the largest valid N is 360$"):
+        find_relation(361, 1)
+    assert built == [301]
+
+
+def test_each_attempt_builds_one_triple_at_n_plus_8(monkeypatch):
+    # N=60 is ambiguous for delta=5, degree 8, and N=76 gives the relation;
+    # each attempt's kernel reads the truncation of its N + 8 triple
+    built = _spy_on_triples(monkeypatch)
     report = find_relation(5, 8)
     assert report.precision == 76
     assert built == [68, 84]
@@ -428,9 +479,9 @@ def test_no_relation_is_decided_at_the_first_prime(monkeypatch):
     monomial_rows_mod = relations._monomial_rows_mod
     nullspace = relations._nullspace_mod
 
-    def building(ros, basis, symmetry, p):
+    def building(ros, basis, p):
         built.append((ros.precision, p))
-        return monomial_rows_mod(ros, basis, symmetry, p)
+        return monomial_rows_mod(ros, basis, p)
 
     def solving(mat, p):
         solved.append((built[-1][0], p))
@@ -484,14 +535,7 @@ def test_explicit_overgenerous_degree_is_ambiguous():
 def test_imprimitive_search_reuses_the_callers_triple(monkeypatch):
     # the degree-2 factor search runs on the N + 8 = 56 triple already
     # built, and builds none of its own
-    built = []
-    triple = relations.rosenhain_triple
-
-    def logging(disc, precision):
-        built.append(precision)
-        return triple(disc, precision)
-
-    monkeypatch.setattr(relations, "rosenhain_triple", logging)
+    built = _spy_on_triples(monkeypatch)
     with pytest.raises(ImprimitiveKernel) as info:
         find_relation(4, 4, precision=48)
     assert info.value.factor == MultiPoly({(1, 1, 0): 1, (0, 0, 1): -1})
@@ -506,10 +550,10 @@ def test_failed_factor_search_leaves_a_plain_ambiguous_kernel(monkeypatch,
     # factor, the kernel is only called ambiguous
     search = relations._find_relation_on
 
-    def failing_below_4(ros, n, degree, symmetry):
-        if degree < 4:
+    def failing_below_4(ros, n, basis):
+        if sum(basis[-1][0]) < 4:  # the degree of the last orbit
             raise failure("no factor")
-        return search(ros, n, degree, symmetry)
+        return search(ros, n, basis)
 
     monkeypatch.setattr(relations, "_find_relation_on", failing_below_4)
     with pytest.raises(AmbiguousKernel) as info:
@@ -519,6 +563,18 @@ def test_failed_factor_search_leaves_a_plain_ambiguous_kernel(monkeypatch,
     assert str(info.value) == (
         "kernel dimension 10 at degree 4 for delta=4 at N=48; the precision "
         "is too small or the relation has a lower degree")
+
+
+def test_imprimitive_kernel_under_symmetry():
+    # under e1 <-> e2 the degree-4 kernel for Delta = 4 at N=48 is the
+    # symmetric multiples of e1 e2 - e3: one per orbit of degree <= 2
+    with pytest.raises(ImprimitiveKernel) as info:
+        find_relation(4, 4, symmetry="e1e2", precision=48)
+    exc = info.value
+    assert exc.factor == MultiPoly({(1, 1, 0): 1, (0, 0, 1): -1})
+    assert exc.factor_degree == 2
+    assert exc.kernel_dim == 7 == len(monomial_basis(2, "e1e2"))
+    assert "e_1e_2 - e_3" in str(exc)
 
 
 def test_recheck_failure_names_the_failing_precision():
