@@ -8,6 +8,7 @@ polynomials are then checked numerically against the exact results.
 import cmath
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -64,7 +65,8 @@ def theta_constants(point, chars, tol=1e-12):
         raise NonConvergent("Im(tau) is not positive definite")
     # |term| <= exp(-pi * lam * |x + m'/2|^2); pad the box generously
     bound = math.sqrt((math.log(1.0 / tol) + 10.0) / (math.pi * lam))
-    y11, y12, y22, lin = _box(int(math.ceil(bound)) + 2, tuple(chars))
+    y11, y12, y22, lin = _box(int(math.ceil(bound)) + 2,
+                              tuple(map(_CHAR_BITS, chars)))
     # term x: exp(pi i (tau1 y1^2 + 2 tau2 y1 y2 + tau3 y2^2 + c y1 + d y2))
     expo = point.tau1 * y11 + point.tau2 * y12 + point.tau3 * y22 + lin
     return tuple(np.exp(1j * math.pi * expo).sum(axis=1).tolist())
@@ -75,16 +77,21 @@ def theta_direct(point, char, tol=1e-12):
     return theta_constants(point, (char,), tol)[0]
 
 
+# a characteristic's plain int tuple (a, b, c, d), read in C: the cache key
+# of `_box` then hashes ints, not frozen dataclasses in Python
+_CHAR_BITS = operator.attrgetter("a", "b", "c", "d")
+
+
 @functools.lru_cache(maxsize=32)
 def _box(b_max, chars):
     """y1^2, 2 y1 y2, y2^2 and c y1 + d y2 over y = x + (a, b)/2 for the
     lattice points x of the box |x|_inf <= b_max, one row per
-    characteristic (a, b, c, d) of chars, as read-only arrays."""
+    characteristic (a, b, c, d) of chars, int tuples, as read-only
+    arrays."""
     x1, x2 = np.mgrid[-b_max:b_max + 1, -b_max:b_max + 1]
     # float columns: int64 ones send the arithmetic below through numpy's
     # mixed-dtype loops, which page in 64 KB more of its library code
-    a, b, c, d = np.array([[ch.a, ch.b, ch.c, ch.d] for ch in chars],
-                          dtype=float).T[:, :, None]
+    a, b, c, d = np.array(chars, dtype=float).T[:, :, None]
     y1 = x1.ravel() + a / 2.0
     y2 = x2.ravel() + b / 2.0
     arrays = (y1 * y1, 2.0 * y1 * y2, y2 * y2, c * y1 + d * y2)

@@ -24,16 +24,22 @@ int64 that reduces lazily: each pivot step reduces only the pivot column
 and the pivot row and leaves its rank-1 update unreduced, with
 n (p-1)^2 + p < 2^63 asserted for n unknowns.  The nullity mod p is never
 below the nullity over Q, and only nullity 1 gives a relation, so nullity 0
-at any prime or above 1 at the first prime decides the answer.  A
-one-dimensional kernel is lifted by CRT and rational reconstruction from
-the first three primes with nullity 1 (a later prime of larger nullity lost
-rank), adding the rest one at a time when that fails, up to six, which
-reconstructs coefficient ratios up to about 2^59.  Each attempt builds one
-Rosenhain triple, at N + 8; the kernel reads its truncation to N.  A
-candidate relation is only ever accepted after an exact recheck: it must
-evaluate to the identical zero series on the N + 8 triple, and so also at
-the kernel's precision N, and it must not be a product of degenerate-locus
-factors.  The recheck finds the exact series from its residues modulo
+at any prime or above 1 at the first prime decides the answer.  Each
+attempt builds one Rosenhain triple, at N + 8; the kernel reads its
+truncation to N.  An escalation keeps the first prime's kernel K of the
+attempt before and solves only the new lattice points' equations inside
+span K, as Beckermann and Labahn (SIAM J. Matrix Anal. Appl. 15(3), 1994)
+add order conditions; the unknowns of lower degree are a prefix, so K also
+gives the nullity of every lower degree.  A one-dimensional kernel is
+lifted by CRT and rational reconstruction from the first two primes with
+nullity 1, then from three, adding the rest one at a time while
+reconstruction fails, up to six, which reconstructs coefficient ratios up
+to about 2^59.  A candidate relation is only ever accepted after an exact
+recheck: it must evaluate to the identical zero series on the N + 8
+triple, and so also at the kernel's precision N, which puts it in the
+rational kernel, of dimension at most 1; so a two-prime lift that passes
+is the relation.  It must not be a product of degenerate-locus factors
+either.  The recheck finds the exact series from its residues modulo
 consecutive primes above 2^20, enough of them for their product to exceed
 twice a proven bound on its coefficients, so a zero is a proof and a wrong
 candidate shows its exact nonzero value.
@@ -176,9 +182,10 @@ def _monomial_rows_mod(ros, basis, p):
     Column I*m + J holds the coefficient of p^(4I) q^(4J), with
     m = ceil(N/4).  Each power step multiplies the m x m grids of every
     monomial that needs it by e_v mod p in one `_grid_product`; a term of
-    e_v off 4Z x 4Z is an AssertionError.  The grids are stacked in basis
-    order, leaving the dict so the sum needs no more memory than the grids
-    did, and each orbit's run of them is summed by one `np.add.reduceat`.
+    e_v off 4Z x 4Z is an AssertionError.  The grids leave the dict for one
+    int64 stack, so the sum needs no more memory than the grids did: one
+    slot per orbit and monomial of it, zero-padded to the widest orbit, and
+    summed over that width.
     """
     m = -(-ros.precision // 4)
     _mod_chunk(m, p)  # the products are exact mod p: asserted up front
@@ -197,14 +204,19 @@ def _monomial_rows_mod(ros, basis, p):
             src = np.stack([grids[t[:v] + (k - 1,) + t[v + 1:]]
                             for t in keys])
             grids.update(zip(keys, _grid_product(src, factor, p)))
-    flat = np.array([grids.pop(t).ravel() for t in need], dtype=np.int64)
-    rows = np.add.reduceat(flat, np.cumsum([0] + [len(o) for o in basis[:-1]]))
+    zero = np.zeros(m * m)
+    width = max(map(len, basis))
+    stack = np.array([[grids.pop(t).ravel() for t in orbit]
+                      + [zero] * (width - len(orbit)) for orbit in basis],
+                     dtype=np.int64)
+    rows = stack.sum(axis=1)
     rows %= p
     return rows
 
 
 def _nullspace_mod(mat, p):
-    """Right-nullspace basis of mat (equations x unknowns) over GF(p).
+    """Right-nullspace basis of mat (equations x unknowns) over GF(p), as
+    the rows of an int64 array.
 
     Gauss-Jordan to the reduced echelon form with lazy reduction mod p:
     the step at column c reduces only column c, to find its pivot, and the
@@ -246,7 +258,7 @@ def _nullspace_mod(mat, p):
     ker = np.zeros((len(free), n_cols), dtype=np.int64)
     ker[np.arange(len(free)), free] = 1
     ker[:, pivots] = (-a[:r, free].T) % p
-    return list(ker)
+    return ker
 
 
 def _rational_reconstruct(a, m):
@@ -262,6 +274,38 @@ def _rational_reconstruct(a, m):
     if s1 == 0 or math.gcd(r1, s1) != 1 or abs(s1) > bound:
         return None
     return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _kernel_mod(cut, basis, p, known=None):
+    """The kernel mod p of the equations of the orbits `basis` on the
+    triple `cut`, as the rows of an int64 array.
+
+    The unknowns are the orbit coefficients, with one equation per lattice
+    point where some row is nonzero mod p; the other points would only be
+    zero equations.  `known` is a pair (N0, K) from a search of the same
+    orbits at a lower precision N0, K its kernel basis mod p.  Truncation
+    to N0 is a ring map, so the equations on the ceil(N0/4)^2 block of
+    points below N0 are the ones K solves, and the kernel is the subspace
+    of span K where the equations E_new on the other points vanish: Z K
+    for Z the kernel of S = E_new K^T, one column per row of K.  Both
+    products are float64 matmuls that sum at most n products below
+    (p-1)^2 for n unknowns, exact while n (p-1)^2 + p < 2^53, as asserted.
+    """
+    rows = _monomial_rows_mod(cut, basis, p)
+    eqs = rows.any(axis=0)
+    if known is not None:
+        grid = np.arange(-(-cut.precision // 4))
+        eqs &= (np.maximum.outer(grid, grid) >= -(-known[0] // 4)).ravel()
+    mat = rows.T[eqs]
+    del rows  # so the elimination's working copies do not add to it
+    if known is None:
+        return _nullspace_mod(mat, p)
+    assert len(basis) * (p - 1) ** 2 + p < 2 ** 53, \
+        "float64 kernel update inexact mod %d" % p
+    k = known[1].astype(np.float64)
+    s = mat.astype(np.float64) @ k.T
+    z = _nullspace_mod(s.astype(np.int64), p).astype(np.float64)
+    return ((z @ k) % p).astype(np.int64)
 
 
 def _lift_kernel_vector(vecs_mod, primes):
@@ -296,9 +340,10 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     candidate that fails the exact recheck or lies on the degenerate
     loci).  Without an explicit precision, an AmbiguousKernel is retried at
     up to three larger precisions up to `_MAX_N`, and the last one raised;
-    an ImprimitiveKernel is raised at once.  A bad degree or symmetry, or a
-    first precision past `_MAX_N` (a ValueError naming that N), is raised
-    before any theta series is expanded.
+    an ImprimitiveKernel is raised at once.  Each retry starts from the
+    first prime's kernel of the attempt before.  A bad degree or symmetry,
+    or a first precision past `_MAX_N` (a ValueError naming that N), is
+    raised before any theta series is expanded.
     """
     disc = humbert_params(delta)
     if delta < 4:
@@ -325,9 +370,14 @@ def find_relation(delta, degree, precision=None, symmetry=None):
         raise ValueError("precision N=%d is too large for the kernel rows of "
                          "delta=%d; the largest valid N is %d"
                          % (schedule[0], delta, _MAX_N))
+    known = None  # (N, the first prime's kernel at N) of the last attempt
     for n in schedule:
+        ros = rosenhain_triple(disc, n + 8)
+        cut = RosenhainSeries(*(e.truncate(n) for e in ros.series()), disc, n)
+        kernel = _kernel_mod(cut, basis, _PRIMES[0], known)
+        known = n, kernel
         try:
-            report = _find_relation_on(rosenhain_triple(disc, n + 8), n, basis)
+            report = _find_relation_on(ros, cut, basis, kernel)
             report.symmetry_used = symmetry is not None
             return report
         except ImprimitiveKernel:
@@ -337,41 +387,64 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     raise last
 
 
-def _find_relation_on(ros, n, basis):
-    """One search at precision n for the orbits `basis`, on the Rosenhain
-    triple `ros` at a larger precision.
+def _find_relation_on(ros, cut, basis, kernel=None):
+    """One search for the orbits `basis` on `cut`, the truncation of the
+    Rosenhain triple `ros` to the kernel's precision n; `kernel` is the
+    first prime's kernel there, computed here if not given.
 
-    The kernel reads the truncation of `ros` to n; the exact recheck
-    evaluates on `ros` itself.
+    Nullity 0 at any prime, or above 1 at the first (the bound `_ambiguity`
+    needs), decides the answer; a later prime with nullity above 1 lost
+    rank and is skipped.  The lift from the first two primes with nullity 1
+    is accepted if it passes the exact recheck.  If not, the lift takes the
+    first three, and the rest of `_PRIMES` one at a time while
+    reconstruction fails; a lift equal to the refused one is refused again
+    without a second recheck.
     """
     disc = ros.disc
-    delta = disc.delta
+    delta, n = disc.delta, cut.precision
     degree = sum(basis[-1][0])
-    cut = RosenhainSeries(*(e.truncate(n) for e in ros.series()), disc, n)
-    dim, vec = _modular_kernel(cut, basis)
-
-    report = RelationReport(disc=disc, degree=degree, precision=n,
-                            kernel_dim=dim, monomial_count=len(basis))
-    if dim == 0:
-        raise NoRelation("no relation of degree %d for delta=%d at N=%d"
-                         % (degree, delta, n))
-    if dim > 1:
-        raise _ambiguity(ros, n, basis, dim)
-    poly = _poly_from_vector(vec, basis)
-
-    # exact recheck at N and at the triple's precision from one evaluation:
-    # the value at N is the truncation of the value on the triple
-    value = eval_on_series(poly, ros)
-    report.residual_checks = [(n, value.truncate(n).is_zero()),
-                              (ros.precision, value.is_zero())]
-    failed = [m for m, ok in report.residual_checks if not ok]
-    if failed:
-        raise AmbiguousKernel(
-            "candidate relation of degree %d for delta=%d from the kernel at "
-            "N=%d failed the exact recheck at N=%d; precision too small for "
-            "a trustworthy kernel" % (degree, delta, n, failed[0]),
-            degree=degree, delta=delta, precision=n,
-            residual_checks=report.residual_checks)
+    if kernel is None:
+        kernel = _kernel_mod(cut, basis, _PRIMES[0])
+    vecs, primes, rejected = [], [], None
+    for p in _PRIMES:
+        ker = kernel if p == _PRIMES[0] else _kernel_mod(cut, basis, p)
+        if len(ker) == 0:
+            raise NoRelation("no relation of degree %d for delta=%d at N=%d"
+                             % (degree, delta, n))
+        if len(ker) > 1:
+            if not vecs:
+                raise _ambiguity(ros, cut, basis, ker)
+            continue  # this prime lost rank
+        v = ker[0]
+        vecs.append(v * pow(int(v[np.flatnonzero(v)[0]]), p - 2, p) % p)
+        primes.append(p)
+        vec = _lift_kernel_vector(vecs, primes) if len(vecs) > 1 else None
+        if vec is None:
+            continue
+        poly = _poly_from_vector(vec, basis)
+        if poly != rejected:
+            # exact recheck at N and at the triple's precision from one
+            # evaluation: the value at N is the truncation of the value on
+            # the triple
+            value = eval_on_series(poly, ros)
+            checks = [(n, value.truncate(n).is_zero()),
+                      (ros.precision, value.is_zero())]
+        failed = [m for m, ok in checks if not ok]
+        if not failed:
+            break
+        if len(vecs) > 2:
+            raise AmbiguousKernel(
+                "candidate relation of degree %d for delta=%d from the kernel "
+                "at N=%d failed the exact recheck at N=%d; precision too "
+                "small for a trustworthy kernel" % (degree, delta, n,
+                                                    failed[0]),
+                degree=degree, delta=delta, precision=n,
+                residual_checks=checks)
+        rejected = poly
+    else:
+        raise AmbiguousKernel("rational reconstruction failed with %d "
+                              "primes; kernel not stable across primes"
+                              % len(_PRIMES))
     # a product of degenerate factors, such as e1 - 1, vanishes on a triple
     # where e1 is 1 to the precision: it tells nothing about the component
     try:
@@ -382,33 +455,41 @@ def _find_relation_on(ros, n, basis):
             "the degenerate loci; precision too small to separate e1, e2, e3 "
             "from them" % (format_poly(poly), degree, delta, n),
             degree=degree, delta=delta, precision=n,
-            residual_checks=report.residual_checks) from None
-    report.polynomial = poly
-    return report
+            residual_checks=checks) from None
+    return RelationReport(disc=disc, degree=degree, precision=n,
+                          kernel_dim=1, polynomial=poly,
+                          monomial_count=len(basis), residual_checks=checks)
 
 
-def _ambiguity(ros, n, basis, dim):
-    """The error for nullity `dim` > 1 at precision n for the orbits `basis`,
-    on the triple `ros`: ImprimitiveKernel if `dim` is exactly the count of
-    multiples of an exactly rechecked relation g of lower degree k, else
-    AmbiguousKernel.  The orbits of degree <= j are the prefix basis[:ends[j]].
+def _ambiguity(ros, cut, basis, kernel):
+    """The error for the first prime's kernel `kernel` of the orbits `basis`
+    on `cut`, of nullity dim > 1: ImprimitiveKernel if dim is exactly the
+    count of multiples of an exactly rechecked relation g of lower degree k,
+    else AmbiguousKernel.  The orbits of degree <= j are the prefix
+    basis[:ends[j]].
 
     The invariant multiples m*g with deg m <= degree - k are independent and
     vanish wherever g does, so they bound the rational nullity from below by
-    ends[degree - k].  `dim`, the nullity at the first prime, bounds it from
+    ends[degree - k].  dim, the nullity at the first prime, bounds it from
     above, so when the two are equal the kernel is exactly the multiples of
-    g.  The counts strictly decrease in k, so at most one k matches.
+    g.  The counts strictly decrease in k, so at most one k matches.  The
+    first prime's degree-k kernel is the part of span `kernel` that vanishes
+    past the prefix, of dimension dim - rank(kernel[:, ends[k]:]); only
+    dimension 1 can give g, which is then searched for on the prefix and
+    rechecked.
     """
     disc = ros.disc
+    n, dim = cut.precision, len(kernel)
     degree = sum(basis[-1][0])
     fields = dict(kernel_dim=dim, degree=degree, delta=disc.delta,
                   precision=n)
     ends = {sum(orbit[0]): i + 1 for i, orbit in enumerate(basis)}
     counts = {ends[degree - k]: k for k in range(1, degree)}
     k = counts.get(dim)
-    if k is not None:
+    if k is not None and len(
+            _nullspace_mod(kernel[:, ends[k]:].T, _PRIMES[0])) == 1:
         try:
-            factor = _find_relation_on(ros, n, basis[:ends[k]]).polynomial
+            factor = _find_relation_on(ros, cut, basis[:ends[k]]).polynomial
         except (NoRelation, AmbiguousKernel):
             pass
         else:
@@ -422,38 +503,3 @@ def _ambiguity(ros, n, basis, dim):
         "kernel dimension %d at degree %d for delta=%d at N=%d; the "
         "precision is too small or the relation has a lower degree"
         % (dim, degree, disc.delta, n), **fields)
-
-
-def _modular_kernel(ros, basis):
-    """Nullity and (nullity 1 only) the lifted integer kernel vector.
-
-    Only nullity 1 gives a relation, and the nullity mod p is never below
-    the rational one, so nullity 0 at any prime, or above 1 at the first
-    (the bound `_ambiguity` needs), is returned at once.  A later prime
-    with nullity above 1 lost rank and is skipped.  The lift takes the first
-    three primes with nullity 1 and adds the rest of `_PRIMES` one at a
-    time while reconstruction fails; the caller rechecks it exactly.
-    """
-    vecs, lift_primes = [], []
-    for p in _PRIMES:
-        # unknowns are the orbit coefficients: solve rows^T v = 0 with one
-        # equation per lattice point; the points where every row vanishes
-        # mod p would only be zero equations
-        rows = _monomial_rows_mod(ros, basis, p)
-        ker = _nullspace_mod(rows.T[rows.any(axis=0)], p)
-        if not ker:
-            return 0, None
-        if len(ker) > 1:
-            if not vecs:
-                return len(ker), None
-            continue  # this prime lost rank
-        v = ker[0]
-        nz = next(i for i in range(len(v)) if v[i])
-        vecs.append((v * pow(int(v[nz]), p - 2, p)) % p)
-        lift_primes.append(p)
-        if len(vecs) >= 3:
-            lifted = _lift_kernel_vector(vecs, lift_primes)
-            if lifted is not None:
-                return 1, lifted
-    raise AmbiguousKernel("rational reconstruction failed with %d primes; "
-                          "kernel not stable across primes" % len(_PRIMES))

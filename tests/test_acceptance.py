@@ -20,6 +20,7 @@ from humbert.oracle import (expansion_vs_direct, eval_series_numeric,
                             pq_coordinates, rosenhain_numeric,
                             sample_humbert_point, verify_component)
 from humbert.poly import MultiPoly, eval_on_series, parse_poly
+from humbert import relations
 from humbert.relations import ImprimitiveKernel, find_relation
 from humbert.rosenhain import rosenhain_triple
 from humbert.s6 import (Perm6, act, all_perms, fixed_group, mulclose,
@@ -157,14 +158,28 @@ def test_criterion_6_delta12_stretch():
 
 
 @pytest.mark.slow
-def test_criterion_6_delta9_stretch():
+def test_criterion_6_delta9_stretch(monkeypatch):
     # the degree-16 component of H_9, found without symmetry, is one of
-    # the m(9) = 10 components of H_9 and is fixed by the paper's group
+    # the m(9) = 10 components of H_9 and is fixed by the paper's group.
+    # The whole 969-column system is eliminated once at each of the two
+    # lift primes: the later attempts solve only their new equations at the
+    # first prime, and the degree-14 check at N=170 reads the first prime's
+    # kernel instead of eliminating the 680 degree-14 columns
+    columns = []
+    nullspace = relations._nullspace_mod
+
+    def spying(mat, p):
+        columns.append(mat.shape[1])
+        return nullspace(mat, p)
+
+    monkeypatch.setattr(relations, "_nullspace_mod", spying)
     t0 = time.time()
     report = find_relation(9, 16)
     elapsed = time.time() - t0
     h9 = report.polynomial
     ok = report.degree == 16 and report.kernel_dim == 1
+    ok = ok and comb(14 + 3, 3) == 680 and 680 not in columns
+    ok = ok and columns.count(comb(16 + 3, 3)) == 2
     checks = [passed for _, passed in report.residual_checks]
     ok = ok and checks == [True, True]
     orb, stab = orbit_and_stabilizer(h9)

@@ -229,6 +229,27 @@ def test_verify_component_makes_one_lattice_sum_per_point(monkeypatch):
     assert all(chars == ROSENHAIN_CHARS for _, chars in calls)
 
 
+def test_lattice_box_cache_hashes_no_characteristic(monkeypatch):
+    # the box cache is keyed on plain int tuples, so a verification hashes
+    # no ThetaChar, and the cached box is shared by equal characteristics
+    hashed = []
+    char_hash = ThetaChar.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return char_hash(self)
+
+    monkeypatch.setattr(ThetaChar, "__hash__", counting)
+    verify_component(h12_poly(), 12, trials=5, seed=3)
+    assert hashed == []
+    pt = sample_humbert_point(humbert_params(5), seed=1)
+    fresh = tuple(ThetaChar.from_index(i) for i in (1, 2, 3, 4, 8, 10))
+    oracle._box.cache_clear()
+    assert theta_constants(pt, fresh) == theta_constants(pt, ROSENHAIN_CHARS)
+    info = oracle._box.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize("component,delta", [(5, 5), (8, 8), (12, 12),
                                              (12, 5), (12, 8), (12, 9),
                                              (12, 13)])

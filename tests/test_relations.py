@@ -11,11 +11,11 @@ import pytest
 from humbert import relations
 from humbert.poly import MultiPoly, eval_on_series
 from humbert.relations import (_MAX_N, _PRIMES, AmbiguousKernel,
-                               ImprimitiveKernel, NoRelation,
-                               _lift_kernel_vector, _modular_kernel,
-                               _monomial_rows_mod, _nullspace_mod,
-                               default_precision, find_relation,
-                               monomial_basis)
+                               ImprimitiveKernel, NoRelation, _ambiguity,
+                               _find_relation_on, _kernel_mod,
+                               _lift_kernel_vector, _monomial_rows_mod,
+                               _nullspace_mod, default_precision,
+                               find_relation, monomial_basis)
 from humbert.degrees import admissible_range
 from humbert.rosenhain import (RosenhainSeries, rosenhain_triple,
                                smallest_precision)
@@ -64,7 +64,10 @@ def test_modular_kernel_rank_at_degree_one():
     # 1, e1, e2, e3 are linearly independent power series on any H_Delta;
     # nullity 0 mod p proves nullity 0 over Q
     triple = rosenhain_triple(humbert_params(5), 24)
-    assert _modular_kernel(triple, monomial_basis(1)) == (0, None)
+    basis = monomial_basis(1)
+    assert _kernel_mod(triple, basis, _PRIMES[0]).shape == (0, 4)
+    with pytest.raises(NoRelation, match="degree 1 for delta=5 at N=24$"):
+        _find_relation_on(triple, triple, basis)
 
 
 def test_nullspace_mod_simple_cases():
@@ -74,7 +77,7 @@ def test_nullspace_mod_simple_cases():
     p = _PRIMES[0]
     vecs = _nullspace_mod(rows.T, p)
     assert [list(v) for v in vecs] == [[1, 1, 0]]
-    assert _nullspace_mod(np.array([[1, 0], [0, 1]]), p) == []
+    assert _nullspace_mod(np.array([[1, 0], [0, 1]]), p).shape == (0, 2)
 
 
 def _synthetic_triple(terms, n):
@@ -283,10 +286,10 @@ def test_monomial_rows_are_the_naive_products(monkeypatch, symmetry):
 
     def capture(mat, p):
         seen.append((mat.copy(), p))
-        return []
+        return np.zeros((0, mat.shape[1]), dtype=np.int64)
 
     monkeypatch.setattr(relations, "_nullspace_mod", capture)
-    assert _modular_kernel(ros, basis) == (0, None)
+    assert len(_kernel_mod(ros, basis, _PRIMES[0])) == 0
     [(mat, p)] = seen
     rows = _monomial_rows_mod(ros, basis, p)
     assert mat.tolist() == [col for col in rows.T.tolist() if any(col)]
@@ -322,29 +325,38 @@ def test_constant_triple_has_a_one_point_lattice():
 
 
 def test_lift_needs_more_primes_for_large_coefficients(monkeypatch):
-    # entries near 2^40 are past the reconstruction bound of three primes
-    # (about 2^29.5) and inside that of six (about 2^59.5)
+    # entries near 2^40 are past the reconstruction bound of two, three and
+    # four primes (about 2^19.5, 2^29.5 and 2^39.5) and inside that of five
+    # and six (about 2^49.5 and 2^59.5)
     true = [3, 2 ** 40 + 1, -(2 ** 40 - 7), 5 * 2 ** 38 + 11]
     vecs = [np.array([x * pow(3, p - 2, p) % p for x in true],
                      dtype=np.int64) for p in _PRIMES]
-    assert _lift_kernel_vector(vecs[:3], _PRIMES[:3]) is None
+    for k in (2, 3, 4):
+        assert _lift_kernel_vector(vecs[:k], _PRIMES[:k]) is None
     assert _lift_kernel_vector(vecs, _PRIMES) == true
 
     # the kernel search adds primes until the lift succeeds: five primes
-    # (bound about 2^49.5) are enough here
-    result, solved, lifts = _patched_kernel(monkeypatch, true, [1] * 6)
-    assert result == (1, true)
+    # are enough here
+    report, solved, lifts = _patched_kernel(monkeypatch, true, [1] * 6)
+    assert (report.kernel_dim, report.polynomial) == (1, _poly(true))
     assert solved == list(_PRIMES[:5])
-    assert lifts == [list(_PRIMES[:k]) for k in (3, 4, 5)]
+    assert lifts == [list(_PRIMES[:k]) for k in (2, 3, 4, 5)]
+
+
+def _poly(vec):
+    """The degree-1 polynomial of the kernel vector `vec`."""
+    return relations._poly_from_vector(vec, monomial_basis(1))
 
 
 def _patched_kernel(monkeypatch, true, nullities):
-    """Run `_modular_kernel` on rows whose only kernel vector is `true`,
+    """Run `_find_relation_on` on rows whose only kernel vector is `true`,
     with the given nullity at each prime (the extra kernel vectors are unit
-    vectors); returns its result, the primes eliminated at and the primes
-    of each lift."""
+    vectors) and an exact recheck that passes only `true`'s polynomial;
+    returns its report or the error it raised, the primes eliminated at and
+    the primes of each lift."""
     rows = [[true[j] if i == 0 else -true[0] if i == j else 0
              for j in range(1, 4)] for i in range(4)]
+    want = _poly(true)
     solved, lifts = [], []
     nullspace, lift = relations._nullspace_mod, relations._lift_kernel_vector
 
@@ -355,19 +367,29 @@ def _patched_kernel(monkeypatch, true, nullities):
     def solving(mat, p):
         extra = nullities[len(solved)] - 1
         solved.append(p)
-        return nullspace(mat, p) + [np.eye(4, dtype=np.int64)[i + 1]
-                                    for i in range(extra)]
+        return np.vstack([nullspace(mat, p)]
+                         + [np.eye(4, dtype=np.int64)[i + 1]
+                            for i in range(extra)])
 
     def lifting(vecs, primes):
         lifts.append(list(primes))
         return lift(vecs, primes)
 
+    def rechecking(poly, ros):
+        return TruncatedSeries({} if poly == want else {(0, 0): 1},
+                               ros.precision)
+
     monkeypatch.setattr(relations, "_monomial_rows_mod", exact_rows)
     monkeypatch.setattr(relations, "_nullspace_mod", solving)
     monkeypatch.setattr(relations, "_lift_kernel_vector", lifting)
-    # the rows are patched, so the triple is never read
+    monkeypatch.setattr(relations, "eval_on_series", rechecking)
+    # the rows and the recheck are patched, so the triple is never read
     ros = _synthetic_triple([{(0, 0): 1}] * 3, 10)
-    return _modular_kernel(ros, monomial_basis(1)), solved, lifts
+    try:
+        result = _find_relation_on(ros, ros, monomial_basis(1))
+    except (NoRelation, AmbiguousKernel) as exc:
+        result = exc
+    return result, solved, lifts
 
 
 def test_nullity_above_one_at_the_first_prime_is_returned_at_once(
@@ -376,36 +398,162 @@ def test_nullity_above_one_at_the_first_prime_is_returned_at_once(
     # bounds the rational one, so no other prime is tried
     result, solved, lifts = _patched_kernel(monkeypatch, [2, -3, 5, 7],
                                             [3, 1, 1, 1, 1, 1])
-    assert result == (3, None)
+    assert type(result) is AmbiguousKernel and result.kernel_dim == 3
     assert solved == [_PRIMES[0]] and lifts == []
 
 
 def test_a_later_prime_that_lost_rank_is_skipped(monkeypatch):
     # the second prime shows nullity 2 after the first showed 1: it lost
-    # rank, and the lift takes the first three primes with nullity 1
+    # rank, and the lift takes the first two primes with nullity 1, whose
+    # candidate passes the recheck
     result, solved, lifts = _patched_kernel(monkeypatch, [2, -3, 5, 7],
                                             [1, 2, 1, 1, 1, 1])
-    assert result == (1, [2, -3, 5, 7])
-    assert solved == list(_PRIMES[:4])
-    assert lifts == [[_PRIMES[0], _PRIMES[2], _PRIMES[3]]]
+    assert (result.kernel_dim, result.polynomial) == (1, _poly(
+        [2, -3, 5, 7]))
+    assert result.residual_checks == [(10, True), (10, True)]
+    assert solved == list(_PRIMES[:3])
+    assert lifts == [[_PRIMES[0], _PRIMES[2]]]
 
 
 def test_reconstruction_failing_at_every_prime_is_ambiguous(monkeypatch):
-    # a lift that never reconstructs: the search tries three, four, five
-    # and six primes, then gives up with no kernel dimension
-    lifts = []
+    # a lift that never reconstructs: the search tries two, three, four,
+    # five and six primes, then gives up with no kernel dimension
+    monkeypatch.setattr(relations, "_lift_kernel_vector",
+                        lambda vecs, primes: None)
+    result, solved, lifts = _patched_kernel(monkeypatch, [2, -3, 5, 7],
+                                            [1] * 6)
+    assert type(result) is AmbiguousKernel
+    assert result.kernel_dim is None
+    assert str(result) == ("rational reconstruction failed with 6 "
+                           "primes; kernel not stable across primes")
+    assert solved == list(_PRIMES)
+    assert lifts == [list(_PRIMES[:k]) for k in (2, 3, 4, 5, 6)]
 
-    def failing(vecs, primes):
+
+def test_a_rejected_two_prime_lift_falls_through_to_three_primes(
+        monkeypatch):
+    # a two-prime candidate with one coefficient off fails the exact
+    # recheck; the three-prime lift is the true vector and gives the
+    # relation the search finds without the fault, rechecked on its own
+    want = find_relation(5, 8)
+    lifts, rechecked = [], []
+    lift, evaluate = relations._lift_kernel_vector, relations.eval_on_series
+
+    def wrong_at_two_primes(vecs, primes):
         lifts.append(list(primes))
+        vec = lift(vecs, primes)
+        return vec[:-1] + [vec[-1] + 1] if len(primes) == 2 else vec
 
-    monkeypatch.setattr(relations, "_lift_kernel_vector", failing)
-    with pytest.raises(AmbiguousKernel) as info:
-        _patched_kernel(monkeypatch, [2, -3, 5, 7], [1] * 6)
-    assert type(info.value) is AmbiguousKernel
-    assert info.value.kernel_dim is None
-    assert str(info.value) == ("rational reconstruction failed with 6 "
-                               "primes; kernel not stable across primes")
-    assert lifts == [list(_PRIMES[:k]) for k in (3, 4, 5, 6)]
+    def counting(poly, ros):
+        rechecked.append(poly)
+        return evaluate(poly, ros)
+
+    monkeypatch.setattr(relations, "_lift_kernel_vector", wrong_at_two_primes)
+    monkeypatch.setattr(relations, "eval_on_series", counting)
+    report = find_relation(5, 8)
+    assert report.to_record() == want.to_record()
+    p0, p1, p2 = _PRIMES[:3]
+    assert lifts == [[p0, p1], [p0, p1, p2]]
+    assert len(rechecked) == 2 and rechecked[1] == want.polynomial
+    assert rechecked[0] != want.polynomial
+
+
+def _echelon(vectors, p):
+    """The reduced row echelon form over GF(p) of the span of `vectors`,
+    in Python ints, without its zero rows."""
+    rows = [[int(x) % p for x in v] for v in vectors]
+    out = []
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i, row in enumerate(rows) if row[c]), None)
+        if i is None:
+            continue
+        pivot = rows.pop(i)
+        inv = pow(pivot[c], -1, p)
+        pivot = [x * inv % p for x in pivot]
+        rows = [[(x - row[c] * y) % p for x, y in zip(row, pivot)]
+                for row in rows]
+        out = [[(x - row[c] * y) % p for x, y in zip(row, pivot)]
+               for row in out] + [pivot]
+    return out
+
+
+@pytest.mark.parametrize("delta, degree, symmetry, n0, n1, nullities", [
+    (5, 8, None, 60, 76, (6, 1)),
+    (8, 8, None, 60, 76, (21, 1)),
+    (12, 8, "e1e2", 60, 76, (1, 0)),
+    (12, 3, None, 28, 44, (3, 0)),
+    (5, 8, None, 60, 61, (6, 2)),
+    (5, 8, None, 61, 76, (2, 1))])
+def test_reused_kernel_is_the_kernel_of_the_full_system(
+        delta, degree, symmetry, n0, n1, nullities):
+    # the kernel at N0 restricted by the equations of the new points only
+    # spans the kernel of the whole N1 system, at the first prime; from
+    # N=60 to 61 the new points are exactly the 16th row and column of the
+    # grid, and N=61 starts from a block of 16 x 16 points, not 15 x 15
+    disc = humbert_params(delta)
+    basis = monomial_basis(degree, symmetry)
+    p = _PRIMES[0]
+    known = _kernel_mod(rosenhain_triple(disc, n0), basis, p)
+    cut = rosenhain_triple(disc, n1)
+    reused = _kernel_mod(cut, basis, p, known=(n0, known))
+    full = _kernel_mod(cut, basis, p)
+    assert (len(known), len(reused)) == nullities
+    assert reused.dtype == np.int64 and reused.shape == full.shape
+    assert _echelon(reused, p) == _echelon(full, p)
+    assert len(_echelon(reused, p)) == len(full)
+
+
+def test_escalation_solves_only_the_new_equations_at_the_first_prime(
+        monkeypatch):
+    # delta=5, degree 8: N=60 eliminates the whole system at the first
+    # prime (nullity 6); N=76 solves its new equations inside those six
+    # vectors, eliminates the whole system at the second prime only, and
+    # the two-prime lift passes the exact recheck
+    solved, lifts = [], []
+    nullspace, lift = relations._nullspace_mod, relations._lift_kernel_vector
+
+    def solving(mat, p):
+        ker = nullspace(mat, p)
+        solved.append((p, mat.shape[1], len(ker)))
+        return ker
+
+    def lifting(vecs, primes):
+        lifts.append(list(primes))
+        return lift(vecs, primes)
+
+    monkeypatch.setattr(relations, "_nullspace_mod", solving)
+    monkeypatch.setattr(relations, "_lift_kernel_vector", lifting)
+    report = find_relation(5, 8)
+    assert report.precision == 76
+    p0, p1 = _PRIMES[:2]
+    n = len(monomial_basis(8))
+    assert solved == [(p0, n, 6), (p0, 6, 1), (p1, n, 1)]
+    assert lifts == [[p0, p1]]
+
+
+@pytest.mark.parametrize("zero_tails", [0, 2])
+def test_prefix_nullity_other_than_one_skips_the_factor_search(monkeypatch,
+                                                               zero_tails):
+    # a degree-4 kernel of dimension 10 matches the count of degree-2
+    # multiples; its degree-2 part, read from the columns past the degree-2
+    # prefix, has dimension 0 or 2 here, so no relation of degree 2 is
+    # searched for and no degree-2 row is built
+    def no_search(*args):
+        raise AssertionError("searched below degree 4")
+
+    ros = rosenhain_triple(humbert_params(4), 56)
+    basis = monomial_basis(4)
+    p = _PRIMES[0]
+    kernel = np.random.default_rng(4).integers(0, p, size=(10, len(basis)))
+    kernel[:zero_tails, 10:] = 0  # the degree-2 prefix is basis[:10]
+    monkeypatch.setattr(relations, "_find_relation_on", no_search)
+    monkeypatch.setattr(relations, "_monomial_rows_mod", no_search)
+    exc = _ambiguity(ros, ros, basis, kernel)
+    assert type(exc) is AmbiguousKernel
+    assert (exc.kernel_dim, exc.degree, exc.precision) == (10, 4, 56)
+    assert str(exc) == ("kernel dimension 10 at degree 4 for delta=4 at "
+                        "N=56; the precision is too small or the relation "
+                        "has a lower degree")
 
 
 def _no_triple(disc, precision):
@@ -485,18 +633,22 @@ def test_no_relation_is_decided_at_the_first_prime(monkeypatch):
 
     def solving(mat, p):
         solved.append((built[-1][0], p))
+        columns.append(mat.shape[1])
         return nullspace(mat, p)
 
+    columns = []
     monkeypatch.setattr(relations, "_monomial_rows_mod", building)
     monkeypatch.setattr(relations, "_nullspace_mod", solving)
     with pytest.raises(NoRelation):
         find_relation(12, 3)
     # the rows are built once per prime tried; the default N=28 has a kernel
     # of dimension 3 at every prime, so its first prime decides it, and the
-    # escalation to N=44 stops at its first prime, whose nullity is 0
+    # escalation to N=44 stops at its first prime, whose nullity is 0 on the
+    # new equations inside those three kernel vectors
     p0 = _PRIMES[0]
     assert built == [(28, p0), (44, p0)]
     assert solved == built
+    assert columns == [len(monomial_basis(3)), 3]
 
 
 def test_delta4_degree2_relation_is_product_formula():
@@ -550,10 +702,10 @@ def test_failed_factor_search_leaves_a_plain_ambiguous_kernel(monkeypatch,
     # factor, the kernel is only called ambiguous
     search = relations._find_relation_on
 
-    def failing_below_4(ros, n, basis):
+    def failing_below_4(ros, cut, basis, *kernel):
         if sum(basis[-1][0]) < 4:  # the degree of the last orbit
             raise failure("no factor")
-        return search(ros, n, basis)
+        return search(ros, cut, basis, *kernel)
 
     monkeypatch.setattr(relations, "_find_relation_on", failing_below_4)
     with pytest.raises(AmbiguousKernel) as info:
@@ -577,15 +729,32 @@ def test_imprimitive_kernel_under_symmetry():
     assert "e_1e_2 - e_3" in str(exc)
 
 
-def test_recheck_failure_names_the_failing_precision():
+def test_recheck_failure_names_the_failing_precision(monkeypatch):
     # the N=60 kernel vector for Delta=12, degree 8 (e1e2) vanishes to
-    # N=60 but not on the N + 8 triple
+    # N=60 but not on the N + 8 triple; the two-prime lift is rechecked
+    # once, and the equal three-prime lift is refused without a second
+    # recheck
+    rechecked, lifts = [], []
+    evaluate, lift = relations.eval_on_series, relations._lift_kernel_vector
+
+    def counting(poly, ros):
+        rechecked.append(poly)
+        return evaluate(poly, ros)
+
+    def lifting(vecs, primes):
+        lifts.append(list(primes))
+        return lift(vecs, primes)
+
+    monkeypatch.setattr(relations, "eval_on_series", counting)
+    monkeypatch.setattr(relations, "_lift_kernel_vector", lifting)
     with pytest.raises(AmbiguousKernel) as info:
         find_relation(12, 8, symmetry="e1e2", precision=60)
     assert type(info.value) is AmbiguousKernel
     assert info.value.residual_checks == [(60, True), (68, False)]
     assert info.value.precision == 60
     assert "exact recheck at N=68" in str(info.value)
+    assert len(rechecked) == 1
+    assert lifts == [list(_PRIMES[:2]), list(_PRIMES[:3])]
 
 
 def test_e1_is_one_to_exactly_four_k_plus_l():
