@@ -30,19 +30,22 @@ truncation to N.  An escalation keeps the first prime's kernel K of the
 attempt before and solves only the new lattice points' equations inside
 span K, as Beckermann and Labahn (SIAM J. Matrix Anal. Appl. 15(3), 1994)
 add order conditions; the unknowns of lower degree are a prefix, so K also
-gives the nullity of every lower degree.  A one-dimensional kernel is
-lifted by CRT and rational reconstruction from the first two primes with
-nullity 1, then from three, adding the rest one at a time while
-reconstruction fails, up to six, which reconstructs coefficient ratios up
-to about 2^59.  A candidate relation is only ever accepted after an exact
-recheck: it must evaluate to the identical zero series on the N + 8
-triple, and so also at the kernel's precision N, which puts it in the
-rational kernel, of dimension at most 1; so a two-prime lift that passes
-is the relation.  It must not be a product of degenerate-locus factors
-either.  The recheck finds the exact series from its residues modulo
-consecutive primes above 2^20, enough of them for their product to exceed
-twice a proven bound on its coefficients, so a zero is a proof and a wrong
-candidate shows its exact nonzero value.
+gives the nullity of every lower degree, and its vector there.  A
+one-dimensional kernel is lifted by CRT and rational reconstruction after
+every prime with nullity 1, from the first on (Monagan, ISSAC 2004, stops a
+lift as early); the primes M so far bound a lift to entries below
+sqrt(M/2), about 2^9.5 for one prime and 2^59 for all six, and a lift past
+it waits for the next prime.  A candidate relation is only ever accepted
+after an exact recheck: it must evaluate to the identical zero series on
+the N + 8 triple, and so also at the kernel's precision N, which puts it in
+the rational kernel, of dimension at most 1; so a lift from any count of
+primes that passes is the relation.  A refused lift ends the search when it
+had three or more primes or repeats the lift refused before.  A relation
+must not be a product of degenerate-locus factors either.  The recheck
+finds the exact series from its residues modulo consecutive primes above
+2^20, enough of them for their product to exceed twice a proven bound on
+its coefficients, so a zero is a proof and a wrong candidate shows its
+exact nonzero value.
 """
 
 import math
@@ -309,19 +312,27 @@ def _kernel_mod(cut, basis, p, known=None):
 
 
 def _lift_kernel_vector(vecs_mod, primes):
-    """CRT-combine per-prime kernel vectors and reconstruct an integer one.
+    """CRT-combine per-prime kernel vectors and reconstruct an integer one,
+    or None.
 
     Each vector is normalized mod its prime to a first nonzero entry of 1,
     which reconstructs to 1/1.  Clearing the denominators n_i/d_i with
     L = lcm(d_i) gives first entry L > 0 and content 1: a prime dividing L
-    to its full power in some d_j divides neither L/d_j nor n_j.
+    to its full power in some d_j divides neither L/d_j nor n_j.  A vector
+    with an entry past sqrt(M/2), M the product of the primes, is None: a
+    kernel vector inside that bound has every ratio inside it too, so it is
+    what reconstruction returns, and the check only refuses lifts that need
+    more primes.  It never accepts one; the exact recheck does.
     """
     m, combined = _crt(zip(*(map(int, v) for v in vecs_mod)), primes)
     pairs = [_rational_reconstruct(x, m) for x in combined]
     if None in pairs:
         return None
     den = math.lcm(*(d for _, d in pairs))
-    return [n * (den // d) for n, d in pairs]
+    vec = [n * (den // d) for n, d in pairs]
+    if max(map(abs, vec)) > math.isqrt(m // 2):
+        return None
+    return vec
 
 
 def _poly_from_vector(vec, basis):
@@ -394,11 +405,15 @@ def _find_relation_on(ros, cut, basis, kernel=None):
 
     Nullity 0 at any prime, or above 1 at the first (the bound `_ambiguity`
     needs), decides the answer; a later prime with nullity above 1 lost
-    rank and is skipped.  The lift from the first two primes with nullity 1
-    is accepted if it passes the exact recheck.  If not, the lift takes the
-    first three, and the rest of `_PRIMES` one at a time while
-    reconstruction fails; a lift equal to the refused one is refused again
-    without a second recheck.
+    rank and is skipped.  After every prime with nullity 1, from the first
+    on, the kernel is lifted from all of them so far, and a lift that
+    reconstructs inside the bound of `_lift_kernel_vector` is rechecked
+    exactly: a pass is the relation, whatever the count of primes, since
+    the first prime's nullity 1 bounds the rational kernel.  A failed
+    recheck is refused, and it ends the search, with the same
+    AmbiguousKernel, when the lift had three or more primes or equals the
+    lift refused before; otherwise the next prime joins.  Reconstruction
+    failing at all six primes is an AmbiguousKernel too.
     """
     disc = ros.disc
     delta, n = disc.delta, cut.precision
@@ -418,7 +433,7 @@ def _find_relation_on(ros, cut, basis, kernel=None):
         v = ker[0]
         vecs.append(v * pow(int(v[np.flatnonzero(v)[0]]), p - 2, p) % p)
         primes.append(p)
-        vec = _lift_kernel_vector(vecs, primes) if len(vecs) > 1 else None
+        vec = _lift_kernel_vector(vecs, primes)
         if vec is None:
             continue
         poly = _poly_from_vector(vec, basis)
@@ -432,7 +447,7 @@ def _find_relation_on(ros, cut, basis, kernel=None):
         failed = [m for m, ok in checks if not ok]
         if not failed:
             break
-        if len(vecs) > 2:
+        if len(vecs) > 2 or poly == rejected:
             raise AmbiguousKernel(
                 "candidate relation of degree %d for delta=%d from the kernel "
                 "at N=%d failed the exact recheck at N=%d; precision too "
@@ -474,9 +489,10 @@ def _ambiguity(ros, cut, basis, kernel):
     above, so when the two are equal the kernel is exactly the multiples of
     g.  The counts strictly decrease in k, so at most one k matches.  The
     first prime's degree-k kernel is the part of span `kernel` that vanishes
-    past the prefix, of dimension dim - rank(kernel[:, ends[k]:]); only
-    dimension 1 can give g, which is then searched for on the prefix and
-    rechecked.
+    past the prefix: (z kernel)[:, :ends[k]] for z the kernel of
+    kernel[:, ends[k]:]^T, of dimension dim - rank(kernel[:, ends[k]:]).
+    Only dimension 1 can give g, which is then searched for on the prefix
+    from that first-prime kernel and rechecked.
     """
     disc = ros.disc
     n, dim = cut.precision, len(kernel)
@@ -486,10 +502,13 @@ def _ambiguity(ros, cut, basis, kernel):
     ends = {sum(orbit[0]): i + 1 for i, orbit in enumerate(basis)}
     counts = {ends[degree - k]: k for k in range(1, degree)}
     k = counts.get(dim)
-    if k is not None and len(
-            _nullspace_mod(kernel[:, ends[k]:].T, _PRIMES[0])) == 1:
+    z = [] if k is None else _nullspace_mod(kernel[:, ends[k]:].T, _PRIMES[0])
+    if len(z) == 1:
+        # exact in int64 under `_nullspace_mod`'s dim (p-1)^2 + p < 2^63
+        prefix = (z @ kernel % _PRIMES[0])[:, :ends[k]]
         try:
-            factor = _find_relation_on(ros, cut, basis[:ends[k]]).polynomial
+            factor = _find_relation_on(ros, cut, basis[:ends[k]],
+                                       prefix).polynomial
         except (NoRelation, AmbiguousKernel):
             pass
         else:

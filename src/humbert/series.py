@@ -118,6 +118,8 @@ class TruncatedSeries:
         inverse is then unique and the geometric series of the paper trick
         converges to it, so we may solve for it coefficient by coefficient in
         graded order instead (same result, one convolution's worth of work).
+        Every exponent of the inverse is a sum of the series' exponents, so
+        the solve visits only the points of gZ x gZ, g their gcd.
         """
         c0 = self.constant_term()
         if c0 not in (1, -1):
@@ -137,10 +139,10 @@ class TruncatedSeries:
                     continue
                 acc[(i, j)] = acc.get((i, j), 0) + fc * g_val
         propagate((0, 0), inv_c0)
-        for s in range(1, 2 * n - 1):
+        g = math.gcd(*(i for k in self.terms for i in k)) or n
+        for s in range(g, 2 * n - 1, g):
             lo = max(0, s - n + 1)
-            hi = min(s, n - 1)
-            for i in range(lo, hi + 1):
+            for i in range(lo + -lo % g, min(s, n - 1) + 1, g):
                 key = (i, s - i)
                 a = acc.pop(key, 0)
                 if not a:

@@ -164,15 +164,22 @@ def test_criterion_6_delta9_stretch(monkeypatch):
     # The whole 969-column system is eliminated once at each of the two
     # lift primes: the later attempts solve only their new equations at the
     # first prime, and the degree-14 check at N=170 reads the first prime's
-    # kernel instead of eliminating the 680 degree-14 columns
-    columns = []
-    nullspace = relations._nullspace_mod
+    # kernel instead of eliminating the 680 degree-14 columns.  The
+    # one-prime lift at N=212 is past the bound of its prime, so the
+    # relation is rechecked exactly once, as the two-prime lift
+    columns, rechecked = [], []
+    nullspace, evaluate = relations._nullspace_mod, relations.eval_on_series
 
     def spying(mat, p):
         columns.append(mat.shape[1])
         return nullspace(mat, p)
 
+    def counting(poly, ros):
+        rechecked.append(ros.precision)
+        return evaluate(poly, ros)
+
     monkeypatch.setattr(relations, "_nullspace_mod", spying)
+    monkeypatch.setattr(relations, "eval_on_series", counting)
     t0 = time.time()
     report = find_relation(9, 16)
     elapsed = time.time() - t0
@@ -180,6 +187,7 @@ def test_criterion_6_delta9_stretch(monkeypatch):
     ok = report.degree == 16 and report.kernel_dim == 1
     ok = ok and comb(14 + 3, 3) == 680 and 680 not in columns
     ok = ok and columns.count(comb(16 + 3, 3)) == 2
+    ok = ok and rechecked == [report.precision + 8]
     checks = [passed for _, passed in report.residual_checks]
     ok = ok and checks == [True, True]
     orb, stab = orbit_and_stabilizer(h9)

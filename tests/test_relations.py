@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from itertools import islice
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -325,22 +325,42 @@ def test_constant_triple_has_a_one_point_lattice():
 
 
 def test_lift_needs_more_primes_for_large_coefficients(monkeypatch):
-    # entries near 2^40 are past the reconstruction bound of two, three and
-    # four primes (about 2^19.5, 2^29.5 and 2^39.5) and inside that of five
-    # and six (about 2^49.5 and 2^59.5)
+    # entries near 2^40 are past the reconstruction bound of one, two,
+    # three and four primes (about 2^9.5, 2^19.5, 2^29.5 and 2^39.5) and
+    # inside that of five and six (about 2^49.5 and 2^59.5).  One prime
+    # reconstructs a small vector of the same residues, which is not the
+    # kernel vector: only the exact recheck can refuse it
     true = [3, 2 ** 40 + 1, -(2 ** 40 - 7), 5 * 2 ** 38 + 11]
     vecs = [np.array([x * pow(3, p - 2, p) % p for x in true],
                      dtype=np.int64) for p in _PRIMES]
+    assert _lift_kernel_vector(vecs[:1], _PRIMES[:1]) == [12, 200, -168, 289]
     for k in (2, 3, 4):
         assert _lift_kernel_vector(vecs[:k], _PRIMES[:k]) is None
     assert _lift_kernel_vector(vecs, _PRIMES) == true
 
-    # the kernel search adds primes until the lift succeeds: five primes
-    # are enough here
+    # the kernel search lifts after every prime, from the first, until a
+    # lift passes the recheck: the one-prime lift is refused, and five
+    # primes are enough here
     report, solved, lifts = _patched_kernel(monkeypatch, true, [1] * 6)
     assert (report.kernel_dim, report.polynomial) == (1, _poly(true))
     assert solved == list(_PRIMES[:5])
-    assert lifts == [list(_PRIMES[:k]) for k in (2, 3, 4, 5)]
+    assert lifts == [list(_PRIMES[:k]) for k in (1, 2, 3, 4, 5)]
+
+
+def test_a_lift_past_the_bound_of_its_primes_is_none():
+    # the ratios 1/701 and 1/700 reconstruct from one prime, inside its
+    # bound of about 2^9.5, but clearing their denominators gives the entry
+    # 700 * 701 = 490,700, past it: the lift is None, and the second prime,
+    # with a bound of about 2^19.5, lifts the vector
+    true = [700 * 701, 701, 700]
+    p0 = _PRIMES[0]
+    vecs = [np.array([x * pow(true[0], -1, p) % p for x in true],
+                     dtype=np.int64) for p in _PRIMES[:2]]
+    assert all(relations._rational_reconstruct(int(x), p0) is not None
+               for x in vecs[0])
+    assert max(true) > isqrt(p0 // 2)
+    assert _lift_kernel_vector(vecs[:1], [p0]) is None
+    assert _lift_kernel_vector(vecs, _PRIMES[:2]) == true
 
 
 def _poly(vec):
@@ -404,20 +424,21 @@ def test_nullity_above_one_at_the_first_prime_is_returned_at_once(
 
 def test_a_later_prime_that_lost_rank_is_skipped(monkeypatch):
     # the second prime shows nullity 2 after the first showed 1: it lost
-    # rank, and the lift takes the first two primes with nullity 1, whose
-    # candidate passes the recheck
-    result, solved, lifts = _patched_kernel(monkeypatch, [2, -3, 5, 7],
+    # rank.  The entry 3001 is past the one-prime bound of about 2^9.5, so
+    # the first lift fails, and the next one takes the first and third
+    # primes, the two with nullity 1, whose candidate passes the recheck
+    true = [2, -3, 5, 3001]
+    result, solved, lifts = _patched_kernel(monkeypatch, true,
                                             [1, 2, 1, 1, 1, 1])
-    assert (result.kernel_dim, result.polynomial) == (1, _poly(
-        [2, -3, 5, 7]))
+    assert (result.kernel_dim, result.polynomial) == (1, _poly(true))
     assert result.residual_checks == [(10, True), (10, True)]
     assert solved == list(_PRIMES[:3])
-    assert lifts == [[_PRIMES[0], _PRIMES[2]]]
+    assert lifts == [[_PRIMES[0]], [_PRIMES[0], _PRIMES[2]]]
 
 
 def test_reconstruction_failing_at_every_prime_is_ambiguous(monkeypatch):
-    # a lift that never reconstructs: the search tries two, three, four,
-    # five and six primes, then gives up with no kernel dimension
+    # a lift that never reconstructs: the search tries one, two, three,
+    # four, five and six primes, then gives up with no kernel dimension
     monkeypatch.setattr(relations, "_lift_kernel_vector",
                         lambda vecs, primes: None)
     result, solved, lifts = _patched_kernel(monkeypatch, [2, -3, 5, 7],
@@ -427,33 +448,48 @@ def test_reconstruction_failing_at_every_prime_is_ambiguous(monkeypatch):
     assert str(result) == ("rational reconstruction failed with 6 "
                            "primes; kernel not stable across primes")
     assert solved == list(_PRIMES)
-    assert lifts == [list(_PRIMES[:k]) for k in (2, 3, 4, 5, 6)]
+    assert lifts == [list(_PRIMES[:k]) for k in (1, 2, 3, 4, 5, 6)]
 
 
-def test_a_rejected_two_prime_lift_falls_through_to_three_primes(
+def test_a_third_refused_lift_is_ambiguous(monkeypatch):
+    # every lift is a different vector that fails the recheck: the one- and
+    # two-prime lifts are refused and the search goes on, and the
+    # three-prime lift ends it with the recheck's AmbiguousKernel
+    monkeypatch.setattr(relations, "_lift_kernel_vector",
+                        lambda vecs, primes: [1, len(primes), 0, 0])
+    result, solved, lifts = _patched_kernel(monkeypatch, [2, -3, 5, 7],
+                                            [1] * 6)
+    assert type(result) is AmbiguousKernel
+    assert result.residual_checks == [(10, False), (10, False)]
+    assert "failed the exact recheck at N=10" in str(result)
+    assert solved == list(_PRIMES[:3])
+    assert lifts == [list(_PRIMES[:k]) for k in (1, 2, 3)]
+
+
+def test_a_rejected_one_prime_lift_falls_through_to_two_primes(
         monkeypatch):
-    # a two-prime candidate with one coefficient off fails the exact
-    # recheck; the three-prime lift is the true vector and gives the
-    # relation the search finds without the fault, rechecked on its own
+    # a one-prime candidate with one coefficient off fails the exact
+    # recheck; the two-prime lift is the true vector and gives the relation
+    # the search finds without the fault, rechecked on its own
     want = find_relation(5, 8)
     lifts, rechecked = [], []
     lift, evaluate = relations._lift_kernel_vector, relations.eval_on_series
 
-    def wrong_at_two_primes(vecs, primes):
+    def wrong_at_one_prime(vecs, primes):
         lifts.append(list(primes))
         vec = lift(vecs, primes)
-        return vec[:-1] + [vec[-1] + 1] if len(primes) == 2 else vec
+        return vec[:-1] + [vec[-1] + 1] if len(primes) == 1 else vec
 
     def counting(poly, ros):
         rechecked.append(poly)
         return evaluate(poly, ros)
 
-    monkeypatch.setattr(relations, "_lift_kernel_vector", wrong_at_two_primes)
+    monkeypatch.setattr(relations, "_lift_kernel_vector", wrong_at_one_prime)
     monkeypatch.setattr(relations, "eval_on_series", counting)
     report = find_relation(5, 8)
     assert report.to_record() == want.to_record()
-    p0, p1, p2 = _PRIMES[:3]
-    assert lifts == [[p0, p1], [p0, p1, p2]]
+    p0, p1 = _PRIMES[:2]
+    assert lifts == [[p0], [p0, p1]]
     assert len(rechecked) == 2 and rechecked[1] == want.polynomial
     assert rechecked[0] != want.polynomial
 
@@ -507,8 +543,8 @@ def test_escalation_solves_only_the_new_equations_at_the_first_prime(
         monkeypatch):
     # delta=5, degree 8: N=60 eliminates the whole system at the first
     # prime (nullity 6); N=76 solves its new equations inside those six
-    # vectors, eliminates the whole system at the second prime only, and
-    # the two-prime lift passes the exact recheck
+    # vectors, and the one-prime lift of that kernel passes the exact
+    # recheck, so no other prime eliminates anything
     solved, lifts = [], []
     nullspace, lift = relations._nullspace_mod, relations._lift_kernel_vector
 
@@ -525,10 +561,10 @@ def test_escalation_solves_only_the_new_equations_at_the_first_prime(
     monkeypatch.setattr(relations, "_lift_kernel_vector", lifting)
     report = find_relation(5, 8)
     assert report.precision == 76
-    p0, p1 = _PRIMES[:2]
+    p0 = _PRIMES[0]
     n = len(monomial_basis(8))
-    assert solved == [(p0, n, 6), (p0, 6, 1), (p1, n, 1)]
-    assert lifts == [[p0, p1]]
+    assert solved == [(p0, n, 6), (p0, 6, 1)]
+    assert lifts == [[p0]]
 
 
 @pytest.mark.parametrize("zero_tails", [0, 2])
@@ -684,6 +720,34 @@ def test_explicit_overgenerous_degree_is_ambiguous():
     assert info.value.factor == h4
 
 
+def test_imprimitive_search_reuses_the_first_prime_kernel(monkeypatch):
+    # the degree-4 kernel for Delta = 4 at N=48 has dimension 10; its
+    # degree-2 part is z K for the one vector z of the 25 x 10 system of K's
+    # columns past the degree-2 prefix, so no 10-column system of lattice
+    # points is eliminated, and its one-prime lift is the factor
+    solved = []
+    nullspace = relations._nullspace_mod
+
+    def solving(mat, p):
+        ker = nullspace(mat, p)
+        solved.append((p, mat.shape[1], len(ker)))
+        return ker
+
+    monkeypatch.setattr(relations, "_nullspace_mod", solving)
+    with pytest.raises(ImprimitiveKernel) as info:
+        find_relation(4, 4, precision=48)
+    exc = info.value
+    p0 = _PRIMES[0]
+    assert solved == [(p0, 35, 10), (p0, 10, 1)]
+    assert str(exc) == ("kernel dimension 10 at degree 4 for delta=4 at "
+                        "N=48 is spanned by the multiples of the degree-2 "
+                        "relation e_1e_2 - e_3; search at degree 2")
+    assert exc.factor == MultiPoly({(1, 1, 0): 1, (0, 0, 1): -1})
+    assert exc.factor_degree == 2
+    assert (exc.kernel_dim, exc.degree, exc.delta, exc.precision,
+            exc.residual_checks) == (10, 4, 4, 48, None)
+
+
 def test_imprimitive_search_reuses_the_callers_triple(monkeypatch):
     # the degree-2 factor search runs on the N + 8 = 56 triple already
     # built, and builds none of its own
@@ -731,8 +795,8 @@ def test_imprimitive_kernel_under_symmetry():
 
 def test_recheck_failure_names_the_failing_precision(monkeypatch):
     # the N=60 kernel vector for Delta=12, degree 8 (e1e2) vanishes to
-    # N=60 but not on the N + 8 triple; the two-prime lift is rechecked
-    # once, and the equal three-prime lift is refused without a second
+    # N=60 but not on the N + 8 triple; the one-prime lift is rechecked
+    # once, and the equal two-prime lift is refused without a second
     # recheck
     rechecked, lifts = [], []
     evaluate, lift = relations.eval_on_series, relations._lift_kernel_vector
@@ -754,7 +818,7 @@ def test_recheck_failure_names_the_failing_precision(monkeypatch):
     assert info.value.precision == 60
     assert "exact recheck at N=68" in str(info.value)
     assert len(rechecked) == 1
-    assert lifts == [list(_PRIMES[:2]), list(_PRIMES[:3])]
+    assert lifts == [list(_PRIMES[:1]), list(_PRIMES[:2])]
 
 
 def test_e1_is_one_to_exactly_four_k_plus_l():

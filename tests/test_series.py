@@ -87,6 +87,38 @@ def test_inverse_randomized():
         assert f * g == TruncatedSeries.one(n)
 
 
+def reference_inverse(f):
+    """1/f = c (1 + x + x^2 + ...) for x = 1 - c f, c = +-1 the constant
+    term of f, by the dict convolution: the geometric series of the paper,
+    an independent reference for `TruncatedSeries.inverse`.  x has no
+    constant term, so x^k vanishes mod (p^n, q^n) for k > 2n - 2."""
+    n = f.precision
+    one = TruncatedSeries.one(n)
+    c = TruncatedSeries({(0, 0): f.constant_term()}, n)
+    x = one - reference_product(c, f)
+    total = power = one
+    for _ in range(2 * n - 2):
+        power = reference_product(power, x)
+        total = total + power
+    return reference_product(c, total)
+
+
+@pytest.mark.parametrize("f", [
+    # a unit on 4Z x 4Z, as every Rosenhain input is: the solve steps by 4
+    TruncatedSeries({(0, 0): 1, (4, 0): 3, (0, 8): -2, (8, 4): 5,
+                     (12, 12): -1, (20, 4): 7}, 30),
+    # on 3Z x 3Z, with no term on either axis
+    TruncatedSeries({(0, 0): -1, (3, 6): 2, (9, 3): -4}, 20),
+    # a generic unit, gcd 1
+    TruncatedSeries({(0, 0): 1, (1, 0): -2, (0, 3): 1, (2, 5): 4,
+                     (4, 4): -3}, 9),
+    # constants, with and without a grid to step over
+    TruncatedSeries({(0, 0): -1}, 7),
+    TruncatedSeries({(0, 0): 1}, 1)])
+def test_inverse_matches_the_reference_inverse(f):
+    assert f.inverse() == reference_inverse(f)
+
+
 def test_inverse_requires_unit():
     f = TruncatedSeries({(1, 0): 1}, 6)
     with pytest.raises(NotAUnit):
