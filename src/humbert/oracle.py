@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import complex_evaluator
-from .theta import ThetaChar, humbert_params, restricted_theta
+from .theta import ThetaChar, humbert_params
 
 
 class NonConvergent(ArithmeticError):
@@ -154,28 +154,6 @@ def pq_coordinates(point):
     """The substitution variables p = e^(2 pi i (tau1-tau2)/8), q = e^(2 pi i tau2/8)."""
     return (cmath.exp(2j * math.pi * (point.tau1 - point.tau2) / 8.0),
             cmath.exp(2j * math.pi * point.tau2 / 8.0))
-
-
-def eval_series_numeric(f, p, q):
-    total = 0j
-    for (i, j) in sorted(f.terms):
-        total += complex(f.terms[(i, j)]) * p ** i * q ** j
-    return total
-
-
-def expansion_vs_direct(disc, char, point, precision):
-    """Relative error between the restricted expansion and the lattice sum.
-
-    The printed restricted expansion differs from the classical theta
-    constant by the constant characteristic phase i^(a*c + b*d) (it is -1
-    exactly for theta_10); the comparison accounts for it.
-    """
-    f = restricted_theta(char, disc, precision)
-    p, q = pq_coordinates(point)
-    series_val = eval_series_numeric(f, p, q)
-    phase = 1j ** ((char.a * char.c + char.b * char.d) % 4)
-    direct = theta_direct(point, char)
-    return abs(series_val * phase - direct) / abs(direct)
 
 
 def verify_component(poly, delta, trials=20, tol=1e-6, seed=0):

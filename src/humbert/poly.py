@@ -137,12 +137,13 @@ def eval_on_series(poly, rosenhain):
         rows.setdefault(a, {}).setdefault(b, []).append((coef, c))
     return _exact_grid(series, n, functools.partial(
         _horner_grid, rows, poly.degree_in(2), series), lambda norms: sum(
-            abs(f) * math.prod(map(pow, norms, k)) for k, f in terms.items()))
+            abs(f) * math.prod(map(pow, norms, k))
+            for k, f in terms.items()))[0]
 
 
 def _horner_grid(rows, d3, series, s, m, weight, mods):
     """The nested Horner scheme of `eval_on_series` on the m x m grid of
-    sZ x sZ, in one float64 layer per modulus.
+    sZ x sZ, in one float64 layer per modulus, as a list of one output.
 
     rows maps a to b to the (coef, c) pairs of the terms x^a y^b e3^c, and
     series holds the term maps of x, y and e3; weight and mods are as in
@@ -174,7 +175,7 @@ def _horner_grid(rows, d3, series, s, m, weight, mods):
         inner.append(_horner(y, [combination(cols.get(b, []))
                                  for b in range(max(cols, default=0) + 1)],
                              mul, reduce))
-    return _horner(x, inner, mul, reduce)
+    return [_horner(x, inner, mul, reduce)]
 
 
 def _horner(x, coeffs, mul, reduce):
@@ -221,11 +222,6 @@ def complex_evaluator(poly):
             total += coeff * p1[a] * p2[b] * p3[c]
         return total
     return evaluate
-
-
-def eval_complex(poly, z):
-    """Evaluate at a complex triple with a deterministic summation order."""
-    return complex_evaluator(poly)(z)
 
 
 # -- degenerate loci and rational substitution --------------------------

@@ -12,13 +12,18 @@ after exact monomial cancellation.  Every coefficient of t8 and t10 is even
 (the lattice terms pair up under (x1, x2) -> (-1-x1, -1-x2) with equal
 exponents and signs, and no term is its own partner), so s8 and s10, the
 cancelled series halved, are integer series with constant terms 1 and -1,
-and C = (s8/s10)^2.  t2, t4 and s10 have constant term +-1, so each quotient is
-one unit inversion and one product, and the triple is formed in integers.
+and C = (s8/s10)^2.  t2, t4 and s10 have constant term +-1, so each is a unit;
+after their three inversions the triple is formed in integers by one exact
+grid pass (`series._exact_grid`): nine products, one majorant, one residue
+pass and one CRT.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
-from .series import TruncatedSeries
+from .series import (TruncatedSeries, _exact_grid, _grid, _grid_product,
+                     _toeplitz)
 from .theta import Discriminant, NotAdmissible, ThetaChar, restricted_theta
 
 
@@ -82,14 +87,34 @@ def rosenhain_triple(disc, precision):
             raise IntegralityViolation("t%d has an odd coefficient" % i)
         t[i] = TruncatedSeries({k: c // 2 for k, c in u.terms.items()},
                                precision)
-    quotients = []
+    maps = []
     for top, bottom in ((1, 2), (3, 4), (8, 10)):
-        r = t[top] * t[bottom].inverse()
-        quotients.append(r * r)
-    a, b, c = quotients
-    triple = (a * b, b * c, a * c)
+        maps += [t[top].terms, t[bottom].inverse().terms]
+    triple = _exact_grid(maps, precision,
+                         functools.partial(_triple_grids, maps), _triple_bound)
     for name, e in zip(("e1", "e2", "e3"), triple):
         if e.constant_term() != 1:
             raise IntegralityViolation("%s has constant term %r, expected 1"
                                        % (name, e.constant_term()))
     return RosenhainSeries(*triple, disc, precision)
+
+
+def _triple_grids(maps, s, m, weight, mods):
+    """e1, e2, e3 from the maps of t1, 1/t2, t3, 1/t4, s8, 1/s10 in nine
+    `series._exact_grid` products: the quotients (the sparse theta series
+    the factor), their squares A, B and C, then A B, B C and A C."""
+
+    def mul(acc, grid):
+        return _grid_product(acc, _toeplitz(grid), mods)
+    squares = []
+    for top, inverse in zip(maps[::2], maps[1::2]):
+        r = mul(_grid(inverse, s, m, weight), _grid(top, s, m, weight))
+        squares.append(mul(r, r))
+    a, b, c = squares
+    return mul(a, b), mul(b, c), mul(a, c)
+
+
+def _triple_bound(norms):
+    """The l1 bound max(ab, bc, ac)^2 on e1, e2, e3; a = |t1|_1 |1/t2|_1."""
+    a, b, c = map(math.prod, zip(norms[::2], norms[1::2]))
+    return max(a * b, b * c, a * c) ** 2

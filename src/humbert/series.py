@@ -107,9 +107,9 @@ class TruncatedSeries:
                        for e in (self, other)), key=len)
 
         def product(s, m, weight, mods):
-            return _grid_product(_grid(b, s, m, weight),
-                                 _grid_factor(a, s, m, weight), mods)
-        return _exact_grid((a, b), n, product, math.prod)
+            return [_grid_product(_grid(b, s, m, weight),
+                                  _grid_factor(a, s, m, weight), mods)]
+        return _exact_grid((a, b), n, product, math.prod)[0]
 
     def inverse(self):
         """Multiplicative inverse in the quotient ring.
@@ -196,24 +196,26 @@ def word_primes():
 
 
 def _exact_grid(series, n, compute, l1_bound):
-    """The exact series mod (p^n, q^n) that compute(s, m, weight, mods)
+    """The k exact series mod (p^n, q^n) that compute(s, m, weight, mods)
     forms from the term maps `series`, all below n, on the grid of sZ x sZ.
 
     s is the gcd of their exponents (4 on every Rosenhain triple, 1 on a
     generic series) or n, and m = ceil(n/s).  compute reads each integer
-    through weight (k integers to a (layers, k) array), only adds and
-    multiplies, and returns (layers, m, m); mods is None, or the primes as
-    (layers, 1, 1) and every value a residue.  B >= max |coefficient| is
-    the exact l1_bound(l1 norms of the series) or, where that needs more
-    than one prime, the smaller of it and twice the float64 majorant:
-    compute on absolute values, where each rounding to nearest of a
-    nonnegative value multiplies it by at least 1 - 2^-53, so that after
-    K << 2^52 steps the computed majorant is at least (1 - 2^-53)^K > 1/2
-    of the true one.  A coefficient past the float range, or a majorant
-    not below 2^1000, leaves B the l1 bound.  Then compute runs modulo
-    consecutive primes above 2^20, all at once, until their product M
-    exceeds 2B + 1, and CRT maps each cell to the integer below M/2 in
-    absolute value with its residues: the exact coefficient.
+    through weight (j integers to a (layers, j) array), only adds and
+    multiplies, and returns a list of k outputs, each (layers, m, m); mods is
+    None, or the primes as (layers, 1, 1) and every value a residue.
+    B >= max |coefficient| of every output is the exact l1_bound(l1 norms
+    of the series) or, where that needs more than one prime, the smaller of
+    it and twice the float64 majorant: compute on absolute values, where
+    each rounding to nearest of a nonnegative value multiplies it by at
+    least 1 - 2^-53, so that after K << 2^52 steps of any chain of adds and
+    multiplies the computed majorant is at least (1 - 2^-53)^K > 1/2 of the
+    true one.  A coefficient past the float range, or a majorant not below
+    2^1000, leaves B the l1 bound.  Then compute runs modulo consecutive
+    primes above 2^20, all at once, until their product M exceeds 2B + 1,
+    and one CRT maps each cell of the k outputs to the integer below M/2
+    in absolute value with its residues: the exact coefficient.  A chain
+    of products thus pays for one majorant, residue pass and CRT in all.
     """
     s = math.gcd(*(i for e in series for k in e for i in k)) or n
     m = -(-n // s)
@@ -221,8 +223,9 @@ def _exact_grid(series, n, compute, l1_bound):
     if 2 * bound + 1 >= next(word_primes()):  # the majorant may save primes
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                top = compute(s, m, lambda cs: np.array(
-                    [[float(abs(c)) for c in cs]]), None).max()
+                # np.max keeps a nan (inf * 0) of any output; max() may not
+                top = np.max(compute(s, m, lambda cs: np.array(
+                    [[float(abs(c)) for c in cs]]), None))
         except OverflowError:  # float() of a coefficient past 2^1024
             top = math.inf
         if top < 2.0 ** 1000:
@@ -236,10 +239,11 @@ def _exact_grid(series, n, compute, l1_bound):
         return np.array([[c % p for c in coefs] for p in primes],
                         dtype=np.float64)
 
-    values = _crt_symmetric(
-        compute(s, m, residues, mods).astype(np.int64), primes, bound)
-    return TruncatedSeries({(k // m * s, k % m * s): v
-                            for k, v in values.items()}, n)
+    grids = np.stack(compute(s, m, residues, mods), axis=1)
+    outs = [{} for _ in range(grids.shape[1])]
+    for k, v in _crt_symmetric(grids.astype(np.int64), primes, bound).items():
+        outs[k // m ** 2][(k // m % m * s, k % m * s)] = v
+    return [TruncatedSeries(terms, n) for terms in outs]
 
 
 def _mod_chunk(m, p):
@@ -251,34 +255,39 @@ def _mod_chunk(m, p):
     return c
 
 
-def _grid(e, s, m, weight, pad=0):
-    """The term map e on sZ x sZ as a (layers, m, m) float64 array, left-
-    padded by `pad` zero columns: the term c p^i q^j sits in cell
-    (i/s, pad + j/s) as the layers of weight([c])."""
+def _grid(e, s, m, weight):
+    """The term map e on sZ x sZ as a (layers, m, m) float64 array: the
+    term c p^i q^j sits in cell (i/s, j/s) as the layers of weight([c])."""
     assert all(i % s == 0 and j % s == 0 for i, j in e), \
         "term off the %dZ x %dZ lattice" % (s, s)
     w = weight(list(e.values()))
-    out = np.zeros((len(w), m, pad + m))
-    out[:, [i // s for i, _ in e], [pad + j // s for _, j in e]] = w
+    out = np.zeros((len(w), m, m))
+    out[:, [i // s for i, _ in e], [j // s for _, j in e]] = w
     return out
 
 
 def _grid_factor(e, s, m, weight):
-    """The term map e on sZ x sZ, weighted as in `_grid`, as the multiplier
-    of `_grid_product`: the Toeplitz blocks T_di[j', j] = E[di, j - j'] (0
-    for j < j') of the rows of its (layers, m, m) grid E, a strided view of
-    E left-padded by m - 1 zeros, never stored (von zur Gathen and Gerhard,
-    Modern Computer Algebra, ch. 8), and the indices di of the rows that
-    hold its terms."""
-    padded = _grid(e, s, m, weight, m - 1)
+    """The `_toeplitz` factor of the term map e's grid, as in `_grid`."""
+    return _toeplitz(_grid(e, s, m, weight))
+
+
+def _toeplitz(grid):
+    """The (layers, m, m) grid E as the multiplier of `_grid_product`: the
+    Toeplitz blocks T_di[j', j] = E[di, j - j'] (0 for j < j') of its rows,
+    a strided view of E left-padded by m - 1 zeros, never stored (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 8), and the indices di
+    of its nonzero rows."""
+    layers, m, _ = grid.shape
+    padded = np.zeros((layers, m, 2 * m - 1))
+    padded[..., m - 1:] = grid
     layer, row, col = padded.strides
-    return (as_strided(padded[..., m - 1:], padded.shape[:2] + (m, m),
+    return (as_strided(padded[..., m - 1:], (layers, m, m, m),
                        (layer, row, -col, col), writeable=False),
-            sorted({i // s for i, _ in e}))
+            np.flatnonzero(grid.any(axis=(0, 2))).tolist())
 
 
 def _grid_product(acc, factor, mods):
-    """acc times a `_grid_factor` E on the m x m grid, truncated to it, in
+    """acc times a `_toeplitz` factor E on the m x m grid, truncated to it, in
     every layer (or acc of k layers against one): one float64 matmul
     out[:, di:] += acc[:, :m - di] @ T_di per listed row di of E.  With
     mods, acc and E hold residues and the sum is reduced after every
@@ -304,12 +313,12 @@ def _crt(columns, primes):
 
 def _crt_symmetric(residues, primes, bound):
     """The nonzero integers of absolute value at most `bound` with the
-    residues of the int64 (primes, m, m) array, as a map from flat grid
+    residues of the int64 (primes, ...) array, as a map from flat grid
     index to value.  The product M of the primes must exceed 2 bound + 1:
     then the symmetric residue mod M, in (-M/2, M/2), is the integer."""
     flat = residues.reshape(len(primes), -1)
     cells = np.flatnonzero(flat.any(axis=0))
-    mod, values = _crt(flat[:, cells].T.tolist(), primes)
+    mod, values = _crt(zip(*flat[:, cells].tolist()), primes)
     assert mod > 2 * bound + 1, "CRT modulus too small for the bound"
     return {k: v - mod if v > mod // 2 else v
             for k, v in zip(cells.tolist(), values)}

@@ -16,8 +16,7 @@ import pytest
 
 from humbert.degrees import (a_delta, admissible_range, deg_fstar,
                              degree_table, m_components)
-from humbert.oracle import (expansion_vs_direct, eval_series_numeric,
-                            pq_coordinates, rosenhain_numeric,
+from humbert.oracle import (pq_coordinates, rosenhain_numeric,
                             sample_humbert_point, verify_component)
 from humbert.poly import MultiPoly, eval_on_series, parse_poly
 from humbert import relations
@@ -29,6 +28,7 @@ from humbert.s6 import (Perm6, act, all_perms, fixed_group, mulclose,
 from humbert.series import TruncatedSeries
 from humbert.theta import THETA_CHARS, ThetaChar, humbert_params, \
     restricted_theta
+from test_oracle import eval_series_numeric, expansion_vs_direct
 
 EXPECTED_DEG_FSTAR = [1, 4, 8, 8, 24, 16, 40, 32, 48, 32, 80, 48]
 

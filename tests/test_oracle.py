@@ -13,13 +13,13 @@ import pytest
 from humbert import oracle
 from humbert.degrees import admissible_range
 from humbert.oracle import (NearVanishingDenominator, SamplingExhausted,
-                            SiegelPoint, eval_series_numeric,
-                            expansion_vs_direct, pq_coordinates,
-                            rosenhain_numeric, sample_humbert_point,
-                            theta_constants, theta_direct, verify_component)
-from humbert.poly import eval_complex, parse_poly
+                            SiegelPoint, pq_coordinates, rosenhain_numeric,
+                            sample_humbert_point, theta_constants,
+                            theta_direct, verify_component)
+from humbert.poly import parse_poly
 from humbert.rosenhain import rosenhain_triple
-from humbert.theta import THETA_CHARS, ThetaChar, humbert_params
+from humbert.theta import (THETA_CHARS, ThetaChar, humbert_params,
+                           restricted_theta)
 
 
 def h12_poly():
@@ -29,6 +29,29 @@ def h12_poly():
 def ref_poly(delta):
     refs = Path(__file__).resolve().parents[1] / "bench" / "refs"
     return parse_poly((refs / ("h%d.txt" % delta)).read_text())
+
+
+def eval_series_numeric(f, p, q):
+    """The series f at the complex point (p, q), summed in sorted order."""
+    total = 0j
+    for (i, j) in sorted(f.terms):
+        total += complex(f.terms[(i, j)]) * p ** i * q ** j
+    return total
+
+
+def expansion_vs_direct(disc, char, point, precision):
+    """Relative error between the restricted expansion and the lattice sum.
+
+    The printed restricted expansion differs from the classical theta
+    constant by the constant characteristic phase i^(a*c + b*d) (it is -1
+    exactly for theta_10); the comparison accounts for it.
+    """
+    f = restricted_theta(char, disc, precision)
+    p, q = pq_coordinates(point)
+    series_val = eval_series_numeric(f, p, q)
+    phase = 1j ** ((char.a * char.c + char.b * char.d) % 4)
+    direct = theta_direct(point, char)
+    return abs(series_val * phase - direct) / abs(direct)
 
 
 def reference_lattice_sum(point, char, tol):

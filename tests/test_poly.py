@@ -16,7 +16,7 @@ import humbert
 from humbert import poly as poly_module
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
                           ParseError, ZeroPolynomial, divide_degenerate,
-                          eval_complex, eval_on_series, format_poly,
+                          complex_evaluator, eval_on_series, format_poly,
                           parse_poly, strip_degenerate_factors,
                           substitute_rational)
 from humbert.rosenhain import rosenhain_triple
@@ -441,6 +441,11 @@ def _content_ratio(f, g, fg):
     key = next(iter(fg.terms))
     prod = _raw_mul_terms(f.terms, g.terms)
     return prod[key], fg.terms[key]
+
+
+def eval_complex(poly, z):
+    """The one-point form of `complex_evaluator`."""
+    return complex_evaluator(poly)(z)
 
 
 def test_eval_complex_matches_series_eval_at_numbers():

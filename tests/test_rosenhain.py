@@ -2,6 +2,7 @@
 
 import pytest
 
+from humbert import rosenhain, series
 from humbert.degrees import admissible_range
 from humbert.rosenhain import rosenhain_triple
 from humbert.series import TruncatedSeries
@@ -125,3 +126,43 @@ def test_rosenhain_ratio_is_formed_in_integers():
         triple = rosenhain_triple(humbert_params(delta), 40)
         for f in triple.series():
             assert all(type(c) is int for c in f.terms.values())
+
+
+def test_triple_is_one_exact_grid_pass(monkeypatch):
+    # three unit inversions, then one `_exact_grid` call for all nine
+    # products: one majorant pass, one residue pass at three primes (the
+    # widest single product's count at Delta = 5, N = 84) and one CRT,
+    # and no series product
+    calls = {"exact_grid": 0, "inverse": 0, "passes": [], "crt": []}
+    exact_grid, inverse = rosenhain._exact_grid, TruncatedSeries.inverse
+    crt = series._crt_symmetric
+
+    def spy_exact_grid(maps, n, compute, l1_bound):
+        calls["exact_grid"] += 1
+
+        def spy_compute(s, m, weight, mods):
+            calls["passes"].append(None if mods is None else mods.size)
+            return compute(s, m, weight, mods)
+        return exact_grid(maps, n, spy_compute, l1_bound)
+
+    def spy_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    def spy_crt(residues, primes, bound):
+        calls["crt"].append(len(primes))
+        return crt(residues, primes, bound)
+
+    def no_product(self, other):
+        raise AssertionError("a series product outside the grid pass")
+    monkeypatch.setattr(rosenhain, "_exact_grid", spy_exact_grid)
+    monkeypatch.setattr(TruncatedSeries, "inverse", spy_inverse)
+    monkeypatch.setattr(series, "_crt_symmetric", spy_crt)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", no_product)
+    for k, delta in enumerate((4, 5, 8, 12, 13), 1):
+        rosenhain_triple(humbert_params(delta), 84)
+        assert (calls["exact_grid"], calls["inverse"]) == (k, 3 * k)
+    calls.update(passes=[], crt=[])
+    rosenhain_triple(humbert_params(5), 84)
+    assert calls["passes"] == [None, 3]
+    assert calls["crt"] == [3]

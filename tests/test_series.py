@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from humbert import series
-from humbert.rosenhain import rosenhain_triple
-from humbert.series import (NotAUnit, NotDivisible, TruncatedSeries,
-                            series_to_record, word_primes)
-from humbert.theta import humbert_params
+from humbert.rosenhain import rosenhain_triple, smallest_precision
+from humbert.series import (NotAUnit, NotDivisible, TruncatedSeries, _grid,
+                            _grid_factor, _grid_product, series_to_record,
+                            word_primes)
+from humbert.theta import ThetaChar, humbert_params, restricted_theta
 
 rng = random.Random(20260826)
 
@@ -245,13 +246,114 @@ def test_product_matches_the_reference_product(operands):
     assert g * f == want
 
 
-def test_rosenhain_triple_matches_the_reference_product(monkeypatch):
-    # the Delta = 12 triple at N = 112, rebuilt with the dict convolution
-    # for every product, is the triple of the grid product
-    disc = humbert_params(12)
-    want = rosenhain_triple(disc, 112)
-    monkeypatch.setattr(TruncatedSeries, "__mul__", reference_product)
-    assert rosenhain_triple(disc, 112).series() == want.series()
+def reference_triple(disc, n):
+    """(e1, e2, e3) from t1, t2, t3, t4, s8 and s10, formed as
+    `rosenhain_triple` forms them, by `reference_inverse` and nine
+    `reference_product`s: an independent reference for the one-pass
+    triple."""
+    t = {i: restricted_theta(ThetaChar.from_index(i), disc, n)
+         for i in (1, 2, 3, 4)}
+    i0, j0 = 1 + disc.k, disc.k + disc.ell - 1
+    for i in (8, 10):
+        u = restricted_theta(ThetaChar.from_index(i), disc, n + i0)
+        u = u.divide_monomial(i0, j0).truncate(n)
+        t[i] = TruncatedSeries({k: c // 2 for k, c in u.terms.items()}, n)
+    squares = []
+    for top, bottom in ((1, 2), (3, 4), (8, 10)):
+        r = reference_product(t[top], reference_inverse(t[bottom]))
+        squares.append(reference_product(r, r))
+    a, b, c = squares
+    return (reference_product(a, b), reference_product(b, c),
+            reference_product(a, c))
+
+
+def test_rosenhain_triple_matches_the_reference_triple():
+    # the one-pass triple is the triple of the dict convolution, at the
+    # precision of the certify workload (Delta = 8's e1 lies on 8Z x 8Z,
+    # the grid on 4Z x 4Z) and at Delta = 4's smallest N
+    cases = [(5, 112), (8, 112), (12, 112)]
+    cases.append((4, smallest_precision(humbert_params(4))))
+    for delta, n in cases:
+        disc = humbert_params(delta)
+        assert rosenhain_triple(disc, n).series() == reference_triple(disc, n)
+
+
+def _two_products(f, g):
+    """compute for `_exact_grid`: the k = 2 outputs f g and g g of the term
+    maps f and g."""
+    def compute(s, m, weight, mods):
+        by_f, by_g = (_grid_factor(e, s, m, weight) for e in (f, g))
+        acc = _grid(g, s, m, weight)
+        return [_grid_product(acc, by_f, mods), _grid_product(acc, by_g, mods)]
+    return compute
+
+
+def _two_bound(norms):
+    return max(norms[0] * norms[1], norms[1] ** 2)
+
+
+def _spy_crt(monkeypatch):
+    """The (prime count, bound) of each later `_crt_symmetric` call."""
+    calls = []
+    crt = series._crt_symmetric
+
+    def spy(residues, primes, bound):
+        calls.append((len(primes), bound))
+        return crt(residues, primes, bound)
+    monkeypatch.setattr(series, "_crt_symmetric", spy)
+    return calls
+
+
+def test_exact_grid_returns_one_series_per_output(monkeypatch):
+    # a generic pair (gcd 1) through one k = 2 pass: each output is the
+    # dict convolution, at one prime count and through one CRT
+    n = 12
+    f = TruncatedSeries({(0, 0): 3, (1, 0): -7, (0, 5): 2 ** 40,
+                         (3, 2): -11, (7, 1): 5}, n)
+    g = TruncatedSeries({(0, 0): -1, (0, 1): 9, (2, 3): 2 ** 30 + 1,
+                         (5, 5): -4, (11, 0): 8, (6, 9): -(2 ** 25)}, n)
+    crts = _spy_crt(monkeypatch)
+    fg, gg = series._exact_grid([f.terms, g.terms], n,
+                                _two_products(f.terms, g.terms), _two_bound)
+    assert fg == reference_product(f, g)
+    assert gg == reference_product(g, g)
+    assert len(crts) == 1 and crts[0][0] > 1
+
+
+def test_exact_grid_falls_back_to_the_l1_bound(monkeypatch):
+    # a coefficient past 2^1024 has no float64 majorant: the k = 2 pass
+    # takes its primes from the exact l1 bound and is still exact
+    n = 9
+    f = TruncatedSeries({(0, 0): 2 ** 1100 + 1, (1, 2): -(2 ** 1030),
+                         (3, 0): 5}, n)
+    g = TruncatedSeries({(0, 0): 1, (2, 1): -3, (0, 4): 2 ** 20}, n)
+    crts = _spy_crt(monkeypatch)
+    fg, gg = series._exact_grid([f.terms, g.terms], n,
+                                _two_products(f.terms, g.terms), _two_bound)
+    norms = [sum(map(abs, e.terms.values())) for e in (f, g)]
+    assert [bound for _, bound in crts] == [_two_bound(norms)]
+    assert fg == reference_product(f, g)
+    assert gg == reference_product(g, g)
+
+
+def test_a_nan_majorant_in_one_output_falls_back_to_the_l1_bound():
+    # f^2 overflows the float64 majorant of the second output (inf, then
+    # inf * 0 = nan in the next product), while the first output's stays
+    # finite: the pass must then use the l1 bound for both outputs
+    n = 9
+    f = TruncatedSeries({(0, 0): 2 ** 600, (1, 1): 3}, n)
+    g = TruncatedSeries({(0, 0): 1, (2, 1): -3, (0, 4): 7}, n)
+
+    def compute(s, m, weight, mods):
+        by_f, by_g = (_grid_factor(e.terms, s, m, weight) for e in (f, g))
+        f2 = _grid_product(_grid(f.terms, s, m, weight), by_f, mods)
+        return [_grid_product(_grid(g.terms, s, m, weight), by_g, mods),
+                _grid_product(f2, by_g, mods)]
+    gg, ffg = series._exact_grid(
+        [f.terms, g.terms], n, compute,
+        lambda norms: max(norms[1] ** 2, norms[0] ** 2 * norms[1]))
+    assert gg == reference_product(g, g)
+    assert ffg == reference_product(reference_product(f, f), g)
 
 
 @pytest.mark.parametrize("key", [(-1, 5), (-1, 50), (50, -1), (-3, -3)])
