@@ -14,7 +14,8 @@ import re
 
 import numpy as np
 
-from .series import _exact_grid, _grid_factor, _grid_product, _mod_chunk
+from .series import (_exact_grid, _grid_factor, _grid_product, _mod_chunk,
+                     _reduce)
 
 
 class ZeroPolynomial(ValueError):
@@ -115,14 +116,15 @@ def eval_on_series(poly, rosenhain):
         F = sum_a x^a * (sum_b y^b * L_ab),   L_ab = sum_c f_abc * e3^c,
 
     where y is the sparser of e1 and e2 by term count and x the other one,
-    with a and b their exponents.  Each L_ab is a combination of the powers
-    e3^0, ..., e3^d3 and costs no series product; the b sums are folded by
-    Horner's rule in y and the a sum by Horner's rule in x.  With d_x, d3
-    the degrees of F in x and e3 and B_a the largest b in a term
-    x^a y^b e3^c of F, that is max(d3 - 1, 0) + sum_a B_a + d_x series
-    products (`_grid_product`): 70 for the 233 terms of the degree-16 h12,
-    of which the 55 b steps multiply by the sparser series.  The l1 bound
-    is sum |f_abc| |e1|_1^a |e2|_1^b |e3|_1^c.
+    with a and b their exponents.  The L_ab cost no series product: each
+    is one matmul of its coefficients by e3^0, ..., e3^d3.  The b sums are
+    folded by Horner's rule in y and the a sum by Horner's rule in x, each
+    step one `_grid_product` summed onto the next coefficient and reduced
+    once.  With d_x, d3 the degrees of F in x and e3 and B_a the largest b
+    in a term x^a y^b e3^c of F, that is max(d3 - 1, 0) + sum_a B_a + d_x
+    series products: 70 for the 233 terms of the degree-16 h12, of which
+    the 55 b steps multiply by the sparser series.  The l1 bound is
+    sum |f_abc| |e1|_1^a |e2|_1^b |e3|_1^c.
     """
     x, y, e3 = rosenhain.e1, rosenhain.e2, rosenhain.e3
     terms = poly.terms
@@ -134,7 +136,7 @@ def eval_on_series(poly, rosenhain):
               for e in (x, y, e3)]
     rows = {}
     for (a, b, c), coef in terms.items():
-        rows.setdefault(a, {}).setdefault(b, []).append((coef, c))
+        rows.setdefault(a, []).append((b, c, coef))
     return _exact_grid(series, n, functools.partial(
         _horner_grid, rows, poly.degree_in(2), series), lambda norms: sum(
             abs(f) * math.prod(map(pow, norms, k))
@@ -145,44 +147,45 @@ def _horner_grid(rows, d3, series, s, m, weight, mods):
     """The nested Horner scheme of `eval_on_series` on the m x m grid of
     sZ x sZ, in one float64 layer per modulus, as a list of one output.
 
-    rows maps a to b to the (coef, c) pairs of the terms x^a y^b e3^c, and
-    series holds the term maps of x, y and e3; weight and mods are as in
-    `series._exact_grid`.
+    rows maps a to the (b, c, coef) of the terms x^a y^b e3^c, and series
+    holds the term maps of x, y and e3; weight and mods are as in
+    `series._exact_grid`.  L_ab is one matmul of a (layers, 1, d3 + 1)
+    weight row by the (layers, d3 + 1, m^2) powers of e3, made and reduced
+    as Horner's rule meets it: each cell sums at most d3 + 1 products of
+    two residues, exact in any order while d3 < `_mod_chunk`(1, p), as
+    asserted.  (One matmul per a, of all its rows at once, made OpenBLAS
+    touch 384 KB more of its buffer, which raised the peak RSS.)
     """
     x, y, z = (_grid_factor(e, s, m, weight) for e in series)
-    one = np.zeros_like(z[0][:, :, 0])
-    one[:, 0, 0] = 1
+    layers = len(z[0])
+    assert mods is None or d3 < _mod_chunk(1, int(np.max(mods)))
+    pows = np.zeros((layers, d3 + 1, m, m))
+    pows[:, 0, 0, 0] = 1
+    if d3:
+        pows[:, 1] = z[0][:, :, 0]  # row 0 of block di is row di of e3
+    for c in range(2, d3 + 1):
+        _grid_product(pows[:, c - 1], z, mods, add=pows[:, c])
+    pows = pows.reshape(layers, d3 + 1, m * m)
 
-    def mul(acc, factor):
-        return _grid_product(acc, factor, mods)
+    def coefficient(w):  # L_ab from its (layers, 1, d3 + 1) weights
+        return _reduce((w @ pows).reshape(layers, m, m), mods)
 
-    def reduce(v):
-        return v if mods is None else v % mods
-
-    # an L_ab sums at most d3 + 1 products of two residues
-    assert mods is None or d3 < _mod_chunk(1, int(mods.max()))
-
-    def combination(pairs):
-        w = weight([f for f, _ in pairs])[:, :, None, None]
-        terms = (w[:, k] * pows[c] for k, (_, c) in enumerate(pairs))
-        return reduce(sum(terms, np.zeros_like(one)))
-
-    # the ladder starts from e3 itself as a grid: max(d3 - 1, 0) products
-    pows = _powers(z[0][:, :, 0], d3, one, lambda acc, _: mul(acc, z))
-    inner = []
-    for a in range(max(rows) + 1):
-        cols = rows.get(a, {})
-        inner.append(_horner(y, [combination(cols.get(b, []))
-                                 for b in range(max(cols, default=0) + 1)],
-                             mul, reduce))
-    return [_horner(x, inner, mul, reduce)]
+    def inner(a):
+        # an a with no term has one zero coefficient
+        bs, cs, coefs = zip(*rows.get(a, [(0, 0, 0)]))
+        w = np.zeros((max(bs) + 1, layers, 1, d3 + 1))
+        w[bs, :, 0, cs] = weight(coefs).T
+        return _horner(y, map(coefficient, w[::-1]), mods)
+    return [_horner(x, map(inner, reversed(range(max(rows) + 1))), mods)]
 
 
-def _horner(x, coeffs, mul, reduce):
-    """coeffs[0] + x * (coeffs[1] + x * (... + x * coeffs[-1]))."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = reduce(mul(acc, x) + c)
+def _horner(x, coeffs, mods):
+    """c_0 + x * (c_1 + x * (... + x * c_d)) from the grids c_d, ..., c_0 of
+    coeffs, top first: one `_grid_product` per step, summed into c_k."""
+    coeffs = iter(coeffs)
+    acc = next(coeffs)
+    for c in coeffs:
+        acc = _grid_product(acc, x, mods, add=c)
     return acc
 
 

@@ -15,7 +15,7 @@ lattice, so every monomial in e1, e2, e3 lies on it too.  For each
 word-size prime p, the monomial rows are built mod p on the m x m grid of
 that lattice, m = ceil(N/4), by `series._grid_product`: one float64 matmul by
 an m x m Toeplitz block per nonzero row of e_i, reduced after every c
-blocks, with c m (p-1)^2 + p < 2^53 asserted, so every value is an exact
+blocks, with c m (p-1)^2 + 2p < 2^53 asserted, so every value is an exact
 integer.  Every prime in use meets it with c >= 1 for every N up to the
 supported cap _MAX_N = 360, which is checked before any theta series is
 expanded; the automatic schedule stops at it and re-raises its last

@@ -247,12 +247,29 @@ def _exact_grid(series, n, compute, l1_bound):
 
 
 def _mod_chunk(m, p):
-    """The most blocks c of an m x m `_grid_product` mod p to sum unreduced:
-    a block adds at most m (p-1)^2 to a residue, so c m (p-1)^2 + p < 2^53
-    keeps every value an exact float64 integer; c >= 1 is asserted."""
-    c = (2 ** 53 - 1 - p) // (m * (p - 1) ** 2)
+    """The most blocks c of an m x m `_grid_product` mod p to sum unreduced
+    onto a residue: a block adds at most m (p-1)^2 to a cell, so
+    c m (p-1)^2 + 2p < 2^53 keeps every value v an exact float64 integer
+    with v + p < 2^53, as `_reduce` needs; c >= 1 is asserted."""
+    c = (2 ** 53 - 1 - 2 * p) // (m * (p - 1) ** 2)
     assert c >= 1, "float64 grid product inexact mod %d" % p
     return c
+
+
+def _reduce(v, mods):
+    """v mod the primes mods (a number, or (layers, 1, 1)) in place, as
+    v - p floor(v/p); v itself if mods is None.  The float64 integers v
+    must lie in [0, 2^53 - p), as asserted.  Then floor(v/p) is exact: v/p
+    lies j/p below k = floor(v/p) + 1, 1 <= j <= p, and rounding it up to
+    k would need j/p <= k 2^-53, that is j <= (v + j) 2^-53 < 1."""
+    if mods is None:
+        return v
+    assert v.max() < 2 ** 53 - np.max(mods), "float64 residue past 2^53 - p"
+    q = v / mods
+    np.floor(q, out=q)
+    q *= mods
+    v -= q
+    return v
 
 
 def _grid(e, s, m, weight):
@@ -286,21 +303,23 @@ def _toeplitz(grid):
             np.flatnonzero(grid.any(axis=(0, 2))).tolist())
 
 
-def _grid_product(acc, factor, mods):
-    """acc times a `_toeplitz` factor E on the m x m grid, truncated to it, in
-    every layer (or acc of k layers against one): one float64 matmul
-    out[:, di:] += acc[:, :m - di] @ T_di per listed row di of E.  With
-    mods, acc and E hold residues and the sum is reduced after every
-    `_mod_chunk` blocks (Dumas, Giorgi and Pernet, FFLAS-FFPACK)."""
+def _grid_product(acc, factor, mods, add=None):
+    """add + acc times a `_toeplitz` factor E on the m x m grid, truncated to
+    it, in every layer (or acc of k layers against one): one float64 matmul
+    out[:, di:] += acc[:, :m - di] @ T_di per listed row di of E, summed
+    into add itself (a fresh zero grid if add is None).  With mods, acc, E
+    and add hold residues, and the sum is reduced (`_reduce`) after every
+    `_mod_chunk` blocks and once at the end (Dumas, Giorgi and Pernet,
+    FFLAS-FFPACK)."""
     blocks, rows = factor
     m = acc.shape[-1]
     chunk = None if mods is None else _mod_chunk(m, int(np.max(mods)))
-    out = np.zeros_like(acc)
-    for k, di in enumerate(rows, 1):
+    out = np.zeros_like(acc) if add is None else add
+    for k, di in enumerate(rows):
+        if chunk and k and k % chunk == 0:
+            _reduce(out, mods)
         out[:, di:] += acc[:, :m - di] @ blocks[:, di]
-        if chunk and k % chunk == 0:
-            out %= mods
-    return out if mods is None else out % mods
+    return _reduce(out, mods)
 
 
 def _crt(columns, primes):

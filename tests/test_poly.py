@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 import humbert
 from humbert import poly as poly_module
+from humbert import series as series_module
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
                           ParseError, ZeroPolynomial, divide_degenerate,
                           complex_evaluator, eval_on_series, format_poly,
                           parse_poly, strip_degenerate_factors,
                           substitute_rational)
-from humbert.rosenhain import rosenhain_triple
+from humbert.rosenhain import RosenhainSeries, rosenhain_triple
 from humbert.s6 import _S6_GENERATORS, Perm6, all_perms, induced_map
 from humbert.series import (TruncatedSeries, _crt_symmetric, _grid_factor,
                             _grid_product, _mod_chunk, word_primes)
@@ -228,19 +229,27 @@ def _h12():
 def _grid_products(monkeypatch, f, triple):
     """The multiplier of every grid product that eval_on_series(f, triple)
     makes, as whether it is reduced modulo primes and its set of
-    (I, J, first-layer weight), and the value."""
-    calls = []
-    product = poly_module._grid_product
+    (I, J, first-layer weight); the number of reductions modulo primes,
+    in the grid products and in eval_on_series itself; and the value."""
+    calls, reductions = [], []
+    product, reduce = poly_module._grid_product, series_module._reduce
 
-    def recording(acc, factor, mods):
+    def recording(acc, factor, mods, add=None):
         grid = factor[0][:, :, 0]  # row 0 of block di is row di of the grid
         calls.append((mods is not None, frozenset(
             (i, j, grid[0, i, j].item())
             for i, j in np.argwhere(grid.any(axis=0)).tolist())))
-        return product(acc, factor, mods)
+        return product(acc, factor, mods, add)
+
+    def counting(v, mods):
+        reductions.append(mods is not None)
+        return reduce(v, mods)
 
     monkeypatch.setattr(poly_module, "_grid_product", recording)
-    return calls, eval_on_series(f, triple)
+    for module in (poly_module, series_module):
+        monkeypatch.setattr(module, "_reduce", counting)
+    value = eval_on_series(f, triple)
+    return calls, sum(reductions), value
 
 
 def test_eval_on_series_product_count(monkeypatch):
@@ -248,11 +257,20 @@ def test_eval_on_series_product_count(monkeypatch):
     # where one product per term and per (a, b) prefix took 304; the
     # float64 bound and the residues each make them once
     triple = rosenhain_triple(humbert_params(12), 24)
-    calls, value = _grid_products(monkeypatch, _h12(), triple)
+    calls, reductions, value = _grid_products(monkeypatch, _h12(), triple)
     assert value.is_zero()
     for reduced in (False, True):
         assert 0 < sum(r == reduced for r, _ in calls) <= 70
     assert len(calls) <= 140
+    # modulo primes, each of the 70 products is reduced once (on the 6 x 6
+    # grid no factor has more rows than `_mod_chunk` admits), and so is
+    # each of the 64 L_ab of h12, b from 0 to B_a for a from 0 to 8: a
+    # second reduction per Horner step would add 63
+    rows = {}
+    for a, b, _ in _h12().terms:
+        rows[b] = max(rows.get(b, 0), a)  # e2 is x, e1 is y on this triple
+    assert sum(rows.values()) + len(rows) == 64
+    assert reductions == 70 + 64
 
 
 def test_eval_on_series_horner_steps_multiply_by_the_sparser_series(
@@ -266,7 +284,7 @@ def test_eval_on_series_horner_steps_multiply_by_the_sparser_series(
     triple = rosenhain_triple(humbert_params(12), 24)
     assert len(triple.e1.terms) < len(triple.e2.terms)
     p = next(word_primes())
-    calls, value = _grid_products(monkeypatch, h12, triple)
+    calls, _, value = _grid_products(monkeypatch, h12, triple)
     assert value.is_zero()
     assert h12.degree_in(1) == 8
     for reduced, weight in ((False, lambda c: float(abs(c))),
@@ -277,6 +295,34 @@ def test_eval_on_series_horner_steps_multiply_by_the_sparser_series(
         factors = [points for r, points in calls if r == reduced]
         assert sum(points == sparse for points in factors) == 55
         assert sum(points == dense for points in factors) == 8
+
+
+# e2 is sparser than e1, so eval_on_series keeps the role order: x = e1,
+# y = e2.  No real triple for Delta from 4 to 29 at N = 40 has that; every
+# one swaps the two.  Coefficients past 2^64 need several primes.
+_E2_SPARSER = RosenhainSeries(
+    TruncatedSeries({(0, 0): 1, (1, 0): 3, (0, 2): -2 ** 70, (2, 3): 5,
+                     (4, 4): -1}, 6),
+    TruncatedSeries({(0, 0): 1, (3, 1): -7, (5, 5): 2 ** 66}, 6),
+    TruncatedSeries({(0, 0): -1, (2, 2): 4, (1, 5): 2 ** 40, (5, 0): 9}, 6),
+    humbert_params(5), 6)
+
+
+@pytest.mark.parametrize("f", [
+    MultiPoly({(0, 0, 0): -6}),                                 # constant
+    MultiPoly({(2, 1, 0): 1, (0, 2, 0): -3, (0, 0, 0): 5}),     # d3 = 0
+    MultiPoly({(0, 0, 3): 2, (0, 0, 1): -1, (0, 0, 0): 1}),     # e3 alone
+    # b rows with gaps: b = 1, 2 missing at a = 2 and b = 0, 1 at a = 0;
+    # no term at a = 1
+    MultiPoly({(2, 3, 1): 1, (2, 0, 2): 4, (0, 2, 0): -1, (3, 0, 0): 2}),
+    MultiPoly({(0, 3, 1): 1, (0, 0, 2): -4, (2, 0, 0): 3, (0, 1, 3): 1}),
+])
+@pytest.mark.parametrize("swapped", [False, True])
+def test_eval_on_series_edge_shapes(f, swapped):
+    triple = (rosenhain_triple(humbert_params(5), 16) if swapped
+              else _E2_SPARSER)
+    assert (len(triple.e1.terms) < len(triple.e2.terms)) == swapped
+    assert eval_on_series(f, triple) == _naive_eval(f, triple)
 
 
 @pytest.mark.parametrize("g", [{(0, 0, 0): 1}, {(14, 1, 1): 1}])

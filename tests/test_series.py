@@ -374,3 +374,30 @@ def test_word_primes_are_found_once():
     found = len(kept)
     assert list(islice(word_primes(), found)) == kept
     assert len(series._WORD_PRIMES) == found
+
+
+@pytest.mark.parametrize("layers", [None, 3])
+@pytest.mark.parametrize("index", [0, 63])
+def test_reduce_is_int_mod_up_to_its_bound(index, layers):
+    # v - p floor(v/p), in place, against Python's int % p at the edges of
+    # residue classes, where v/p is an integer or 1/p from one, up to the
+    # largest value the helper admits, 2^53 - p - 1; for the smallest and
+    # the largest of the first 64 word primes, with p as a number or
+    # repeated in a (layers, 1, 1) array
+    p = list(islice(word_primes(), 64))[index]
+    top = 2 ** 53 - p - 1
+    ks = [1, 2, 3, 2 ** 31, 2 ** 32, top // p - 1, top // p]
+    ks += [rng.randrange(2 ** 32, top // p) for _ in range(300)]
+    values = [0, p - 1, top] + [v for k in ks for v in (k * p - 1, k * p,
+                                                        k * p + 1)
+                                if v <= top]
+    values += [rng.randrange(top + 1) for _ in range(200)]
+    assert all(int(float(v)) == v for v in values)
+    mods = p if layers is None else np.full((layers, 1, 1), float(p))
+    v = np.array(values, dtype=np.float64)
+    if layers:
+        v = np.tile(v, (layers, 1, 1))
+    assert series._reduce(v, mods) is v
+    assert (v == np.array([x % p for x in values], dtype=np.float64)).all()
+    with pytest.raises(AssertionError, match="past"):
+        series._reduce(np.array([0.0, top + 1]), mods)
