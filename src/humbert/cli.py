@@ -19,8 +19,8 @@ from .degrees import NonIntegralDegree, SpecialCase, degree_table
 from .oracle import (NearVanishingDenominator, NonConvergent,
                      SamplingExhausted, verify_component)
 from .poly import ParseError, format_poly, parse_poly
-from .relations import (AmbiguousKernel, ImprimitiveKernel, NoRelation,
-                        find_relation)
+from .relations import (_SYMMETRIES, AmbiguousKernel, ImprimitiveKernel,
+                        NoRelation, find_relation)
 from .rosenhain import IntegralityViolation, rosenhain_triple
 from .s6 import fixed_group, orbit
 from .series import NotAUnit, NotDivisible, series_to_record
@@ -107,7 +107,8 @@ def rosenhain(delta, precision, out):
 @click.option("--disc", "delta", type=int, required=True)
 @click.option("--degree", "degree_", type=int, required=True)
 @click.option("--prec", "precision", type=int, default=None)
-@click.option("--symmetry", type=click.Choice(["e1e2"]), default=None)
+@click.option("--symmetry", default=None, type=click.Choice(
+    [name for name in _SYMMETRIES if name is not None]))
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
 def find(delta, degree_, precision, symmetry, as_json, out):

@@ -14,8 +14,8 @@ import re
 
 import numpy as np
 
-from .series import (_exact_grid, _grid_factor, _grid_product, _mod_chunk,
-                     _reduce)
+from .series import (_exact_grid, _grid, _grid_product, _mod_chunk, _reduce,
+                     _toeplitz)
 
 
 class ZeroPolynomial(ValueError):
@@ -115,9 +115,9 @@ def eval_on_series(poly, rosenhain):
 
         F = sum_a x^a * (sum_b y^b * L_ab),   L_ab = sum_c f_abc * e3^c,
 
-    where y is the sparser of e1 and e2 by term count and x the other one,
-    with a and b their exponents.  The L_ab cost no series product: each
-    is one matmul of its coefficients by e3^0, ..., e3^d3.  The b sums are
+    where y = e1 and x = e2, with b and a their exponents.  The L_ab cost
+    no series product: each is one matmul of its coefficients by e3^0, ...,
+    e3^d3.  The b sums are
     folded by Horner's rule in y and the a sum by Horner's rule in x, each
     step one `_grid_product` summed onto the next coefficient and reduced
     once.  With d_x, d3 the degrees of F in x and e3 and B_a the largest b
@@ -126,11 +126,10 @@ def eval_on_series(poly, rosenhain):
     the 55 b steps multiply by the sparser series.  The l1 bound is
     sum |f_abc| |e1|_1^a |e2|_1^b |e3|_1^c.
     """
-    x, y, e3 = rosenhain.e1, rosenhain.e2, rosenhain.e3
-    terms = poly.terms
-    if len(y.terms) > len(x.terms):
-        x, y = y, x
-        terms = {(b, a, c): coef for (a, b, c), coef in terms.items()}
+    # the inner steps multiply by y = e1, the sparser: e1 has no more terms
+    # than e2 on every triple (a test pins it for Delta from 4 to 60)
+    x, y, e3 = rosenhain.e2, rosenhain.e1, rosenhain.e3
+    terms = {(b, a, c): coef for (a, b, c), coef in poly.terms.items()}
     n = min(x.precision, y.precision, e3.precision)
     series = [{k: c for k, c in e.terms.items() if max(k) < n}
               for e in (x, y, e3)]
@@ -156,7 +155,7 @@ def _horner_grid(rows, d3, series, s, m, weight, mods):
     asserted.  (One matmul per a, of all its rows at once, made OpenBLAS
     touch 384 KB more of its buffer, which raised the peak RSS.)
     """
-    x, y, z = (_grid_factor(e, s, m, weight) for e in series)
+    x, y, z = (_toeplitz(_grid(e, s, m, weight)) for e in series)
     layers = len(z[0])
     assert mods is None or d3 < _mod_chunk(1, int(np.max(mods)))
     pows = np.zeros((layers, d3 + 1, m, m))
@@ -244,9 +243,9 @@ def divide_degenerate(terms, i, t):
 
     (i, t) is a locus of `_DEGENERATE_LOCI`.  The remainder F(e_i = t) is
     formed first, as a one-pass collapse of the term map.  Only when it
-    vanishes is the quotient formed, by synthetic division in e_i: with
-    F = sum_k F_k e_i^k and Q = sum_k Q_k e_i^k, Q_(k-1) = F_k + t Q_k from
-    the top degree down.  For t = 0 that is a shift of e_i.
+    vanishes is the quotient formed, in one more pass: with
+    F = sum_k F_k e_i^k, it is Q = sum_k F_k sum_(r<k) e_i^r t^(k-1-r),
+    since (e_i - t) Q = F - F(e_i = t).  For t = 0 that is a shift of e_i.
     """
     if t is None:
         if not all(k[i] for k in terms):
@@ -263,26 +262,16 @@ def divide_degenerate(terms, i, t):
         rem[kk] = rem.get(kk, 0) + v
     if any(rem.values()):
         return None
-    rows = {}
-    for k, v in terms.items():
-        rows.setdefault(k[i], []).append((k, v))
     quo = {}
-    q_k = {}  # Q_k e_i^k as a term map
-    for k in range(max(rows), 0, -1):
-        # Q_(k-1) e_i^(k-1) = t * (Q_k e_i^k) / e_i + F_k e_i^(k-1)
-        q = {}
-        for key, v in q_k.items():
-            kk = list(key)
-            kk[i] -= 1
+    for k, v in terms.items():
+        kk = list(k)
+        for r in range(k[i]):
+            kk[i] = r
             if j is not None:
-                kk[j] += 1
-            q[tuple(kk)] = v
-        for key, v in rows.get(k, ()):
-            kk = key[:i] + (k - 1,) + key[i + 1:]
-            q[kk] = q.get(kk, 0) + v
-        q_k = {key: v for key, v in q.items() if v}
-        quo.update(q_k)
-    return quo
+                kk[j] = k[j] + k[i] - 1 - r
+            key = tuple(kk)
+            quo[key] = quo.get(key, 0) + v
+    return {k: v for k, v in quo.items() if v}
 
 
 def strip_degenerate_factors(poly):

@@ -11,41 +11,23 @@ theta exponent formula gives t1-t4 (a = b = 0) the p-exponents
 4x1^2 + 4k x2^2 and the q-exponents 4(x1+x2)^2 + 4(k+l-1) x2^2.  After the
 division by p^(1+k) q^(k+l-1), t8 and t10 have 4x1(x1+1) + 4k x2(x2+1) and
 4(x1+x2+1)^2 + 4(k+l-1) x2(x2+1).  Products and unit inverses stay on the
-lattice, so every monomial in e1, e2, e3 lies on it too.  For each
-word-size prime p, the monomial rows are built mod p on the m x m grid of
-that lattice, m = ceil(N/4), by `series._grid_product`: one float64 matmul by
-an m x m Toeplitz block per nonzero row of e_i, reduced after every c
-blocks, with c m (p-1)^2 + 2p < 2^53 asserted, so every value is an exact
-integer.  Every prime in use meets it with c >= 1 for every N up to the
-supported cap _MAX_N = 360, which is checked before any theta series is
-expanded; the automatic schedule stops at it and re-raises its last
-AmbiguousKernel.  The kernel mod p comes from a Gauss-Jordan elimination in
-int64 that reduces lazily: each pivot step reduces only the pivot column
-and the pivot row and leaves its rank-1 update unreduced, with
-n (p-1)^2 + p < 2^63 asserted for n unknowns.  The nullity mod p is never
-below the nullity over Q, and only nullity 1 gives a relation, so nullity 0
-at any prime or above 1 at the first prime decides the answer.  Each
-attempt builds one Rosenhain triple, at N + 8; the kernel reads its
-truncation to N.  An escalation keeps the first prime's kernel K of the
-attempt before and solves only the new lattice points' equations inside
-span K, as Beckermann and Labahn (SIAM J. Matrix Anal. Appl. 15(3), 1994)
-add order conditions; the unknowns of lower degree are a prefix, so K also
-gives the nullity of every lower degree, and its vector there.  A
-one-dimensional kernel is lifted by CRT and rational reconstruction after
-every prime with nullity 1, from the first on (Monagan, ISSAC 2004, stops a
-lift as early); the primes M so far bound a lift to entries below
-sqrt(M/2), about 2^9.5 for one prime and 2^59 for all six, and a lift past
-it waits for the next prime.  A candidate relation is only ever accepted
-after an exact recheck: it must evaluate to the identical zero series on
-the N + 8 triple, and so also at the kernel's precision N, which puts it in
-the rational kernel, of dimension at most 1; so a lift from any count of
-primes that passes is the relation.  A refused lift ends the search when it
-had three or more primes or repeats the lift refused before.  A relation
-must not be a product of degenerate-locus factors either.  The recheck
-finds the exact series from its residues modulo consecutive primes above
-2^20, enough of them for their product to exceed twice a proven bound on
-its coefficients, so a zero is a proof and a wrong candidate shows its
-exact nonzero value.
+lattice, so every monomial in e1, e2, e3 lies on it too, and the rows mod a
+word-size prime are built on its m x m grid, m = ceil(N/4).
+
+The nullity mod p is never below the nullity over Q, and only nullity 1
+gives a relation, so nullity 0 at any prime or above 1 at the first prime
+decides the answer.  Each attempt builds one Rosenhain triple, at N + 8,
+and the kernel reads its truncation to N.  An escalation solves only the
+new lattice points' equations inside the first prime's kernel of the
+attempt before (`_kernel_mod`), as Beckermann and Labahn (SIAM J. Matrix
+Anal. Appl. 15(3), 1994) add order conditions.  A one-dimensional kernel is
+lifted by CRT and rational reconstruction after every prime with nullity 1,
+from the first on (`_lift_kernel_vector`; Monagan, ISSAC 2004, stops a lift
+as early).  A lift is only ever accepted after an exact recheck: it must
+evaluate to the identical zero series on the N + 8 triple, and so also at
+N, which puts it in the rational kernel, of dimension at most 1; so a lift
+from any count of primes that passes is the relation.  It must not be a
+product of degenerate-locus factors either.
 """
 
 import math
@@ -57,7 +39,8 @@ import numpy as np
 from .poly import (DegenerateOnly, MultiPoly, eval_on_series, format_poly,
                    strip_degenerate_factors)
 from .rosenhain import RosenhainSeries, check_precision, rosenhain_triple
-from .series import _crt, _grid_factor, _grid_product, _mod_chunk, word_primes
+from .series import (_crt, _grid, _grid_product, _mod_chunk, _toeplitz,
+                     word_primes)
 from .theta import NotAdmissible, humbert_params
 
 # the first six primes above 2^20, the primes of the exact recheck too: the
@@ -185,10 +168,9 @@ def _monomial_rows_mod(ros, basis, p):
     Column I*m + J holds the coefficient of p^(4I) q^(4J), with
     m = ceil(N/4).  Each power step multiplies the m x m grids of every
     monomial that needs it by e_v mod p in one `_grid_product`; a term of
-    e_v off 4Z x 4Z is an AssertionError.  The grids leave the dict for one
-    int64 stack, so the sum needs no more memory than the grids did: one
-    slot per orbit and monomial of it, zero-padded to the widest orbit, and
-    summed over that width.
+    e_v off 4Z x 4Z is an AssertionError.  Each grid leaves the dict as it
+    is added into its orbit's row, so the rows are reduced once, exactly:
+    a cell sums at most one residue below p per monomial of the orbit.
     """
     m = -(-ros.precision // 4)
     _mod_chunk(m, p)  # the products are exact mod p: asserted up front
@@ -200,19 +182,17 @@ def _monomial_rows_mod(ros, basis, p):
         # the prefixes through e_v of the needed triples, one power of e_v
         # per level
         grow = {t[:v + 1] + (0,) * (2 - v) for t in need}
-        factor = _grid_factor(e.terms, 4, m, lambda cs: np.array(
-            [[c % p for c in cs]], dtype=np.float64))
+        factor = _toeplitz(_grid(e.terms, 4, m, lambda cs: np.array(
+            [[c % p for c in cs]], dtype=np.float64)))
         for k in range(1, max(t[v] for t in grow) + 1):
             keys = sorted(t for t in grow if t[v] == k)
             src = np.stack([grids[t[:v] + (k - 1,) + t[v + 1:]]
                             for t in keys])
             grids.update(zip(keys, _grid_product(src, factor, p)))
-    zero = np.zeros(m * m)
-    width = max(map(len, basis))
-    stack = np.array([[grids.pop(t).ravel() for t in orbit]
-                      + [zero] * (width - len(orbit)) for orbit in basis],
-                     dtype=np.int64)
-    rows = stack.sum(axis=1)
+    rows = np.zeros((len(basis), m * m), dtype=np.int64)
+    for row, orbit in zip(rows, basis):
+        for t in orbit:
+            np.add(row, grids.pop(t).ravel(), out=row, casting="unsafe")
     rows %= p
     return rows
 
@@ -322,7 +302,8 @@ def _lift_kernel_vector(vecs_mod, primes):
     with an entry past sqrt(M/2), M the product of the primes, is None: a
     kernel vector inside that bound has every ratio inside it too, so it is
     what reconstruction returns, and the check only refuses lifts that need
-    more primes.  It never accepts one; the exact recheck does.
+    more primes (sqrt(M/2) is about 2^9.5 for one prime, 2^59 for six).  It
+    never accepts one; the exact recheck does.
     """
     m, combined = _crt(zip(*(map(int, v) for v in vecs_mod)), primes)
     pairs = [_rational_reconstruct(x, m) for x in combined]
@@ -333,12 +314,6 @@ def _lift_kernel_vector(vecs_mod, primes):
     if max(map(abs, vec)) > math.isqrt(m // 2):
         return None
     return vec
-
-
-def _poly_from_vector(vec, basis):
-    # each orbit writes its coefficient to every monomial in it, so a
-    # nonzero vector never cancels
-    return MultiPoly({t: c for c, orbit in zip(vec, basis) for t in orbit})
 
 
 def find_relation(delta, degree, precision=None, symmetry=None):
@@ -398,10 +373,10 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     raise last
 
 
-def _find_relation_on(ros, cut, basis, kernel=None):
+def _find_relation_on(ros, cut, basis, kernel):
     """One search for the orbits `basis` on `cut`, the truncation of the
-    Rosenhain triple `ros` to the kernel's precision n; `kernel` is the
-    first prime's kernel there, computed here if not given.
+    Rosenhain triple `ros` to the kernel's precision n, from `kernel`, the
+    first prime's kernel there.
 
     Nullity 0 at any prime, or above 1 at the first (the bound `_ambiguity`
     needs), decides the answer; a later prime with nullity above 1 lost
@@ -418,8 +393,6 @@ def _find_relation_on(ros, cut, basis, kernel=None):
     disc = ros.disc
     delta, n = disc.delta, cut.precision
     degree = sum(basis[-1][0])
-    if kernel is None:
-        kernel = _kernel_mod(cut, basis, _PRIMES[0])
     vecs, primes, rejected = [], [], None
     for p in _PRIMES:
         ker = kernel if p == _PRIMES[0] else _kernel_mod(cut, basis, p)
@@ -436,7 +409,9 @@ def _find_relation_on(ros, cut, basis, kernel=None):
         vec = _lift_kernel_vector(vecs, primes)
         if vec is None:
             continue
-        poly = _poly_from_vector(vec, basis)
+        # each orbit writes its coefficient to every monomial in it, so a
+        # nonzero vector never cancels
+        poly = MultiPoly({t: c for c, orbit in zip(vec, basis) for t in orbit})
         if poly != rejected:
             # exact recheck at N and at the triple's precision from one
             # evaluation: the value at N is the truncation of the value on

@@ -108,7 +108,7 @@ class TruncatedSeries:
 
         def product(s, m, weight, mods):
             return [_grid_product(_grid(b, s, m, weight),
-                                  _grid_factor(a, s, m, weight), mods)]
+                                  _toeplitz(_grid(a, s, m, weight)), mods)]
         return _exact_grid((a, b), n, product, math.prod)[0]
 
     def inverse(self):
@@ -281,11 +281,6 @@ def _grid(e, s, m, weight):
     out = np.zeros((len(w), m, m))
     out[:, [i // s for i, _ in e], [j // s for _, j in e]] = w
     return out
-
-
-def _grid_factor(e, s, m, weight):
-    """The `_toeplitz` factor of the term map e's grid, as in `_grid`."""
-    return _toeplitz(_grid(e, s, m, weight))
 
 
 def _toeplitz(grid):

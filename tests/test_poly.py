@@ -20,10 +20,12 @@ from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
                           complex_evaluator, eval_on_series, format_poly,
                           parse_poly, strip_degenerate_factors,
                           substitute_rational)
-from humbert.rosenhain import RosenhainSeries, rosenhain_triple
+from humbert.degrees import admissible_range
+from humbert.rosenhain import (RosenhainSeries, rosenhain_triple,
+                               smallest_precision)
 from humbert.s6 import _S6_GENERATORS, Perm6, all_perms, induced_map
-from humbert.series import (TruncatedSeries, _crt_symmetric, _grid_factor,
-                            _grid_product, _mod_chunk, word_primes)
+from humbert.series import (TruncatedSeries, _crt_symmetric, _grid,
+                            _grid_product, _mod_chunk, _toeplitz, word_primes)
 from humbert.theta import humbert_params
 from test_series import reference_product
 
@@ -297,9 +299,21 @@ def test_eval_on_series_horner_steps_multiply_by_the_sparser_series(
         assert sum(points == dense for points in factors) == 8
 
 
-# e2 is sparser than e1, so eval_on_series keeps the role order: x = e1,
-# y = e2.  No real triple for Delta from 4 to 29 at N = 40 has that; every
-# one swaps the two.  Coefficients past 2^64 need several primes.
+def test_e1_has_no_more_terms_than_e2():
+    # eval_on_series runs its inner Horner steps on e1 for this reason:
+    # the count of steps by y is sum_a B_a, far above the d_x outer ones
+    for delta in admissible_range(60):
+        if delta < 4:
+            continue
+        disc = humbert_params(delta)
+        for n in (smallest_precision(disc), 40, 112):
+            triple = rosenhain_triple(disc, n)
+            assert len(triple.e1.terms) <= len(triple.e2.terms), (delta, n)
+
+
+# e2 is sparser than e1, which no real triple is (see
+# test_e1_has_no_more_terms_than_e2); the value must not depend on it.
+# Coefficients past 2^64 need several primes.
 _E2_SPARSER = RosenhainSeries(
     TruncatedSeries({(0, 0): 1, (1, 0): 3, (0, 2): -2 ** 70, (2, 3): 5,
                      (4, 4): -1}, 6),
@@ -317,11 +331,11 @@ _E2_SPARSER = RosenhainSeries(
     MultiPoly({(2, 3, 1): 1, (2, 0, 2): 4, (0, 2, 0): -1, (3, 0, 0): 2}),
     MultiPoly({(0, 3, 1): 1, (0, 0, 2): -4, (2, 0, 0): 3, (0, 1, 3): 1}),
 ])
-@pytest.mark.parametrize("swapped", [False, True])
-def test_eval_on_series_edge_shapes(f, swapped):
-    triple = (rosenhain_triple(humbert_params(5), 16) if swapped
+@pytest.mark.parametrize("e1_sparser", [False, True])
+def test_eval_on_series_edge_shapes(f, e1_sparser):
+    triple = (rosenhain_triple(humbert_params(5), 16) if e1_sparser
               else _E2_SPARSER)
-    assert (len(triple.e1.terms) < len(triple.e2.terms)) == swapped
+    assert (len(triple.e1.terms) < len(triple.e2.terms)) == e1_sparser
     assert eval_on_series(f, triple) == _naive_eval(f, triple)
 
 
@@ -398,7 +412,7 @@ def test_grid_product_is_the_truncated_convolution_mod_primes(operands,
                         dtype=np.float64)
 
     mods = np.array(primes, dtype=np.float64).reshape(-1, 1, 1)
-    factor = _grid_factor(g, s, -(-n // s), weight)
+    factor = _toeplitz(_grid(g, s, -(-n // s), weight))
     out = _grid_product(residues(f), factor, mods)
     assert out.tolist() == residues(want).tolist()
 
@@ -409,7 +423,7 @@ def test_grid_product_is_the_truncated_convolution_in_float(operands):
     # the majorant's mode: no reduction, and small integers are exact
     s, n, f, g = operands
     out = _grid_product(_on_grid([f], n, s),
-                        _grid_factor(g, s, -(-n // s), _exact), None)
+                        _toeplitz(_grid(g, s, -(-n // s), _exact)), None)
     assert out.tolist() == _on_grid([_naive_product(f, g, n)], n, s).tolist()
 
 
@@ -420,8 +434,8 @@ def test_grid_chunk_bound_is_asserted():
     ones = {(i, j): 1 for i in range(3) for j in range(3)}
     big = np.full((1, 1, 1), 2.0 ** 31 - 1)
     with pytest.raises(AssertionError, match="inexact"):
-        _grid_product(_on_grid([ones], 3, 1), _grid_factor(ones, 1, 3, _exact),
-                      big)
+        _grid_product(_on_grid([ones], 3, 1),
+                      _toeplitz(_grid(ones, 1, 3, _exact)), big)
     # the primes in use admit c >= 1 up to the 92 x 92 grid of the N + 8
     # recheck at N = 360
     primes = list(islice(word_primes(), 64))
@@ -429,7 +443,7 @@ def test_grid_chunk_bound_is_asserted():
     p = max(primes)
     mods = np.full((1, 1, 1), float(p))
     acc = _on_grid([{(0, 0): p - 1}], 3, 1)
-    factor = _grid_factor({(0, 0): p - 1, (1, 2): p - 1}, 1, 3, _exact)
+    factor = _toeplitz(_grid({(0, 0): p - 1, (1, 2): p - 1}, 1, 3, _exact))
     out = _grid_product(acc, factor, mods)
     assert out[0].tolist() == [[1, 0, 0], [0, 0, 1], [0, 0, 0]]
 
@@ -445,8 +459,8 @@ def test_grid_chunk_bound_forces_several_reductions():
     f = {(i, j): p - 1 - i - 3 * j for i in range(4) for j in range(4)}
     g = {(i, j): p - 1 - 2 * i - j for i in range(4) for j in range(4)}
     mods = np.full((1, 1, 1), float(p))
-    out = _grid_product(_on_grid([f], 4, 1), _grid_factor(g, 1, 4, _exact),
-                        mods)
+    out = _grid_product(_on_grid([f], 4, 1),
+                        _toeplitz(_grid(g, 1, 4, _exact)), mods)
     want = {k: v % p for k, v in _naive_product(f, g, 4).items()}
     assert out.tolist() == _on_grid([want], 4, 1).tolist()
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from humbert import series
 from humbert.rosenhain import rosenhain_triple, smallest_precision
 from humbert.series import (NotAUnit, NotDivisible, TruncatedSeries, _grid,
-                            _grid_factor, _grid_product, series_to_record,
+                            _grid_product, _toeplitz, series_to_record,
                             word_primes)
 from humbert.theta import ThetaChar, humbert_params, restricted_theta
 
@@ -282,7 +282,7 @@ def _two_products(f, g):
     """compute for `_exact_grid`: the k = 2 outputs f g and g g of the term
     maps f and g."""
     def compute(s, m, weight, mods):
-        by_f, by_g = (_grid_factor(e, s, m, weight) for e in (f, g))
+        by_f, by_g = (_toeplitz(_grid(e, s, m, weight)) for e in (f, g))
         acc = _grid(g, s, m, weight)
         return [_grid_product(acc, by_f, mods), _grid_product(acc, by_g, mods)]
     return compute
@@ -345,7 +345,7 @@ def test_a_nan_majorant_in_one_output_falls_back_to_the_l1_bound():
     g = TruncatedSeries({(0, 0): 1, (2, 1): -3, (0, 4): 7}, n)
 
     def compute(s, m, weight, mods):
-        by_f, by_g = (_grid_factor(e.terms, s, m, weight) for e in (f, g))
+        by_f, by_g = (_toeplitz(_grid(e.terms, s, m, weight)) for e in (f, g))
         f2 = _grid_product(_grid(f.terms, s, m, weight), by_f, mods)
         return [_grid_product(_grid(g.terms, s, m, weight), by_g, mods),
                 _grid_product(f2, by_g, mods)]
