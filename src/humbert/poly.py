@@ -14,8 +14,7 @@ import re
 
 import numpy as np
 
-from .series import (_exact_grid, _grid, _grid_product, _mod_chunk, _reduce,
-                     _toeplitz)
+from .series import _exact_grid, _grid_product, _mod_chunk, _reduce, _toeplitz
 
 
 class ZeroPolynomial(ValueError):
@@ -137,31 +136,31 @@ def eval_on_series(poly, rosenhain):
     for (a, b, c), coef in terms.items():
         rows.setdefault(a, []).append((b, c, coef))
     return _exact_grid(series, n, functools.partial(
-        _horner_grid, rows, poly.degree_in(2), series), lambda norms: sum(
+        _horner_grid, rows, poly.degree_in(2)), lambda norms: sum(
             abs(f) * math.prod(map(pow, norms, k))
             for k, f in terms.items()))[0]
 
 
-def _horner_grid(rows, d3, series, s, m, weight, mods):
-    """The nested Horner scheme of `eval_on_series` on the m x m grid of
-    sZ x sZ, in one float64 layer per modulus, as a list of one output.
+def _horner_grid(rows, d3, grid, weight, mods):
+    """The nested Horner scheme of `eval_on_series` on the grids of x, y
+    and e3 (grid(0), grid(1), grid(2)), as a list of one output.
 
-    rows maps a to the (b, c, coef) of the terms x^a y^b e3^c, and series
-    holds the term maps of x, y and e3; weight and mods are as in
-    `series._exact_grid`.  L_ab is one matmul of a (layers, 1, d3 + 1)
-    weight row by the (layers, d3 + 1, m^2) powers of e3, made and reduced
-    as Horner's rule meets it: each cell sums at most d3 + 1 products of
-    two residues, exact in any order while d3 < `_mod_chunk`(1, p), as
-    asserted.  (One matmul per a, of all its rows at once, made OpenBLAS
-    touch 384 KB more of its buffer, which raised the peak RSS.)
+    rows maps a to the (b, c, coef) of the terms x^a y^b e3^c; grid,
+    weight and mods are as in `series._exact_grid`.  L_ab is one matmul of
+    a (layers, 1, d3 + 1) weight row by the (layers, d3 + 1, m^2) powers of
+    e3, made and reduced as Horner's rule meets it: each cell sums at most
+    d3 + 1 products of two residues, exact in any order while
+    d3 < `_mod_chunk`(1, p), as asserted.  (One matmul per a, of all its
+    rows at once, made OpenBLAS touch 384 KB more of its buffer, which
+    raised the peak RSS.)
     """
-    x, y, z = (_toeplitz(_grid(e, s, m, weight)) for e in series)
-    layers = len(z[0])
     assert mods is None or d3 < _mod_chunk(1, int(np.max(mods)))
+    z = grid(2)
+    layers, m, _ = z.shape
     pows = np.zeros((layers, d3 + 1, m, m))
     pows[:, 0, 0, 0] = 1
-    if d3:
-        pows[:, 1] = z[0][:, :, 0]  # row 0 of block di is row di of e3
+    pows[:, 1:2] = z[:, None]  # e3^1, unless d3 = 0
+    x, y, z = (_toeplitz(e) for e in (grid(0), grid(1), z))
     for c in range(2, d3 + 1):
         _grid_product(pows[:, c - 1], z, mods, add=pows[:, c])
     pows = pows.reshape(layers, d3 + 1, m * m)

@@ -39,8 +39,8 @@ import numpy as np
 from .poly import (DegenerateOnly, MultiPoly, eval_on_series, format_poly,
                    strip_degenerate_factors)
 from .rosenhain import RosenhainSeries, check_precision, rosenhain_triple
-from .series import (_crt, _grid, _grid_product, _mod_chunk, _toeplitz,
-                     word_primes)
+from .series import (_crt, _grid, _grid_product, _mod_chunk, _residues,
+                     _toeplitz, word_primes)
 from .theta import NotAdmissible, humbert_params
 
 # the first six primes above 2^20, the primes of the exact recheck too: the
@@ -129,10 +129,6 @@ def monomial_basis(d, symmetry=None):
     symmetry an orbit is one monomial; under "e1e2" it is
     ((a, b, c), (b, a, c)) with a > b, or ((a, a, c),).
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if symmetry not in _SYMMETRIES:
-        raise ValueError("unsupported symmetry %r" % (symmetry,))
     out = []
     for total in range(d + 1):
         for a in range(total + 1):
@@ -182,8 +178,7 @@ def _monomial_rows_mod(ros, basis, p):
         # the prefixes through e_v of the needed triples, one power of e_v
         # per level
         grow = {t[:v + 1] + (0,) * (2 - v) for t in need}
-        factor = _toeplitz(_grid(e.terms, 4, m, lambda cs: np.array(
-            [[c % p for c in cs]], dtype=np.float64)))
+        factor = _toeplitz(_grid(e.terms, 4, m, _residues((p,))))
         for k in range(1, max(t[v] for t in grow) + 1):
             keys = sorted(t for t in grow if t[v] == k)
             src = np.stack([grids[t[:v] + (k - 1,) + t[v + 1:]]
@@ -328,13 +323,16 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     up to three larger precisions up to `_MAX_N`, and the last one raised;
     an ImprimitiveKernel is raised at once.  Each retry starts from the
     first prime's kernel of the attempt before.  A bad degree or symmetry,
-    or a first precision past `_MAX_N` (a ValueError naming that N), is
-    raised before any theta series is expanded.
+    then a first precision past `_MAX_N` (a ValueError naming that N), is
+    raised before the unknowns are listed.
     """
     disc = humbert_params(delta)
     if delta < 4:
         raise NotAdmissible("relation finding needs delta >= 4")
-    basis = monomial_basis(degree, symmetry)
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    if symmetry not in _SYMMETRIES:
+        raise ValueError("unsupported symmetry %r" % (symmetry,))
     if precision is not None:
         schedule = [precision]
     else:
@@ -356,6 +354,7 @@ def find_relation(delta, degree, precision=None, symmetry=None):
         raise ValueError("precision N=%d is too large for the kernel rows of "
                          "delta=%d; the largest valid N is %d"
                          % (schedule[0], delta, _MAX_N))
+    basis = monomial_basis(degree, symmetry)
     known = None  # (N, the first prime's kernel at N) of the last attempt
     for n in schedule:
         ros = rosenhain_triple(disc, n + 8)

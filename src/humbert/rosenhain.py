@@ -18,18 +18,16 @@ grid pass (`series._exact_grid`): nine products, one majorant, one residue
 pass and one CRT.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
-from .series import (TruncatedSeries, _exact_grid, _grid, _grid_product,
-                     _toeplitz)
+from .series import TruncatedSeries, _exact_grid, _grid_product, _toeplitz
 from .theta import Discriminant, NotAdmissible, ThetaChar, restricted_theta
 
 
 class IntegralityViolation(ArithmeticError):
-    """t8 or t10 has an odd coefficient, or some e_i has a constant term
-    other than 1 (a bug)."""
+    """t8 or t10 has a term outside 2 p^(1+k) q^(k+l-1) Z[[p,q]], or some
+    e_i has a constant term other than 1 (a bug)."""
 
 
 @dataclass(frozen=True)
@@ -76,22 +74,24 @@ def rosenhain_triple(disc, precision):
     check_precision(disc, precision)
     t = {i: restricted_theta(ThetaChar.from_index(i), disc, precision)
          for i in (1, 2, 3, 4)}
-    # t[8] and t[10] hold s8 and s10: cancel the ideal factor p^i0 q^j0 of
-    # t8, t10 before squaring.  The quotient of an expansion to N + i0 is
-    # exact below N (j0 <= i0), and is cut there; then halve it
+    # t[8] and t[10] hold s8 and s10: t8, t10 over 2 p^i0 q^j0, in one
+    # pass over their expansions to N + i0, whose quotients are exact below
+    # N (j0 <= i0) and are cut there
     i0, j0 = 1 + disc.k, disc.k + disc.ell - 1
     for i in (8, 10):
-        u = restricted_theta(ThetaChar.from_index(i), disc, precision + i0)
-        u = u.divide_monomial(i0, j0).truncate(precision)
-        if any(c % 2 for c in u.terms.values()):
-            raise IntegralityViolation("t%d has an odd coefficient" % i)
-        t[i] = TruncatedSeries({k: c // 2 for k, c in u.terms.items()},
-                               precision)
+        half = {}
+        for (a, b), c in restricted_theta(ThetaChar.from_index(i), disc,
+                                          precision + i0).terms.items():
+            if a < i0 or b < j0 or c % 2:
+                raise IntegralityViolation("t%d has the term %d p^%d q^%d "
+                                           "outside 2 p^%d q^%d Z[[p,q]]"
+                                           % (i, c, a, b, i0, j0))
+            half[(a - i0, b - j0)] = c // 2
+        t[i] = TruncatedSeries(half, precision)
     maps = []
     for top, bottom in ((1, 2), (3, 4), (8, 10)):
         maps += [t[top].terms, t[bottom].inverse().terms]
-    triple = _exact_grid(maps, precision,
-                         functools.partial(_triple_grids, maps), _triple_bound)
+    triple = _exact_grid(maps, precision, _triple_grids, _triple_bound)
     for name, e in zip(("e1", "e2", "e3"), triple):
         if e.constant_term() != 1:
             raise IntegralityViolation("%s has constant term %r, expected 1"
@@ -99,16 +99,16 @@ def rosenhain_triple(disc, precision):
     return RosenhainSeries(*triple, disc, precision)
 
 
-def _triple_grids(maps, s, m, weight, mods):
-    """e1, e2, e3 from the maps of t1, 1/t2, t3, 1/t4, s8, 1/s10 in nine
+def _triple_grids(grid, weight, mods):
+    """e1, e2, e3 from the grids of t1, 1/t2, t3, 1/t4, s8, 1/s10 in nine
     `series._exact_grid` products: the quotients (the sparse theta series
     the factor), their squares A, B and C, then A B, B C and A C."""
 
-    def mul(acc, grid):
-        return _grid_product(acc, _toeplitz(grid), mods)
+    def mul(acc, factor):
+        return _grid_product(acc, _toeplitz(factor), mods)
     squares = []
-    for top, inverse in zip(maps[::2], maps[1::2]):
-        r = mul(_grid(inverse, s, m, weight), _grid(top, s, m, weight))
+    for top in (0, 2, 4):
+        r = mul(grid(top + 1), grid(top))
         squares.append(mul(r, r))
     a, b, c = squares
     return mul(a, b), mul(b, c), mul(a, c)

@@ -106,10 +106,8 @@ class TruncatedSeries:
         a, b = sorted(({k: c for k, c in e.terms.items() if max(k) < n}
                        for e in (self, other)), key=len)
 
-        def product(s, m, weight, mods):
-            return [_grid_product(_grid(b, s, m, weight),
-                                  _toeplitz(_grid(a, s, m, weight)), mods)]
-        return _exact_grid((a, b), n, product, math.prod)[0]
+        return _exact_grid((a, b), n, lambda grid, weight, mods: [
+            _grid_product(grid(1), _toeplitz(grid(0)), mods)], math.prod)[0]
 
     def inverse(self):
         """Multiplicative inverse in the quotient ring.
@@ -196,54 +194,55 @@ def word_primes():
 
 
 def _exact_grid(series, n, compute, l1_bound):
-    """The k exact series mod (p^n, q^n) that compute(s, m, weight, mods)
-    forms from the term maps `series`, all below n, on the grid of sZ x sZ.
+    """The k exact series mod (p^n, q^n) that compute(grid, weight, mods)
+    forms from the term maps `series`, all below n.
 
-    s is the gcd of their exponents (4 on every Rosenhain triple, 1 on a
-    generic series) or n, and m = ceil(n/s).  compute reads each integer
-    through weight (j integers to a (layers, j) array), only adds and
-    multiplies, and returns a list of k outputs, each (layers, m, m); mods is
-    None, or the primes as (layers, 1, 1) and every value a residue.
-    B >= max |coefficient| of every output is the exact l1_bound(l1 norms
-    of the series) or, where that needs more than one prime, the smaller of
-    it and twice the float64 majorant: compute on absolute values, where
-    each rounding to nearest of a nonnegative value multiplies it by at
-    least 1 - 2^-53, so that after K << 2^52 steps of any chain of adds and
-    multiplies the computed majorant is at least (1 - 2^-53)^K > 1/2 of the
-    true one.  A coefficient past the float range, or a majorant not below
-    2^1000, leaves B the l1 bound.  Then compute runs modulo consecutive
-    primes above 2^20, all at once, until their product M exceeds 2B + 1,
-    and one CRT maps each cell of the k outputs to the integer below M/2
-    in absolute value with its residues: the exact coefficient.  A chain
-    of products thus pays for one majorant, residue pass and CRT in all.
+    grid(i) builds series[i] on the m x m grid of sZ x sZ (s the gcd of
+    their exponents, 4 on every Rosenhain triple and 1 on a generic series,
+    or n; m = ceil(n/s)), each coefficient as its layers under weight, which
+    maps j integers to a (layers, j) array.  compute only adds and
+    multiplies and returns a list of k (layers, m, m) outputs.  It runs
+    twice.  First on absolute values, mods None: each rounding to nearest
+    of a nonnegative value multiplies it by at least 1 - 2^-53, so after
+    K << 2^52 steps the computed majorant is at least (1 - 2^-53)^K > 1/2 of
+    the true one, and B, the smaller of twice it and the exact l1_bound(l1
+    norms of the series), bounds every output coefficient (a coefficient
+    past the float range, or a majorant not below 2^1000, leaves B the l1
+    bound).  Then on residues, mods the primes as (layers, 1, 1): the
+    consecutive primes above 2^20 whose product M first exceeds 2B + 1.
+    One CRT maps each cell of the outputs to the integer below M/2 in
+    absolute value with its residues: the exact coefficient.
     """
     s = math.gcd(*(i for e in series for k in e for i in k)) or n
     m = -(-n // s)
+
+    def run(weight, mods):
+        return compute(lambda i: _grid(series[i], s, m, weight), weight, mods)
     bound = l1_bound([sum(map(abs, e.values())) for e in series])
-    if 2 * bound + 1 >= next(word_primes()):  # the majorant may save primes
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                # np.max keeps a nan (inf * 0) of any output; max() may not
-                top = np.max(compute(s, m, lambda cs: np.array(
-                    [[float(abs(c)) for c in cs]]), None))
-        except OverflowError:  # float() of a coefficient past 2^1024
-            top = math.inf
-        if top < 2.0 ** 1000:
-            bound = min(bound, math.ceil(2 * top))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # np.max keeps a nan (inf * 0) of any output; max() may not
+            top = np.max(run(lambda cs: np.array(
+                [[float(abs(c)) for c in cs]]), None))
+    except OverflowError:  # float() of a coefficient past 2^1024
+        top = math.inf
+    if top < 2.0 ** 1000:
+        bound = min(bound, math.ceil(2 * top))
     primes, more = [], word_primes()
     while math.prod(primes) <= 2 * bound + 1:
         primes.append(next(more))
     mods = np.array(primes, dtype=np.float64).reshape(-1, 1, 1)
-
-    def residues(coefs):
-        return np.array([[c % p for c in coefs] for p in primes],
-                        dtype=np.float64)
-
-    grids = np.stack(compute(s, m, residues, mods), axis=1)
+    grids = np.stack(run(_residues(primes), mods), axis=1)
     outs = [{} for _ in range(grids.shape[1])]
     for k, v in _crt_symmetric(grids.astype(np.int64), primes, bound).items():
         outs[k // m ** 2][(k // m % m * s, k % m * s)] = v
     return [TruncatedSeries(terms, n) for terms in outs]
+
+
+def _residues(primes):
+    """The weight of a residue pass: j integers to a (primes, j) array."""
+    return lambda coefs: np.array([[c % p for c in coefs] for p in primes],
+                                  dtype=np.float64)
 
 
 def _mod_chunk(m, p):

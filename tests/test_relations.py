@@ -1,6 +1,7 @@
 """Tests for relation discovery by exact linear algebra."""
 
 import random
+import time
 import tracemalloc
 from itertools import islice
 from math import comb, isqrt
@@ -625,6 +626,19 @@ def test_precision_past_the_row_bound_is_a_value_error(monkeypatch):
         find_relation(5, 2, precision=361)
 
 
+def test_a_degree_past_the_cap_is_refused_before_listing(monkeypatch):
+    # degree 1000 has C(1003, 3) unknowns; its default N=51,804 is past
+    # the cap, which is refused before a single orbit is listed
+    def no_listing(*args):
+        raise AssertionError("monomial_basis called")
+    monkeypatch.setattr(relations, "monomial_basis", no_listing)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="N=51804 is too large for the "
+                       "kernel rows of delta=5; the largest valid N is 360$"):
+        find_relation(5, 1000)
+    assert time.perf_counter() - start < 1
+
+
 def _spy_on_triples(monkeypatch):
     """Log the precision of every `relations.rosenhain_triple` call."""
     built = []
@@ -643,8 +657,8 @@ def _spy_on_triples(monkeypatch):
     (8, "e2e3", "unsupported symmetry 'e2e3'")])
 def test_bad_degree_or_symmetry_builds_no_triple(monkeypatch, degree,
                                                  symmetry, message):
-    # the orbit list is formed before the schedule, so a bad degree or
-    # symmetry is rejected before any Rosenhain triple is expanded
+    # the degree and symmetry are checked before the schedule, so a bad
+    # one is rejected before any Rosenhain triple is expanded
     built = _spy_on_triples(monkeypatch)
     with pytest.raises(ValueError, match=message):
         find_relation(5, degree, symmetry=symmetry)

@@ -128,6 +128,24 @@ def test_rosenhain_ratio_is_formed_in_integers():
             assert all(type(c) is int for c in f.terms.values())
 
 
+@pytest.mark.parametrize("index, term", [(8, (2, 0)), (10, (9, 9))])
+def test_t8_or_t10_outside_the_halved_ideal_is_a_violation(monkeypatch,
+                                                           index, term):
+    # Delta = 5 (i0, j0 = 2, 1): a term below p^2 q^1 of t8, or an odd
+    # coefficient of t10, is an IntegralityViolation
+    theta = rosenhain.restricted_theta
+
+    def broken(char, disc, precision):
+        f = theta(char, disc, precision)
+        if char == ThetaChar.from_index(index):
+            f = f + TruncatedSeries({term: 1}, precision)
+        return f
+    monkeypatch.setattr(rosenhain, "restricted_theta", broken)
+    with pytest.raises(rosenhain.IntegralityViolation,
+                       match="t%d has the term" % index):
+        rosenhain_triple(humbert_params(5), 20)
+
+
 def test_triple_is_one_exact_grid_pass(monkeypatch):
     # three unit inversions, then one `_exact_grid` call for all nine
     # products: one majorant pass, one residue pass at three primes (the
@@ -140,9 +158,9 @@ def test_triple_is_one_exact_grid_pass(monkeypatch):
     def spy_exact_grid(maps, n, compute, l1_bound):
         calls["exact_grid"] += 1
 
-        def spy_compute(s, m, weight, mods):
+        def spy_compute(grid, weight, mods):
             calls["passes"].append(None if mods is None else mods.size)
-            return compute(s, m, weight, mods)
+            return compute(grid, weight, mods)
         return exact_grid(maps, n, spy_compute, l1_bound)
 
     def spy_inverse(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from humbert import series
 from humbert.rosenhain import rosenhain_triple, smallest_precision
-from humbert.series import (NotAUnit, NotDivisible, TruncatedSeries, _grid,
+from humbert.series import (NotAUnit, NotDivisible, TruncatedSeries,
                             _grid_product, _toeplitz, series_to_record,
                             word_primes)
 from humbert.theta import ThetaChar, humbert_params, restricted_theta
@@ -278,14 +278,12 @@ def test_rosenhain_triple_matches_the_reference_triple():
         assert rosenhain_triple(disc, n).series() == reference_triple(disc, n)
 
 
-def _two_products(f, g):
-    """compute for `_exact_grid`: the k = 2 outputs f g and g g of the term
-    maps f and g."""
-    def compute(s, m, weight, mods):
-        by_f, by_g = (_toeplitz(_grid(e, s, m, weight)) for e in (f, g))
-        acc = _grid(g, s, m, weight)
-        return [_grid_product(acc, by_f, mods), _grid_product(acc, by_g, mods)]
-    return compute
+def _two_products(grid, weight, mods):
+    """compute for `_exact_grid` on the term maps [f, g]: the k = 2 outputs
+    f g and g g."""
+    by_f, by_g = (_toeplitz(grid(i)) for i in (0, 1))
+    acc = grid(1)
+    return [_grid_product(acc, by_f, mods), _grid_product(acc, by_g, mods)]
 
 
 def _two_bound(norms):
@@ -313,8 +311,8 @@ def test_exact_grid_returns_one_series_per_output(monkeypatch):
     g = TruncatedSeries({(0, 0): -1, (0, 1): 9, (2, 3): 2 ** 30 + 1,
                          (5, 5): -4, (11, 0): 8, (6, 9): -(2 ** 25)}, n)
     crts = _spy_crt(monkeypatch)
-    fg, gg = series._exact_grid([f.terms, g.terms], n,
-                                _two_products(f.terms, g.terms), _two_bound)
+    fg, gg = series._exact_grid([f.terms, g.terms], n, _two_products,
+                                _two_bound)
     assert fg == reference_product(f, g)
     assert gg == reference_product(g, g)
     assert len(crts) == 1 and crts[0][0] > 1
@@ -328,8 +326,8 @@ def test_exact_grid_falls_back_to_the_l1_bound(monkeypatch):
                          (3, 0): 5}, n)
     g = TruncatedSeries({(0, 0): 1, (2, 1): -3, (0, 4): 2 ** 20}, n)
     crts = _spy_crt(monkeypatch)
-    fg, gg = series._exact_grid([f.terms, g.terms], n,
-                                _two_products(f.terms, g.terms), _two_bound)
+    fg, gg = series._exact_grid([f.terms, g.terms], n, _two_products,
+                                _two_bound)
     norms = [sum(map(abs, e.terms.values())) for e in (f, g)]
     assert [bound for _, bound in crts] == [_two_bound(norms)]
     assert fg == reference_product(f, g)
@@ -344,16 +342,37 @@ def test_a_nan_majorant_in_one_output_falls_back_to_the_l1_bound():
     f = TruncatedSeries({(0, 0): 2 ** 600, (1, 1): 3}, n)
     g = TruncatedSeries({(0, 0): 1, (2, 1): -3, (0, 4): 7}, n)
 
-    def compute(s, m, weight, mods):
-        by_f, by_g = (_toeplitz(_grid(e.terms, s, m, weight)) for e in (f, g))
-        f2 = _grid_product(_grid(f.terms, s, m, weight), by_f, mods)
-        return [_grid_product(_grid(g.terms, s, m, weight), by_g, mods),
+    def compute(grid, weight, mods):
+        by_f, by_g = (_toeplitz(grid(i)) for i in (0, 1))
+        f2 = _grid_product(grid(0), by_f, mods)
+        return [_grid_product(grid(1), by_g, mods),
                 _grid_product(f2, by_g, mods)]
     gg, ffg = series._exact_grid(
         [f.terms, g.terms], n, compute,
         lambda norms: max(norms[1] ** 2, norms[0] ** 2 * norms[1]))
     assert gg == reference_product(g, g)
     assert ffg == reference_product(reference_product(f, f), g)
+
+
+def test_a_one_prime_product_still_runs_the_majorant_pass(monkeypatch):
+    # an l1 bound below 2^19 fits one prime, yet the pass has one bound
+    # path: compute runs on the float majorant, then at the one prime
+    n = 10
+    f = TruncatedSeries({(0, 0): 3, (2, 1): -5, (4, 7): 11}, n)
+    g = TruncatedSeries({(0, 0): -1, (1, 3): 6, (5, 0): 2}, n)
+    assert 2 * 19 * 9 + 1 < next(word_primes())  # ||f||_1 ||g||_1 = 171
+    passes, exact_grid = [], series._exact_grid
+
+    def spy_exact_grid(maps, n, compute, l1_bound):
+        def spy_compute(*args):  # mods comes last
+            passes.append(None if args[-1] is None else args[-1].size)
+            return compute(*args)
+        return exact_grid(maps, n, spy_compute, l1_bound)
+    monkeypatch.setattr(series, "_exact_grid", spy_exact_grid)
+    crts = _spy_crt(monkeypatch)
+    assert f * g == reference_product(f, g)
+    assert passes == [None, 1]
+    assert [count for count, _ in crts] == [1]
 
 
 @pytest.mark.parametrize("key", [(-1, 5), (-1, 50), (50, -1), (-3, -3)])
