@@ -19,7 +19,7 @@ gives a relation, so nullity 0 at any prime or above 1 at the first prime
 decides the answer.  Each attempt builds one Rosenhain triple, at N + 8,
 and the kernel reads its truncation to N.  An escalation solves only the
 new lattice points' equations inside the first prime's kernel of the
-attempt before (`_kernel_mod`), as Beckermann and Labahn (SIAM J. Matrix
+attempt before (`_within`), as Beckermann and Labahn (SIAM J. Matrix
 Anal. Appl. 15(3), 1994) add order conditions.  A one-dimensional kernel is
 lifted by CRT and rational reconstruction after every prime with nullity 1,
 from the first on (`_lift_kernel_vector`; Monagan, ISSAC 2004, stops a lift
@@ -43,11 +43,10 @@ from .series import (_crt, _grid, _grid_product, _mod_chunk, _residues,
                      _toeplitz, word_primes)
 from .theta import NotAdmissible, humbert_params
 
-# the first six primes above 2^20, the primes of the exact recheck too: the
-# lazily reduced elimination of `_nullspace_mod` stays inside int64 for up to
-# 2^22 unknowns (it asserts n (p-1)^2 + p < 2^63 for n unknowns) and the grid
-# products stay exact up to N = _MAX_N (both are asserted); the first prime
-# decides every nullity but 1, and only the lift needs more
+# the first six primes above 2^20, the primes of the exact recheck too: they
+# meet the asserted bounds of `_nullspace_mod` (2^22 unknowns), `_within`
+# (8,191) and the grid products (N <= _MAX_N); the first prime decides every
+# nullity but 1, and only the lift needs more
 _PRIMES = tuple(islice(word_primes(), 6))
 # the supported precision cap, checked before any theta series is expanded;
 # it is not the exactness guard, which every grid product asserts for itself
@@ -171,9 +170,7 @@ def _monomial_rows_mod(ros, basis, p):
     m = -(-ros.precision // 4)
     _mod_chunk(m, p)  # the products are exact mod p: asserted up front
     need = [t for orbit in basis for t in orbit]
-    unit = np.zeros((m, m))
-    unit[0, 0] = 1
-    grids = {(0, 0, 0): unit}
+    grids = {(0, 0, 0): np.eye(1, m * m).reshape(m, m)}  # the series 1
     for v, e in enumerate(ros.series()):
         # the prefixes through e_v of the needed triples, one power of e_v
         # per level
@@ -254,20 +251,33 @@ def _rational_reconstruct(a, m):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
+def _within(eqs, known, p):
+    """The kernel mod p of the equations `eqs` inside span `known`, as int64
+    rows: Z K for K = known and Z the kernel of S = eqs K^T, or the kernel
+    of eqs if `known` is None.  A slice `eqs` is the unit equations x_j = 0,
+    j in it: S = K[:, eqs]^T.  The float64 products eqs K^T and Z K sum at
+    most n products below (p-1)^2 for n unknowns (len(K) <= n, as K's rows
+    are independent), exact while n (p-1)^2 + p < 2^53, as asserted."""
+    if known is None:
+        return _nullspace_mod(eqs, p)
+    n = known.shape[1]
+    assert n * (p - 1) ** 2 + p < 2 ** 53, "float64 product inexact mod %d" % p
+    k = known.astype(np.float64)
+    s = known[:, eqs].T if isinstance(eqs, slice) else eqs @ k.T
+    z = _nullspace_mod(s.astype(np.int64), p).astype(np.float64)
+    return ((z @ k) % p).astype(np.int64)
+
+
 def _kernel_mod(cut, basis, p, known=None):
     """The kernel mod p of the equations of the orbits `basis` on the
-    triple `cut`, as the rows of an int64 array.
+    triple `cut`, one per lattice point where some row is nonzero mod p (the
+    others are zero equations), as the rows of an int64 array.
 
-    The unknowns are the orbit coefficients, with one equation per lattice
-    point where some row is nonzero mod p; the other points would only be
-    zero equations.  `known` is a pair (N0, K) from a search of the same
-    orbits at a lower precision N0, K its kernel basis mod p.  Truncation
-    to N0 is a ring map, so the equations on the ceil(N0/4)^2 block of
-    points below N0 are the ones K solves, and the kernel is the subspace
-    of span K where the equations E_new on the other points vanish: Z K
-    for Z the kernel of S = E_new K^T, one column per row of K.  Both
-    products are float64 matmuls that sum at most n products below
-    (p-1)^2 for n unknowns, exact while n (p-1)^2 + p < 2^53, as asserted.
+    `known` is a pair (N0, K), K the kernel basis mod p of the same orbits
+    at a lower precision N0.  Truncation to N0 is a ring map, so K solves
+    the equations on the ceil(N0/4)^2 block of points below N0, and the
+    kernel is the part of span K where the other points' equations vanish
+    (`_within`).
     """
     rows = _monomial_rows_mod(cut, basis, p)
     eqs = rows.any(axis=0)
@@ -276,14 +286,7 @@ def _kernel_mod(cut, basis, p, known=None):
         eqs &= (np.maximum.outer(grid, grid) >= -(-known[0] // 4)).ravel()
     mat = rows.T[eqs]
     del rows  # so the elimination's working copies do not add to it
-    if known is None:
-        return _nullspace_mod(mat, p)
-    assert len(basis) * (p - 1) ** 2 + p < 2 ** 53, \
-        "float64 kernel update inexact mod %d" % p
-    k = known[1].astype(np.float64)
-    s = mat.astype(np.float64) @ k.T
-    z = _nullspace_mod(s.astype(np.int64), p).astype(np.float64)
-    return ((z @ k) % p).astype(np.int64)
+    return _within(mat, None if known is None else known[1], p)
 
 
 def _lift_kernel_vector(vecs_mod, primes):
@@ -323,8 +326,10 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     up to three larger precisions up to `_MAX_N`, and the last one raised;
     an ImprimitiveKernel is raised at once.  Each retry starts from the
     first prime's kernel of the attempt before.  A bad degree or symmetry,
-    then a first precision past `_MAX_N` (a ValueError naming that N), is
-    raised before the unknowns are listed.
+    then a first precision past `_MAX_N` (a ValueError naming that N), then
+    an AmbiguousKernel for more top-degree monomials than the orbit width
+    times ceil(N/4)^2 (kernel_dim None), is raised before the unknowns are
+    listed.
     """
     disc = humbert_params(delta)
     if delta < 4:
@@ -354,6 +359,20 @@ def find_relation(delta, degree, precision=None, symmetry=None):
         raise ValueError("precision N=%d is too large for the kernel rows of "
                          "delta=%d; the largest valid N is %d"
                          % (schedule[0], delta, _MAX_N))
+    # each top-degree orbit adds an unknown past ends[degree-1], the largest
+    # count of multiples (`_ambiguity`), and there are at least
+    # C(degree+2, 2) / width of them: if they outnumber the ceil(N/4)^2
+    # equations, only a plain AmbiguousKernel could follow
+    top, m = math.comb(degree + 2, 2), -(-schedule[0] // 4)
+    width = 1 + len(_SYMMETRIES[symmetry])
+    if top > m * m * width:
+        raise AmbiguousKernel(
+            "degree %d for delta=%d at N=%d has %d top-degree monomials, "
+            "more than the %d lattice points times the orbit width %d: the "
+            "kernel dimension exceeds every count of multiples; the "
+            "precision is too small for this degree"
+            % (degree, delta, schedule[0], top, m * m, width),
+            degree=degree, delta=delta, precision=schedule[0])
     basis = monomial_basis(degree, symmetry)
     known = None  # (N, the first prime's kernel at N) of the last attempt
     for n in schedule:
@@ -462,11 +481,9 @@ def _ambiguity(ros, cut, basis, kernel):
     ends[degree - k].  dim, the nullity at the first prime, bounds it from
     above, so when the two are equal the kernel is exactly the multiples of
     g.  The counts strictly decrease in k, so at most one k matches.  The
-    first prime's degree-k kernel is the part of span `kernel` that vanishes
-    past the prefix: (z kernel)[:, :ends[k]] for z the kernel of
-    kernel[:, ends[k]:]^T, of dimension dim - rank(kernel[:, ends[k]:]).
-    Only dimension 1 can give g, which is then searched for on the prefix
-    from that first-prime kernel and rechecked.
+    first prime's degree-k kernel is the part of span `kernel` where the
+    unknowns past the prefix vanish (`_within`); only dimension 1 can give
+    g, which is then searched for on the prefix from it and rechecked.
     """
     disc = ros.disc
     n, dim = cut.precision, len(kernel)
@@ -476,10 +493,9 @@ def _ambiguity(ros, cut, basis, kernel):
     ends = {sum(orbit[0]): i + 1 for i, orbit in enumerate(basis)}
     counts = {ends[degree - k]: k for k in range(1, degree)}
     k = counts.get(dim)
-    z = [] if k is None else _nullspace_mod(kernel[:, ends[k]:].T, _PRIMES[0])
-    if len(z) == 1:
-        # exact in int64 under `_nullspace_mod`'s dim (p-1)^2 + p < 2^63
-        prefix = (z @ kernel % _PRIMES[0])[:, :ends[k]]
+    prefix = ([] if k is None else
+              _within(slice(ends[k], None), kernel, _PRIMES[0])[:, :ends[k]])
+    if len(prefix) == 1:
         try:
             factor = _find_relation_on(ros, cut, basis[:ends[k]],
                                        prefix).polynomial

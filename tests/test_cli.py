@@ -118,6 +118,17 @@ def test_find_stops_escalating_at_the_precision_cap():
         res.stderr)
 
 
+def test_find_refuses_more_top_degree_monomials_than_points():
+    # degree 1000 at N=100 would list C(1003, 3) unknowns for 625 lattice
+    # points; it is refused before the list, as an AmbiguousKernel (exit 3)
+    res = run_cli(["find", "--disc", "5", "--prec", "100", "--degree",
+                   "1000"])
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("ambiguous kernel: degree 1000 for delta=5 "
+                                 "at N=100 has 501501 top-degree monomials")
+
+
 def test_find_starts_at_the_smallest_valid_precision():
     # degree 1 alone would start at N=16, below delta=60's smallest N=17;
     # the search starts at 4(k + l) + 1 = 61, where e1 - 1 no longer

@@ -11,12 +11,13 @@ import pytest
 
 from humbert import relations
 from humbert.poly import MultiPoly, eval_on_series
-from humbert.relations import (_MAX_N, _PRIMES, AmbiguousKernel,
-                               ImprimitiveKernel, NoRelation, _ambiguity,
-                               _find_relation_on, _kernel_mod,
-                               _lift_kernel_vector, _monomial_rows_mod,
-                               _nullspace_mod, default_precision,
-                               find_relation, monomial_basis)
+from humbert.relations import (_MAX_N, _PRIMES, _SYMMETRIES,
+                               AmbiguousKernel, ImprimitiveKernel,
+                               NoRelation, _ambiguity, _find_relation_on,
+                               _kernel_mod, _lift_kernel_vector,
+                               _monomial_rows_mod, _nullspace_mod, _within,
+                               default_precision, find_relation,
+                               monomial_basis)
 from humbert.degrees import admissible_range
 from humbert.rosenhain import (RosenhainSeries, rosenhain_triple,
                                smallest_precision)
@@ -560,6 +561,65 @@ def test_reused_kernel_is_the_kernel_of_the_full_system(
     assert len(_echelon(reused, p)) == len(full)
 
 
+def _low_rank(gen, rows, cols, p):
+    """A random rows x cols matrix over GF(p) of rank at most a random
+    r <= min(rows, cols), as int64."""
+    r = int(gen.integers(0, min(rows, cols) + 1))
+    left = gen.integers(0, p, size=(rows, r))
+    right = gen.integers(0, p, size=(r, cols))
+    return (left @ right) % p  # r (p-1)^2 < 2^63 for r <= 12
+
+
+@pytest.mark.parametrize("p", [_PRIMES[0], _PRIMES[5]])
+def test_within_is_the_kernel_of_the_stacked_system(p):
+    # the kernel of E2 inside the kernel of E1 is the kernel of E1 and E2
+    # together, as a span; E1 or E2 may have no rows, and either kernel may
+    # be zero
+    gen = np.random.default_rng(p)
+    seen = set()
+    for _ in range(60):
+        n = int(gen.integers(1, 13))
+        e1 = _low_rank(gen, int(gen.integers(0, n + 3)), n, p)
+        e2 = _low_rank(gen, int(gen.integers(0, n + 3)), n, p)
+        known = _within(e1, None, p)
+        got = _within(e2, known, p)
+        want = _nullspace_mod(np.vstack([e1, e2]), p)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert _echelon(got, p) == _echelon(want, p)
+        seen.add((len(known) == 0, len(got) == 0, len(e2) == 0))
+    assert len(seen) >= 4
+
+
+@pytest.mark.parametrize("p", [_PRIMES[0], _PRIMES[5]])
+def test_within_unit_equations_are_a_column_slice(p):
+    # the slice `e:` stands for the equations x_j = 0, j >= e: the result is
+    # the int64 formula it replaced, (z K mod p) for z the kernel of
+    # K[:, e:]^T, and it vanishes past e
+    gen = np.random.default_rng(p + 1)
+    for _ in range(40):
+        n = int(gen.integers(2, 13))
+        kernel = _within(_low_rank(gen, int(gen.integers(0, n)), n, p),
+                         None, p)
+        e = int(gen.integers(0, n + 1))
+        z = _nullspace_mod(kernel[:, e:].T, p)
+        want = z @ kernel % p
+        got = _within(slice(e, None), kernel, p)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        assert not got[:, e:].any()
+
+
+def test_within_asserts_its_float64_bound():
+    # n (p-1)^2 + p < 2^53 admits 8,191 unknowns at every prime in use; a
+    # prime near 2^31 breaks it for a single unknown
+    assert all(8191 * (p - 1) ** 2 + p < 2 ** 53 <= 8192 * (p - 1) ** 2
+               for p in _PRIMES)
+    one = np.ones((1, 1), dtype=np.int64)
+    with pytest.raises(AssertionError, match="inexact"):
+        _within(one, one, 2 ** 31 - 1)
+    with pytest.raises(AssertionError, match="inexact"):
+        _within(slice(0, None), one, 2 ** 31 - 1)
+
+
 def test_escalation_solves_only_the_new_equations_at_the_first_prime(
         monkeypatch):
     # delta=5, degree 8: N=60 eliminates the whole system at the first
@@ -637,6 +697,73 @@ def test_a_degree_past_the_cap_is_refused_before_listing(monkeypatch):
                        "kernel rows of delta=5; the largest valid N is 360$"):
         find_relation(5, 1000)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("degree", [1000, 60])
+def test_more_top_degree_monomials_than_points_is_refused_before_listing(
+        monkeypatch, degree):
+    # at N=100 the 25 x 25 lattice points are fewer than the C(degree+2, 2)
+    # top-degree monomials, 501,501 or 1,891, so the nullity would pass
+    # every count of multiples: the AmbiguousKernel is raised before a
+    # single orbit is listed or any theta series is expanded
+    def no_listing(*args):
+        raise AssertionError("monomial_basis called")
+    monkeypatch.setattr(relations, "monomial_basis", no_listing)
+    monkeypatch.setattr(relations, "rosenhain_triple", _no_triple)
+    start = time.perf_counter()
+    with pytest.raises(AmbiguousKernel) as info:
+        find_relation(5, degree, precision=100)
+    assert time.perf_counter() - start < 1
+    exc = info.value
+    assert type(exc) is AmbiguousKernel
+    assert (exc.kernel_dim, exc.degree, exc.delta, exc.precision,
+            exc.residual_checks) == (None, degree, 5, 100, None)
+    assert str(exc) == (
+        "degree %d for delta=5 at N=100 has %d top-degree monomials, more "
+        "than the 625 lattice points times the orbit width 1: the kernel "
+        "dimension exceeds every count of multiples; the precision is too "
+        "small for this degree" % (degree, comb(degree + 2, 2)))
+
+
+class _Listed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("degree, precision, symmetry, refused", [
+    (7, 24, None, False),  # 36 top-degree monomials, 6 x 6 points
+    (7, 20, None, True),  # 36 > 5 x 5
+    (10, 24, None, True),  # 66 > 6 x 6
+    (10, 24, "e1e2", False),  # 66 <= 2 x 6 x 6
+    (10, 20, "e1e2", True)])  # 66 > 2 x 5 x 5
+def test_the_guard_counts_points_times_the_orbit_width(
+        monkeypatch, degree, precision, symmetry, refused):
+    def listing(*args):
+        raise _Listed
+    monkeypatch.setattr(relations, "monomial_basis", listing)
+    with pytest.raises(AmbiguousKernel if refused else _Listed):
+        find_relation(5, degree, precision=precision, symmetry=symmetry)
+
+
+def test_a_guarded_input_has_a_kernel_past_every_count_of_multiples():
+    # the reason for the guard, on a refused input small enough to run:
+    # degree 7 at N=20 has 120 unknowns and at most 25 equations, so the
+    # nullity passes ends[6] = 84, the largest count of multiples
+    disc = humbert_params(5)
+    cut = rosenhain_triple(disc, 20)
+    kernel = _kernel_mod(cut, monomial_basis(7), _PRIMES[0])
+    assert len(kernel) >= 120 - 25 > comb(6 + 3, 3) == 84
+
+
+@pytest.mark.parametrize("symmetry", list(_SYMMETRIES))
+def test_the_default_first_precision_never_trips_the_guard(symmetry):
+    # the default first N is at least default_precision(degree), whose
+    # ceil(N/4)^2 exceeds C(degree+3, 3), the unknowns without symmetry,
+    # and so the C(degree+2, 2) top-degree monomials too
+    width = 1 + len(_SYMMETRIES[symmetry])
+    for degree in range(1, 41):
+        m = -(-default_precision(degree) // 4)
+        assert m * m > comb(degree + 3, 3)
+        assert comb(degree + 2, 2) <= m * m * width
 
 
 def _spy_on_triples(monkeypatch):
