@@ -7,6 +7,7 @@ accepts only integers (anything `operator.index` takes), so a rational
 coefficient is a TypeError.
 """
 
+import collections
 import functools
 import math
 import operator
@@ -52,9 +53,11 @@ def raw_mul(f, g):
 
 
 class MultiPoly:
-    """Canonical-form trivariate integer polynomial."""
+    """Canonical-form trivariate integer polynomial.  Its exponent triples
+    are interned in _KEYS, so the images of an orbit search share them."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
+    _KEYS = {}
 
     def __init__(self, terms):
         # terms: map (a, b, c) -> integer, anything `operator.index` takes
@@ -70,7 +73,9 @@ class MultiPoly:
         g = math.gcd(*clean.values())
         if clean[max(clean, key=_grlex_key)] < 0:
             g = -g
-        self.terms = {k: v // g for k, v in clean.items()}
+        key = self._KEYS.setdefault
+        self.terms = {key(k, k): v // g for k, v in clean.items()}
+        self._hash = None
 
     def degree(self):
         return max(a + b + c for (a, b, c) in self.terms)
@@ -84,7 +89,9 @@ class MultiPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:  # an orbit search looks each image up often
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __repr__(self):
         return "MultiPoly(%d terms, degree %d)" % (len(self.terms),
@@ -240,25 +247,26 @@ _DEGENERATE_LOCI = (
 def divide_degenerate(terms, i, t):
     """The quotient of a term map by e_i - t, or None if not divisible.
 
-    (i, t) is a locus of `_DEGENERATE_LOCI`.  The remainder F(e_i = t) is
-    formed first, as a one-pass collapse of the term map.  Only when it
-    vanishes is the quotient formed, in one more pass: with
-    F = sum_k F_k e_i^k, it is Q = sum_k F_k sum_(r<k) e_i^r t^(k-1-r),
-    since (e_i - t) Q = F - F(e_i = t).  For t = 0 that is a shift of e_i.
+    (i, t) is a locus of `_DEGENERATE_LOCI`.  A key of F(e_i = t) that one
+    term alone meets is a nonzero coefficient, so the keys are counted
+    first, in C; only if the remainder then vanishes is the quotient formed:
+    with F = sum_k F_k e_i^k, Q = sum_k F_k sum_(r<k) e_i^r t^(k-1-r), since
+    (e_i - t) Q = F - F(e_i = t).  For t = 0 that is a shift of e_i.
     """
     if t is None:
         if not all(k[i] for k in terms):
             return None
         return {k[:i] + (k[i] - 1,) + k[i + 1:]: v for k, v in terms.items()}
     j = t.index(1) if 1 in t else None  # t = e_j, or t = 1
+    cols = list(zip(*terms))
+    if j is not None:
+        cols[j] = map(operator.add, cols[j], cols[i])
+    keys = list(zip(*cols[:i], *cols[i + 1:]))
+    if 1 in collections.Counter(keys).values():
+        return None
     rem = {}
-    for k, v in terms.items():
-        kk = list(k)
-        if j is not None:
-            kk[j] += kk[i]
-        kk[i] = 0
-        kk = tuple(kk)
-        rem[kk] = rem.get(kk, 0) + v
+    for k, v in zip(keys, terms.values()):
+        rem[k] = rem.get(k, 0) + v
     if any(rem.values()):
         return None
     quo = {}
@@ -274,9 +282,14 @@ def divide_degenerate(terms, i, t):
 
 
 def strip_degenerate_factors(poly):
-    """Divide out all degenerate-locus factors to maximal multiplicity."""
+    """Divide out all degenerate-locus factors to maximal multiplicity, each
+    e_i^k (k the least exponent of e_i) in one pass."""
     terms = poly.terms
-    for i, t in _DEGENERATE_LOCI:
+    for i in range(3):
+        if low := min(k[i] for k in terms):
+            terms = {k[:i] + (k[i] - low,) + k[i + 1:]: v
+                     for k, v in terms.items()}
+    for i, t in _DEGENERATE_LOCI[3:]:
         while (q := divide_degenerate(terms, i, t)) is not None:
             terms = q
     result = MultiPoly(terms)
@@ -318,12 +331,10 @@ def substitute_rational(poly, phi):
     rows = {}
     for (a, b, c), coef in poly.terms.items():
         rows.setdefault(a, {}).setdefault(b, []).append((coef, z[2][c]))
-    # the sums read generators, so each product is added in as it is made
-    inner = {}
-    for a, cols in rows.items():
-        inner[a] = _lincomb((1, raw_mul(z[1][b], _lincomb(tail)))
-                            for b, tail in cols.items())
-    total = _lincomb((1, raw_mul(z[0][a], s)) for a, s in inner.items())
+    # generators all the way down: one partial sum per level is alive at once
+    total = _lincomb((1, raw_mul(z[0][a], _lincomb(
+        (1, raw_mul(z[1][b], _lincomb(tail))) for b, tail in cols.items())))
+        for a, cols in rows.items())
     return strip_degenerate_factors(MultiPoly(total))
 
 

@@ -48,6 +48,8 @@ from .theta import NotAdmissible, humbert_params
 # (8,191) and the grid products (N <= _MAX_N); the first prime decides every
 # nullity but 1, and only the lift needs more
 _PRIMES = tuple(islice(word_primes(), 6))
+# the most unknowns n with n (p-1)^2 + p < 2^53 (`_within`) at every prime
+_MAX_UNKNOWNS = min((2 ** 53 - p - 1) // (p - 1) ** 2 for p in _PRIMES)
 # the supported precision cap, checked before any theta series is expanded;
 # it is not the exactness guard, which every grid product asserts for itself
 _MAX_N = 360
@@ -329,7 +331,7 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     then a first precision past `_MAX_N` (a ValueError naming that N), then
     an AmbiguousKernel for more top-degree monomials than the orbit width
     times ceil(N/4)^2 (kernel_dim None), is raised before the unknowns are
-    listed.
+    listed, and a ValueError for more than `_MAX_UNKNOWNS` of them after it.
     """
     disc = humbert_params(delta)
     if delta < 4:
@@ -374,6 +376,11 @@ def find_relation(delta, degree, precision=None, symmetry=None):
             % (degree, delta, schedule[0], top, m * m, width),
             degree=degree, delta=delta, precision=schedule[0])
     basis = monomial_basis(degree, symmetry)
+    if len(basis) > _MAX_UNKNOWNS:
+        raise ValueError(
+            "degree %d for delta=%d has %d unknowns, more than the %d that "
+            "the float64 elimination admits (n(p-1)^2 + p < 2^53)"
+            % (degree, delta, len(basis), _MAX_UNKNOWNS))
     known = None  # (N, the first prime's kernel at N) of the last attempt
     for n in schedule:
         ros = rosenhain_triple(disc, n + 8)

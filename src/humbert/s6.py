@@ -24,15 +24,25 @@ SYMBOLS = ("0", "1", "inf", "e1", "e2", "e3")
 
 
 class Perm6:
-    """A bijection of the six symbols, stored as an image tuple."""
+    """A bijection of the six symbols, stored as the indices of its images."""
 
-    __slots__ = ("images",)
+    __slots__ = ("_index",)
 
     def __init__(self, images):
         images = tuple(images)
         if sorted(images) != sorted(SYMBOLS):
             raise ValueError("not a permutation of %r" % (SYMBOLS,))
-        self.images = images
+        self._index = tuple(map(SYMBOLS.index, images))
+
+    @classmethod
+    def _of(cls, index):  # from an index tuple, taken as valid
+        out = object.__new__(cls)
+        out._index = index
+        return out
+
+    @property
+    def images(self):
+        return tuple(map(SYMBOLS.__getitem__, self._index))
 
     @classmethod
     def identity(cls):
@@ -65,38 +75,32 @@ class Perm6:
         return cls(mapping.get(s, s) for s in SYMBOLS)
 
     def __call__(self, symbol):
-        return self.images[SYMBOLS.index(symbol)]
+        return SYMBOLS[self._index[SYMBOLS.index(symbol)]]
 
     def __mul__(self, other):
         # (self * other)(x) = self(other(x))
-        return Perm6(tuple(self(other(s)) for s in SYMBOLS))
+        return Perm6._of(tuple(map(self._index.__getitem__, other._index)))
 
     def inverse(self):
-        return Perm6(SYMBOLS[self.images.index(s)] for s in SYMBOLS)
+        return Perm6._of(tuple(map(self._index.index, range(6))))
 
     def __eq__(self, other):
         if not isinstance(other, Perm6):
             return NotImplemented
-        return self.images == other.images
+        return self._index == other._index
 
     def __hash__(self):
-        return hash(self.images)
+        return hash(self._index)
 
     def cycles(self):
-        seen = set()
-        out = []
-        for s in SYMBOLS:
-            if s in seen:
-                continue
-            cyc = [s]
-            seen.add(s)
-            t = self(s)
-            while t != s:
-                cyc.append(t)
-                seen.add(t)
-                t = self(t)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
+        out, seen = [], set()
+        for k in range(6):
+            cyc = [k]
+            while (j := self._index[cyc[-1]]) != k:
+                cyc.append(j)
+            if len(cyc) > 1 and k not in seen:
+                seen.update(cyc)
+                out.append(tuple(map(SYMBOLS.__getitem__, cyc)))
         return out
 
     def __repr__(self):
@@ -111,7 +115,7 @@ class Perm6:
 
 def all_perms():
     """All 720 permutations, in a fixed deterministic order."""
-    return [Perm6(p) for p in permutations(SYMBOLS)]
+    return [Perm6._of(p) for p in permutations(range(6))]
 
 
 def mulclose(gens):
@@ -196,16 +200,23 @@ def orbit_and_stabilizer(poly):
     """The S6 orbit and the stabilizer of a component polynomial, as sets.
 
     One breadth-first search from root = strip_degenerate_factors(poly) =
-    act(identity, poly) under _S6_GENERATORS, (e1,e2) and (0,inf,e3,e2,1),
-    at one act per generator and orbit element: two is the fewest that
-    generate S6, and this pair is the cheapest to act with.  rep maps each
-    image y to a permutation with act(rep[y], root) == y; a step onto a
-    known image gives the Schreier generator rep[y]^-1 * g * rep[x], and
-    these generate the stabilizer of root (Schreier's lemma; both rest on
-    act(s * t, f) == act(s, act(t, f))).  A constant gives (set(), all
-    720); a degenerate-only poly (set(), set()); a non-canonical poly the
-    orbit of its canonical form and an empty stabilizer.
+    act(identity, poly) under _S6_GENERATORS, the fewest (two) that generate
+    S6 and the cheapest pair to act with.  rep maps each image y to a
+    permutation with act(rep[y], root) == y; a step onto a known image gives
+    the Schreier generator rep[y]^-1 * g * rep[x], and these generate the
+    stabilizer of root (Schreier's lemma).  As act(s * t, f) == act(s,
+    act(t, f)), a new image y = act(g, x) has the reverse edge act(g^-1, y)
+    == x, read, not acted, when g^-1 is a generator: 2m acts for m images,
+    less one per image first reached by the self-inverse (e1,e2).  A
+    constant gives (set(), all 720); a degenerate-only poly (set(), set());
+    a non-canonical poly the orbit of its canonical form and an empty
+    stabilizer.
     """
+    return _search(poly, True)
+
+
+def _search(poly, stabilizer):
+    """orbit_and_stabilizer, with Schreier generators only if `stabilizer`."""
     if poly.degree() == 0:
         return set(), set(all_perms())
     try:
@@ -214,32 +225,32 @@ def orbit_and_stabilizer(poly):
         return set(), set()
     rep = {root: Perm6.identity()}
     schreier = []
-    boundary = [root]
+    boundary = [(root, None, None)]  # (x, g with act(g, x) known, that act)
     while boundary:
         new = []
-        for x in boundary:
+        for x, known, back in boundary:
             for g in _S6_GENERATORS:
-                y = act(g, x)
+                y = back if g == known else act(g, x)
                 h = g * rep[x]
                 if y not in rep:
                     rep[y] = h
-                    new.append(y)
-                elif h != rep[y]:
+                    new.append((y, g.inverse(), x))
+                elif stabilizer and h != rep[y]:
                     schreier.append(rep[y].inverse() * h)
         boundary = new
-    if root != poly:
+    if not stabilizer or root != poly:
         return set(rep), set()
     return set(rep), mulclose(schreier)
 
 
 def orbit(poly):
-    """The orbit half of orbit_and_stabilizer(poly)."""
-    return orbit_and_stabilizer(poly)[0]
+    """The orbit half of orbit_and_stabilizer(poly), with no closure."""
+    return _search(poly, False)[0]
 
 
 def fixed_group(poly):
     """The stabilizer half of orbit_and_stabilizer(poly)."""
-    return orbit_and_stabilizer(poly)[1]
+    return _search(poly, True)[1]
 
 
 # generator sets quoted from the fixed-group classification

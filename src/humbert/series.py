@@ -88,15 +88,6 @@ class TruncatedSeries:
             out[k] = out.get(k, 0) + c
         return TruncatedSeries(out, n)
 
-    def __neg__(self):
-        return TruncatedSeries({k: -c for k, c in self.terms.items()},
-                               self.precision)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         """The exact product: one `_grid_product` by the operand with fewer
         terms, under `_exact_grid` with the l1 bound ||a||_1 ||b||_1."""

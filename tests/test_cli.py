@@ -129,6 +129,17 @@ def test_find_refuses_more_top_degree_monomials_than_points():
                                  "at N=100 has 501501 top-degree monomials")
 
 
+def test_find_refuses_more_unknowns_than_the_float64_bound():
+    # degree 35 at N=360 passes the top-degree guard with 8,436 unknowns,
+    # past the 8,191 of the float64 elimination: a usage error (exit 1)
+    res = run_cli(["find", "--disc", "5", "--prec", "360", "--degree",
+                   "35"])
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: degree 35 for delta=5 has 8436 "
+                                 "unknowns, more than the 8191")
+
+
 def test_find_starts_at_the_smallest_valid_precision():
     # degree 1 alone would start at N=16, below delta=60's smallest N=17;
     # the search starts at 4(k + l) + 1 = 61, where e1 - 1 no longer

@@ -2,6 +2,7 @@
 
 import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -622,6 +623,67 @@ def test_strip_ignores_degenerate_multiples(core, mults):
             strip_degenerate_factors(MultiPoly(dressed))
         return
     assert strip_degenerate_factors(MultiPoly(dressed)) == expected
+
+
+def test_strip_of_a_dressed_multiple_is_the_strip_of_the_cofactor():
+    # strip((e_i - t)^k e_j^m G) == strip(G) over all nine loci, with k up
+    # to 4 and m up to 6: the monomial pass takes e_j^m, and a power of
+    # e_i - t, at e_i - 0 a monomial too, goes in as many divisions
+    for fac in _FACTORS:
+        for _ in range(20):
+            g = random_poly()
+            dressed = g.terms
+            for _ in range(rng.randrange(1, 5)):
+                dressed = _raw_mul_terms(dressed, fac.terms)
+            j, m = rng.randrange(3), rng.randrange(7)
+            dressed = {k[:j] + (k[j] + m,) + k[j + 1:]: v
+                       for k, v in dressed.items()}
+            try:
+                expected = strip_degenerate_factors(g)
+            except DegenerateOnly:
+                with pytest.raises(DegenerateOnly):
+                    strip_degenerate_factors(MultiPoly(dressed))
+                continue
+            assert strip_degenerate_factors(MultiPoly(dressed)) == expected
+
+
+def _at_locus(i, t, key):
+    """The key of the monomial `key` at e_i = t, t = 1 or e_j."""
+    k = list(key)
+    if 1 in t:
+        k[t.index(1)] += k[i]
+    k[i] = 0
+    return tuple(k)
+
+
+def test_divide_degenerate_refuses_when_every_key_meets_two_terms():
+    # F(e_i = t) != 0 although each of its keys is met by two terms or
+    # more, so counting the keys refuses nothing and the exact collapse
+    # must: terms grouped by their key at e_i = t, positive coefficients
+    for i, t in _DEGENERATE_LOCI[3:]:
+        j = t.index(1) if 1 in t else None
+        for _ in range(20):
+            terms = {}
+            for _ in range(rng.randrange(1, 4)):
+                base = [rng.randrange(4) for _ in range(3)]
+                base[i] = 0
+                if j is not None:
+                    base[j] = rng.randrange(1, 5)
+                for r in rng.sample(range(4 if j is None else base[j] + 1),
+                                    2):
+                    k = list(base)
+                    k[i] = r
+                    if j is not None:
+                        k[j] -= r
+                    terms[tuple(k)] = rng.randint(1, 9)
+            keys = Counter(_at_locus(i, t, k) for k in terms)
+            assert min(keys.values()) >= 2
+            assert divide_degenerate(terms, i, t) is None
+    # the smallest such input per locus: e_i + 2t, whose remainder is 3t
+    for (i, t), fac in zip(_DEGENERATE_LOCI[3:], _FACTORS[3:]):
+        plus = {k: abs(v) * (1 if k[i] else 2) for k, v in fac.terms.items()}
+        assert divide_degenerate(plus, i, t) is None
+        assert divide_degenerate(fac.terms, i, t) == {(0, 0, 0): 1}
 
 
 def test_strip_degenerate_factors():

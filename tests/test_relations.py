@@ -766,6 +766,34 @@ def test_the_default_first_precision_never_trips_the_guard(symmetry):
         assert comb(degree + 2, 2) <= m * m * width
 
 
+@pytest.mark.parametrize("degree, unknowns", [(35, 8436), (100, 176851)])
+def test_more_unknowns_than_the_float64_bound_is_refused(monkeypatch, degree,
+                                                        unknowns):
+    # at N=360 both pass the top-degree guard, but `_within`'s float64
+    # products admit 8,191 unknowns: the search is refused as a usage
+    # error before any theta series, not by its AssertionError after an
+    # elimination (degree 35) or a row build of about 11 GB (degree 100)
+    monkeypatch.setattr(relations, "rosenhain_triple", _no_triple)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        find_relation(5, degree, precision=360)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == (
+        "degree %d for delta=5 has %d unknowns, more than the 8191 that the "
+        "float64 elimination admits (n(p-1)^2 + p < 2^53)"
+        % (degree, unknowns))
+
+
+def test_the_unknown_cap_is_the_float64_bound_and_the_default_never_hits_it():
+    # 8,191 is the largest n with n (p-1)^2 + p < 2^53 at every prime, and
+    # the default schedule refuses a degree past it through _MAX_N first:
+    # degree 33, the last it admits, has C(36, 3) = 7,140 unknowns
+    assert relations._MAX_UNKNOWNS == 8191
+    assert len(monomial_basis(34)) == comb(37, 3) <= 8191 < comb(38, 3)
+    assert max(d for d in range(1, 60)
+               if default_precision(d) <= _MAX_N) == 33
+
+
 def _spy_on_triples(monkeypatch):
     """Log the precision of every `relations.rosenhain_triple` call."""
     built = []
@@ -993,7 +1021,7 @@ def test_e1_is_one_to_exactly_four_k_plus_l():
         n = 4 * (disc.k + disc.ell)
         assert n + 1 >= smallest_precision(disc)
         gap = (rosenhain_triple(disc, n + 1).e1
-               - TruncatedSeries.one(n + 1))
+               + TruncatedSeries({(0, 0): -1}, n + 1))
         assert min(max(key) for key in gap.terms) == n, delta
 
 

@@ -4,6 +4,7 @@ import cmath
 import importlib.resources as ir
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -207,10 +208,15 @@ def test_orbit_and_fixed_group_edge_cases():
     assert fixed_group(with_degenerate) == set()
 
 
+_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs"
+
+
 def test_fixed_group_act_count(monkeypatch):
-    # one act per generator and orbit element; the root costs none, and the
-    # one search that finds the 15 images also gives the stabilizer
-    h12 = parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
+    # one act per generator and orbit element, less one per reverse edge:
+    # an image first reached by the self-inverse (e1,e2) is read back, not
+    # acted, when (e1,e2) comes up from it -- 2 * 15 - 6 for h12 and
+    # 2 * 6 - 3 for h5.  The root costs none, and the one search that finds
+    # the images also gives the stabilizer
     calls = []
 
     def counting_act(sigma, poly):
@@ -218,12 +224,37 @@ def test_fixed_group_act_count(monkeypatch):
         return act(sigma, poly)
 
     monkeypatch.setattr(s6, "act", counting_act)
-    assert len(s6.fixed_group(h12)) == 48
-    assert len(calls) == 2 * 15
-    calls.clear()
-    orb, fix = s6.orbit_and_stabilizer(h12)
-    assert (len(orb), len(fix)) == (15, 48)
-    assert len(calls) == 2 * 15
+    h12 = ir.files("humbert") / "data" / "h12.txt"
+    for path, size, order, acts in [(h12, 15, 48, 24),
+                                    (_REFS / "h5.txt", 6, 120, 9)]:
+        h = parse_poly(path.read_text())
+        calls.clear()
+        assert len(s6.fixed_group(h)) == order
+        assert len(calls) == acts
+        calls.clear()
+        orb, fix = s6.orbit_and_stabilizer(h)
+        assert (len(orb), len(fix)) == (size, order)
+        assert len(calls) == acts
+        calls.clear()
+        assert s6.orbit(h) == orb
+        assert len(calls) == acts
+
+
+def test_orbit_does_not_close_the_stabilizer(monkeypatch):
+    # orbit shares fixed_group's search but never calls mulclose
+    h8 = parse_poly((_REFS / "h8.txt").read_text())
+    closed = []
+    real = s6.mulclose
+
+    def spy(gens):
+        closed.append(gens)
+        return real(gens)
+
+    monkeypatch.setattr(s6, "mulclose", spy)
+    assert len(orbit(h8)) == 15
+    assert closed == []
+    assert len(fixed_group(h8)) == 48
+    assert len(closed) == 1
 
 
 def test_fixed_group_is_a_group():
