@@ -204,15 +204,6 @@ def _lincomb(pairs):
     return out
 
 
-def _powers(x, d, one, mul):
-    """[one, x, x^2, ..., x^d] under the product `mul`, in max(d - 1, 0)
-    products: x^0 and x^1 are `one` and `x` themselves."""
-    pows = [one, x]
-    for _ in range(d - 1):
-        pows.append(mul(pows[-1], x))
-    return pows[:d + 1]
-
-
 def complex_evaluator(poly):
     """The evaluation of poly at complex triples, summed term by term in
     graded-lex order; the order, the coefficients and the degree in each
@@ -284,7 +275,14 @@ def divide_degenerate(terms, i, t):
 def strip_degenerate_factors(poly):
     """Divide out all degenerate-locus factors to maximal multiplicity, each
     e_i^k (k the least exponent of e_i) in one pass."""
-    terms = poly.terms
+    return _stripped(poly.terms)
+
+
+def _stripped(terms):
+    """strip_degenerate_factors on a term map with no zero value: the
+    divisors are monic, so one `MultiPoly`, built last, is canonical."""
+    if not terms:
+        raise ZeroPolynomial("zero polynomial has no canonical form")
     for i in range(3):
         if low := min(k[i] for k in terms):
             terms = {k[:i] + (k[i] - low,) + k[i + 1:]: v
@@ -298,36 +296,39 @@ def strip_degenerate_factors(poly):
     return result
 
 
+def _z_tables(phi, degrees):
+    """The tables z_i[e] = num_i^e den_i^(d_i - e), e <= d_i, of phi at the
+    degrees d_i, in 3(d_i - 1) products each for d_i >= 1: d_i - 1 for
+    each power ladder, whose tops are the ends, and d_i - 1 between."""
+    z = []
+    for (num, den), d in zip(phi, degrees):
+        nums, dens = [{(0, 0, 0): 1}, num], [{(0, 0, 0): 1}, den]
+        for _ in range(d - 1):
+            nums.append(raw_mul(nums[-1], num))
+            dens.append(raw_mul(dens[-1], den))
+        z.append([dens[d]] + [raw_mul(nums[e], dens[d - e])
+                              for e in range(1, d)] + [nums[d]] * (d > 0))
+    return z
+
+
 def substitute_rational(poly, phi):
     """F(phi1, phi2, phi3) with minimal uniform denominator clearing.
 
     phi is three (num, den) pairs of integer term maps, phi_i = num_i/den_i;
-    they are only read.  With d_i the degree of F in e_i and z_i[e] =
-    num_i^e den_i^(d_i - e), the cleared polynomial prod_i den_i^d_i F(phi)
-    is formed innermost first, as nested sums in the manner of Horner:
+    they are only read.  With d_i the degree of F in e_i and the tables
+    z_i[e] = num_i^e den_i^(d_i - e) of `_z_tables`, the cleared polynomial
+    prod_i den_i^d_i F(phi) is formed innermost first, as nested sums in
+    the manner of Horner:
 
         sum_a z1[a] * (sum_b z2[b] * (sum_c f_abc * z3[c])).
 
-    Each table z_i costs 3(d_i - 1) products for d_i >= 1: the two power
-    ladders take d_i - 1 each, and the ends z_i[0] = den_i^d_i and
-    z_i[d_i] = num_i^d_i are read straight off them.  The c sums are
-    integer combinations and cost no product; then there is one product by
-    z2[b] per (a, b) and one by z1[a] per a, each on the small partial
-    sums.  The result is normalized and stripped of degenerate-locus
+    The c sums are integer combinations and cost no product; then there is
+    one product by z2[b] per (a, b) and one by z1[a] per a, each on the
+    small partial sums.  The result is stripped of degenerate-locus
     factors (Moebius clearing can only introduce factors supported on the
-    degenerate loci).
+    degenerate loci) and normalized once, after the strip.
     """
-    one = {(0, 0, 0): 1}
-    z = []
-    for i, (num, den) in enumerate(phi):
-        d = poly.degree_in(i)
-        num_pows = _powers(num, d, one, raw_mul)
-        den_pows = _powers(den, d, one, raw_mul)
-        # the ends are plain powers; at d = 0 both are 1 and only z_i[0] is
-        # read
-        z.append([den_pows[d]]
-                 + [raw_mul(num_pows[e], den_pows[d - e]) for e in range(1, d)]
-                 + [num_pows[d]])
+    z = _z_tables(phi, [poly.degree_in(i) for i in range(3)])
     rows = {}
     for (a, b, c), coef in poly.terms.items():
         rows.setdefault(a, {}).setdefault(b, []).append((coef, z[2][c]))
@@ -335,7 +336,7 @@ def substitute_rational(poly, phi):
     total = _lincomb((1, raw_mul(z[0][a], _lincomb(
         (1, raw_mul(z[1][b], _lincomb(tail))) for b, tail in cols.items())))
         for a, cols in rows.items())
-    return strip_degenerate_factors(MultiPoly(total))
+    return _stripped({k: v for k, v in total.items() if v})
 
 
 # -- text format --------------------------------------------------------

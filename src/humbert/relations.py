@@ -142,6 +142,16 @@ def monomial_basis(d, symmetry=None):
     return out
 
 
+def _unknown_count(d, symmetry=None):
+    """len(monomial_basis(d, symmetry)), counted: C(d+3, 3) triples, and
+    under "e1e2" (C(d+3, 3) + F) / 2 orbits by Burnside's lemma, where the
+    F = sum_(t<=d) (floor(t/2) + 1) triples with a = b are the fixed ones."""
+    count = math.comb(d + 3, 3)
+    if symmetry is None:
+        return count
+    return (count + sum(t // 2 + 1 for t in range(d + 1))) // 2
+
+
 def default_precision(d):
     """N = 4*ceil(sqrt(C(d+3, 3))) + 8.
 
@@ -330,8 +340,8 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     first prime's kernel of the attempt before.  A bad degree or symmetry,
     then a first precision past `_MAX_N` (a ValueError naming that N), then
     an AmbiguousKernel for more top-degree monomials than the orbit width
-    times ceil(N/4)^2 (kernel_dim None), is raised before the unknowns are
-    listed, and a ValueError for more than `_MAX_UNKNOWNS` of them after it.
+    times ceil(N/4)^2 (kernel_dim None), then a ValueError for more than
+    `_MAX_UNKNOWNS` unknowns, counted, is raised before they are listed.
     """
     disc = humbert_params(delta)
     if delta < 4:
@@ -375,12 +385,13 @@ def find_relation(delta, degree, precision=None, symmetry=None):
             "precision is too small for this degree"
             % (degree, delta, schedule[0], top, m * m, width),
             degree=degree, delta=delta, precision=schedule[0])
-    basis = monomial_basis(degree, symmetry)
-    if len(basis) > _MAX_UNKNOWNS:
+    unknowns = _unknown_count(degree, symmetry)
+    if unknowns > _MAX_UNKNOWNS:
         raise ValueError(
             "degree %d for delta=%d has %d unknowns, more than the %d that "
             "the float64 elimination admits (n(p-1)^2 + p < 2^53)"
-            % (degree, delta, len(basis), _MAX_UNKNOWNS))
+            % (degree, delta, unknowns, _MAX_UNKNOWNS))
+    basis = monomial_basis(degree, symmetry)
     known = None  # (N, the first prime's kernel at N) of the last attempt
     for n in schedule:
         ros = rosenhain_triple(disc, n + 8)

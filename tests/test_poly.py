@@ -24,7 +24,7 @@ from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
 from humbert.degrees import admissible_range
 from humbert.rosenhain import (RosenhainSeries, rosenhain_triple,
                                smallest_precision)
-from humbert.s6 import _S6_GENERATORS, Perm6, all_perms, induced_map
+from humbert.s6 import _S6_GENERATORS, Perm6, act, all_perms, induced_map
 from humbert.series import (TruncatedSeries, _crt_symmetric, _grid,
                             _grid_product, _mod_chunk, _toeplitz, word_primes)
 from humbert.theta import humbert_params
@@ -760,8 +760,13 @@ def test_substitute_rational_matches_definition(f, sigma):
     except DegenerateOnly:
         with pytest.raises(DegenerateOnly):
             substitute_rational(f, phi)
+        with pytest.raises(DegenerateOnly):
+            act(sigma, f)
         return
     assert substitute_rational(f, phi) == expected
+    # act takes the tensor path when sigma's map is separable at f's
+    # degrees, else the nested sums; sigma over all 720 runs both
+    assert act(sigma, f) == expected
 
 
 def test_substitute_rational_product_count(monkeypatch):

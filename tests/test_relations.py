@@ -784,6 +784,34 @@ def test_more_unknowns_than_the_float64_bound_is_refused(monkeypatch, degree,
         % (degree, unknowns))
 
 
+@pytest.mark.parametrize("delta, degree, symmetry, unknowns", [
+    (5, 35, None, 8436), (5, 100, None, 176851), (12, 44, "e1e2", 8372)])
+def test_the_unknown_cap_counts_and_lists_nothing(monkeypatch, delta, degree,
+                                                  symmetry, unknowns):
+    # the refusal names the count without building `monomial_basis`
+    listed = []
+    basis = relations.monomial_basis
+
+    def spy(*args):
+        listed.append(args)
+        return basis(*args)
+
+    monkeypatch.setattr(relations, "monomial_basis", spy)
+    monkeypatch.setattr(relations, "rosenhain_triple", _no_triple)
+    with pytest.raises(ValueError, match="has %d unknowns, more than the 8191"
+                       % unknowns):
+        find_relation(delta, degree, precision=360, symmetry=symmetry)
+    assert listed == []
+
+
+def test_the_unknown_count_is_the_length_of_the_basis():
+    # C(d+3, 3) triples; under "e1e2" Burnside's count of their orbits
+    for symmetry in _SYMMETRIES:
+        for d in range(41):
+            assert (relations._unknown_count(d, symmetry)
+                    == len(monomial_basis(d, symmetry))), (d, symmetry)
+
+
 def test_the_unknown_cap_is_the_float64_bound_and_the_default_never_hits_it():
     # 8,191 is the largest n with n (p-1)^2 + p < 2^53 at every prime, and
     # the default schedule refuses a degree past it through _MAX_N first:

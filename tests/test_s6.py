@@ -10,7 +10,7 @@ import pytest
 
 from humbert import s6
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
-                          divide_degenerate, parse_poly)
+                          divide_degenerate, parse_poly, substitute_rational)
 from humbert.s6 import (Perm6, act, all_perms, fixed_group, induced_map,
                         mulclose, orbit, orbit_and_stabilizer,
                         paper_generators)
@@ -238,6 +238,76 @@ def test_fixed_group_act_count(monkeypatch):
         calls.clear()
         assert s6.orbit(h) == orb
         assert len(calls) == acts
+
+
+def test_separable_maps_at_degree_three():
+    # 144 of the 720 induced maps are separable at degrees (3, 3, 3), among
+    # them both search generators and all 36 that permute {0, 1, inf}; the
+    # 6-cycle of the product-count test is not, so it keeps the nested sums
+    separable = {s for s in all_perms()
+                 if s6.separable_plan(s, (3, 3, 3)) is not None}
+    assert len(separable) == 144
+    assert set(s6._S6_GENERATORS) <= separable
+    assert all(s in separable for s in all_perms()
+               if {s(x) for x in ("0", "1", "inf")} == {"0", "1", "inf"})
+    assert Perm6.parse("(0,1,inf,e1,e2,e3)") not in separable
+
+
+@pytest.mark.parametrize("name", ["h4", "h5", "h8"])
+def test_separable_acts_match_the_nested_sums(name):
+    # every separable map at the degrees of h4, h5 and h8 takes the tensor
+    # path, and each of its 144 images is substitute_rational's
+    f = (parse_poly("e_1e_2 - e_3") if name == "h4"
+         else parse_poly((_REFS / (name + ".txt")).read_text()))
+    degrees = tuple(f.degree_in(i) for i in range(3))
+    count = 0
+    for sigma in all_perms():
+        if s6.separable_plan(sigma, degrees) is None:
+            continue
+        count += 1
+        assert act(sigma, f) == substitute_rational(f, induced_map(sigma))
+    assert count == 144
+
+
+def _object_path_spy(monkeypatch):
+    """Log the dtype of every matrix set that `s6._contract` builds at act
+    time, which only the object path does."""
+    built = []
+    matrices = s6._matrices
+
+    def spy(rows, dtype):
+        built.append(dtype)
+        return matrices(rows, dtype)
+
+    monkeypatch.setattr(s6, "_matrices", spy)
+    return built
+
+
+@pytest.mark.parametrize("terms", [
+    # content 1, one coefficient past 2^63
+    {(1, 1, 1): 2 ** 64 + 1, (1, 0, 0): 3, (0, 0, 1): -7},
+    # |F|_1 < 2^63, but 216 (2^60 + 1) of one cell is not: the bound is on
+    # |F|_1 times the norms of the tables, not on F alone
+    {(0, 0, 0): 2 ** 60 + 1, (4, 4, 4): 1},
+])
+def test_wide_coefficients_take_the_object_path(monkeypatch, terms):
+    f = MultiPoly(terms)
+    sigma = s6._S6_GENERATORS[1]
+    degrees = tuple(f.degree_in(i) for i in range(3))
+    plan = s6.separable_plan(sigma, degrees)
+    assert plan is not None and plan.mats64 is not None
+    assert sum(map(abs, f.terms.values())) * plan.norm >= 2 ** 63
+    built = _object_path_spy(monkeypatch)
+    assert act(sigma, f) == substitute_rational(f, induced_map(sigma))
+    assert built == [object]
+
+
+def test_narrow_coefficients_take_the_int64_path(monkeypatch):
+    f = parse_poly((_REFS / "h8.txt").read_text())
+    built = _object_path_spy(monkeypatch)
+    for sigma in s6._S6_GENERATORS:
+        assert act(sigma, f) == substitute_rational(f, induced_map(sigma))
+    assert built == []
 
 
 def test_orbit_does_not_close_the_stabilizer(monkeypatch):
