@@ -297,9 +297,10 @@ def _stripped(terms):
 
 
 def _z_tables(phi, degrees):
-    """The tables z_i[e] = num_i^e den_i^(d_i - e), e <= d_i, of phi at the
-    degrees d_i, in 3(d_i - 1) products each for d_i >= 1: d_i - 1 for
-    each power ladder, whose tops are the ends, and d_i - 1 between."""
+    """The tables z_i[e] = num_i^e den_i^(d_i - e), e <= d_i, of the three
+    (num_i, den_i) pairs of term maps of phi at the degrees d_i, in
+    3(d_i - 1) products each for d_i >= 1: d_i - 1 for each power ladder,
+    whose tops are the ends, and d_i - 1 between."""
     z = []
     for (num, den), d in zip(phi, degrees):
         nums, dens = [{(0, 0, 0): 1}, num], [{(0, 0, 0): 1}, den]
@@ -309,34 +310,6 @@ def _z_tables(phi, degrees):
         z.append([dens[d]] + [raw_mul(nums[e], dens[d - e])
                               for e in range(1, d)] + [nums[d]] * (d > 0))
     return z
-
-
-def substitute_rational(poly, phi):
-    """F(phi1, phi2, phi3) with minimal uniform denominator clearing.
-
-    phi is three (num, den) pairs of integer term maps, phi_i = num_i/den_i;
-    they are only read.  With d_i the degree of F in e_i and the tables
-    z_i[e] = num_i^e den_i^(d_i - e) of `_z_tables`, the cleared polynomial
-    prod_i den_i^d_i F(phi) is formed innermost first, as nested sums in
-    the manner of Horner:
-
-        sum_a z1[a] * (sum_b z2[b] * (sum_c f_abc * z3[c])).
-
-    The c sums are integer combinations and cost no product; then there is
-    one product by z2[b] per (a, b) and one by z1[a] per a, each on the
-    small partial sums.  The result is stripped of degenerate-locus
-    factors (Moebius clearing can only introduce factors supported on the
-    degenerate loci) and normalized once, after the strip.
-    """
-    z = _z_tables(phi, [poly.degree_in(i) for i in range(3)])
-    rows = {}
-    for (a, b, c), coef in poly.terms.items():
-        rows.setdefault(a, {}).setdefault(b, []).append((coef, z[2][c]))
-    # generators all the way down: one partial sum per level is alive at once
-    total = _lincomb((1, raw_mul(z[0][a], _lincomb(
-        (1, raw_mul(z[1][b], _lincomb(tail))) for b, tail in cols.items())))
-        for a, cols in rows.items())
-    return _stripped({k: v for k, v in total.items() if v})
 
 
 # -- text format --------------------------------------------------------

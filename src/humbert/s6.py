@@ -21,7 +21,7 @@ import numpy as np
 
 from .degrees import SpecialCase
 from .poly import (DegenerateOnly, _lincomb, _stripped, _z_tables, raw_mul,
-                   strip_degenerate_factors, substitute_rational)
+                   strip_degenerate_factors)
 from .theta import humbert_params
 
 SYMBOLS = ("0", "1", "inf", "e1", "e2", "e3")
@@ -170,8 +170,8 @@ def induced_map(sigma):
     cancel as the limit 1 would.  The surviving factors are the constant
     +-1 or distinct degenerate-locus linear forms, so num and den share no
     factor.  Their joint content and sign are left as they come: scaling
-    num_i and den_i together by g scales the cleared polynomial of
-    substitute_rational by g^(d_i), which its canonical form divides out.
+    num_i and den_i together by g scales the cleared polynomial of `act`
+    by g^(d_i), which its canonical form divides out.
     """
     u1, u2, u3, *xs = (_POINT[sigma(s)] for s in SYMBOLS)
     pairs = []
@@ -187,7 +187,7 @@ def induced_map(sigma):
     return tuple(pairs)
 
 
-class SeparablePlan(NamedTuple):
+class ContractionPlan(NamedTuple):
     """supports[i] lists the monomials of the table z_i; rows[i] holds M_i,
     M_i[e, k] the coefficient in z_i[e] of monomial k, as int lists and
     mats64[i] as an int64 array (None past 2^63); norm is
@@ -201,36 +201,24 @@ class SeparablePlan(NamedTuple):
 
 
 @lru_cache(maxsize=4096)
-def separable_plan(sigma, degrees):
-    """The `SeparablePlan` of sigma's induced map at the degrees (d_1, d_2,
-    d_3) of F, or None when the map is not separable there.
+def contraction_plan(sigma, degrees):
+    """The `ContractionPlan` of sigma's induced map at the degrees (d_1,
+    d_2, d_3) of F.
 
-    With z_i[e] = num_i^e den_i^(d_i - e) the tables of
-    `substitute_rational`, the map is separable when any three support
-    monomials, one from each z_i, have a sum that no other such choice
-    gives.  Then the cleared polynomial is F's dense coefficient tensor
-    contracted with M_1, M_2 and M_3, and each cell is one monomial.  The
-    check counts the box that holds the sums first, then the distinct sums
-    in one mixed radix.  For a map that is not separable only None is
-    cached.
+    With z_i[e] = num_i^e den_i^(d_i - e) the tables of `_z_tables`, the
+    cleared polynomial prod_i den_i^d_i F(phi) is F's dense coefficient
+    tensor contracted with M_1, M_2 and M_3: cell (k_1, k_2, k_3) is a
+    coefficient of the product of monomial k_i of each support, and the
+    cells whose products coincide sum to its coefficient there.
     """
     z = _z_tables(induced_map(sigma), degrees)
     supports = tuple(sorted(set().union(*table)) for table in z)
-    span = [sum(max(c) - min(c) for c in cols) + 1
-            for cols in zip(*(zip(*s) for s in supports))]
-    count = math.prod(map(len, supports))
-    if count > math.prod(span):
-        return None
-    a, b, c = ([(x * span[1] + y) * span[2] + w for x, y, w in s]
-               for s in supports)
-    if len({p + q + r for p in a for q in b for r in c}) < count:
-        return None
     rows = tuple([[t.get(k, 0) for k in s] for t in table]
                  for s, table in zip(supports, z))
     norm = math.prod(max(sum(map(abs, t.values())) for t in table)
                      for table in z)
     mats64 = _matrices(rows, np.int64) if norm < 2 ** 63 else None
-    return SeparablePlan(supports, rows, mats64, norm)
+    return ContractionPlan(supports, rows, mats64, norm)
 
 
 def _matrices(rows, dtype):
@@ -240,12 +228,16 @@ def _matrices(rows, dtype):
                  .reshape(len(r), -1) for r in rows)
 
 
-def _contract(poly, plan):
-    """F x_1 M_1 x_2 M_2 x_3 M_3, stripped: each product contracts the
-    leading axis and appends the new one.  The products run in int64 when
-    |F|_1 * plan.norm < 2^63, a bound on every partial sum, else on Python
-    ints.  Row-major cell (k_1, k_2, k_3) is the sum of monomial k_i of
-    each support."""
+def act(sigma, poly):
+    """Pull a component polynomial through the induced coordinate change:
+    F x_1 M_1 x_2 M_2 x_3 M_3 of sigma's `contraction_plan` at poly's
+    degrees, stripped of the degenerate-locus factors that clearing the
+    denominators brings in.  Each product contracts the leading axis and
+    appends the new one.  The products run in int64 when |F|_1 * norm <
+    2^63, a bound on every partial sum, else on Python ints.  Row-major
+    cell (k_1, k_2, k_3) is added, as a Python int, to the coefficient of
+    the product of monomial k_i of each support."""
+    plan = contraction_plan(sigma, tuple(map(poly.degree_in, range(3))))
     if sum(map(abs, poly.terms.values())) * plan.norm < 2 ** 63:
         mats = plan.mats64
     else:
@@ -260,33 +252,24 @@ def _contract(poly, plan):
     cells = iter(t.ravel().tolist())
     s1, s2, s3 = plan.supports
     terms = {}
+    get = terms.get
     for p in s1:
         for q in s2:
             x, y, w = p[0] + q[0], p[1] + q[1], p[2] + q[2]
             # zip reads s3 first, so each (p, q) takes exactly n_3 cells
             for r, v in zip(s3, cells):
                 if v:
-                    terms[x + r[0], y + r[1], w + r[2]] = v
-    return _stripped(terms)
-
-
-def act(sigma, poly):
-    """Pull a component polynomial through the induced coordinate change,
-    by `_contract` when the map is separable at poly's degrees, else by
-    substitute_rational's nested sums: the same canonical polynomial."""
-    plan = separable_plan(sigma, tuple(map(poly.degree_in, range(3))))
-    if plan is None:
-        return substitute_rational(poly, induced_map(sigma))
-    return _contract(poly, plan)
+                    k = x + r[0], y + r[1], w + r[2]
+                    terms[k] = get(k, 0) + v
+    return _stripped({k: v for k, v in terms.items() if v})
 
 
 # the cheapest generating pair of S6 measured: (e1,e2) swaps e1 and e2, and
 # (0,inf,e3,e2,1) sends e1, e2, e3 to e3/(e3 - e1), e3/(e3 - 1), e3/(e3 - e2),
-# a monomial over one binomial each.  Both are separable at every degree, so
-# each act is a contraction: on h12's orbit one act of each costs 0.54 and
-# 0.61 ms (0.93 and 2.5 ms as nested sums), against 0.55 ms for (0,1), also
-# separable, and 13.3 ms for (0,1,inf,e1,e2,e3), which is not (best of 3 on a
-# 2-core x86-64 host).
+# a monomial over one binomial each.  On h12's orbit one act of each costs
+# 0.70 and 0.65 ms, against 0.66 ms for (0,1) and 12.9 ms for
+# (0,1,inf,e1,e2,e3), whose tensor cells share monomials (best of 5 on a
+# 2-core x86-64 host, where runs differ by up to 30%).
 _S6_GENERATORS = (Perm6.parse("(e1,e2)"), Perm6.parse("(0,inf,e3,e2,1)"))
 
 

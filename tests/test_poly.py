@@ -19,8 +19,7 @@ from humbert import series as series_module
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
                           ParseError, ZeroPolynomial, divide_degenerate,
                           complex_evaluator, eval_on_series, format_poly,
-                          parse_poly, strip_degenerate_factors,
-                          substitute_rational)
+                          parse_poly, strip_degenerate_factors)
 from humbert.degrees import admissible_range
 from humbert.rosenhain import (RosenhainSeries, rosenhain_triple,
                                smallest_precision)
@@ -701,26 +700,22 @@ def test_strip_degenerate_only_raises():
         strip_degenerate_factors(MultiPoly(only))
 
 
-_ONE = {(0, 0, 0): 1}
-
-
 def test_substitute_rational_identity():
-    identity = tuple(({e: 1}, _ONE)
-                     for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    identity = Perm6.identity()
     for _ in range(50):
         f = random_poly()
         try:
             expected = strip_degenerate_factors(f)
         except DegenerateOnly:
+            with pytest.raises(DegenerateOnly):
+                act(identity, f)
             continue
-        assert substitute_rational(f, identity) == expected
+        assert act(identity, f) == expected
 
 
 def test_substitute_rational_swap():
-    swap = (({(0, 1, 0): 1}, _ONE), ({(1, 0, 0): 1}, _ONE),
-            ({(0, 0, 1): 1}, _ONE))
     f = MultiPoly({(2, 1, 0): 1, (0, 0, 1): 7})
-    g = substitute_rational(f, swap)
+    g = act(Perm6.parse("(e1,e2)"), f)
     assert g == MultiPoly({(1, 2, 0): 1, (0, 0, 1): 7})
 
 
@@ -754,25 +749,19 @@ _H8 = parse_poly((Path(__file__).resolve().parents[1] / "bench" / "refs"
 @example(_H8, _S6_GENERATORS[1])
 @example(MultiPoly({(1, 1, 0): 1, (1, 0, 0): -1}), _S6_GENERATORS[1])
 def test_substitute_rational_matches_definition(f, sigma):
-    phi = induced_map(sigma)
     try:
-        expected = _substitute_by_definition(f, phi)
+        expected = _substitute_by_definition(f, induced_map(sigma))
     except DegenerateOnly:
-        with pytest.raises(DegenerateOnly):
-            substitute_rational(f, phi)
         with pytest.raises(DegenerateOnly):
             act(sigma, f)
         return
-    assert substitute_rational(f, phi) == expected
-    # act takes the tensor path when sigma's map is separable at f's
-    # degrees, else the nested sums; sigma over all 720 runs both
+    # sigma over all 720 meets maps whose tensor cells share monomials
     assert act(sigma, f) == expected
 
 
 def test_substitute_rational_product_count(monkeypatch):
     # the z_i[e] tables cost 3 (d_i - 1) products per variable, as no
-    # product is by 1; the nested sums then cost one product per (a, b) and
-    # one per a: 63 + 47 + 9 for h12 under the 6-cycle
+    # product is by 1: 63 for h12 under the 6-cycle
     import importlib.resources as ir
     h12 = parse_poly((ir.files("humbert") / "data" / "h12.txt").read_text())
     phi = induced_map(Perm6.parse("(0,1,inf,e1,e2,e3)"))
@@ -784,9 +773,6 @@ def test_substitute_rational_product_count(monkeypatch):
         return mul(f, g)
 
     monkeypatch.setattr(poly_module, "raw_mul", counting)
-    substitute_rational(h12, phi)
+    poly_module._z_tables(phi, [h12.degree_in(i) for i in range(3)])
     tables = sum(3 * (h12.degree_in(i) - 1) for i in range(3))
-    pairs = {(a, b) for a, b, _ in h12.terms}
-    firsts = {a for a, _ in pairs}
-    assert (tables, len(pairs), len(firsts)) == (63, 47, 9)
-    assert len(calls) == tables + len(pairs) + len(firsts) == 119
+    assert len(calls) == tables == 63

@@ -10,7 +10,8 @@ import pytest
 
 from humbert import s6
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
-                          divide_degenerate, parse_poly, substitute_rational)
+                          _lincomb, _stripped, _z_tables, divide_degenerate,
+                          parse_poly, raw_mul)
 from humbert.s6 import (Perm6, act, all_perms, fixed_group, induced_map,
                         mulclose, orbit, orbit_and_stabilizer,
                         paper_generators)
@@ -240,38 +241,50 @@ def test_fixed_group_act_count(monkeypatch):
         assert len(calls) == acts
 
 
-def test_separable_maps_at_degree_three():
-    # 144 of the 720 induced maps are separable at degrees (3, 3, 3), among
-    # them both search generators and all 36 that permute {0, 1, inf}; the
-    # 6-cycle of the product-count test is not, so it keeps the nested sums
-    separable = {s for s in all_perms()
-                 if s6.separable_plan(s, (3, 3, 3)) is not None}
-    assert len(separable) == 144
-    assert set(s6._S6_GENERATORS) <= separable
-    assert all(s in separable for s in all_perms()
-               if {s(x) for x in ("0", "1", "inf")} == {"0", "1", "inf"})
-    assert Perm6.parse("(0,1,inf,e1,e2,e3)") not in separable
+def substitute_rational(poly, phi):
+    """F(phi1, phi2, phi3) with minimal uniform denominator clearing, by
+    nested sums: the reference that `act` is checked against.
+
+    phi is three (num, den) pairs of integer term maps, phi_i = num_i/den_i.
+    With z_i[e] = num_i^e den_i^(d_i - e) the tables of `_z_tables`, the
+    cleared polynomial prod_i den_i^d_i F(phi) is formed innermost first,
+    in the manner of Horner,
+
+        sum_a z1[a] * (sum_b z2[b] * (sum_c f_abc * z3[c])),
+
+    and stripped of degenerate-locus factors.
+    """
+    z = _z_tables(phi, [poly.degree_in(i) for i in range(3)])
+    rows = {}
+    for (a, b, c), coef in poly.terms.items():
+        rows.setdefault(a, {}).setdefault(b, []).append((coef, z[2][c]))
+    total = _lincomb((1, raw_mul(z[0][a], _lincomb(
+        (1, raw_mul(z[1][b], _lincomb(tail))) for b, tail in cols.items())))
+        for a, cols in rows.items())
+    return _stripped({k: v for k, v in total.items() if v})
 
 
 @pytest.mark.parametrize("name", ["h4", "h5", "h8"])
-def test_separable_acts_match_the_nested_sums(name):
-    # every separable map at the degrees of h4, h5 and h8 takes the tensor
-    # path, and each of its 144 images is substitute_rational's
+def test_acts_match_the_nested_sums(name):
+    # all 720 images of h4, h5 and h8 are the reference's; at h8's degrees
+    # the 6-cycle's tensor has more cells than monomials, so cells that
+    # share a monomial are summed
     f = (parse_poly("e_1e_2 - e_3") if name == "h4"
          else parse_poly((_REFS / (name + ".txt")).read_text()))
-    degrees = tuple(f.degree_in(i) for i in range(3))
-    count = 0
     for sigma in all_perms():
-        if s6.separable_plan(sigma, degrees) is None:
-            continue
-        count += 1
         assert act(sigma, f) == substitute_rational(f, induced_map(sigma))
-    assert count == 144
+    if name == "h8":
+        degrees = tuple(f.degree_in(i) for i in range(3))
+        s1, s2, s3 = s6.contraction_plan(
+            Perm6.parse("(0,1,inf,e1,e2,e3)"), degrees).supports
+        sums = {tuple(map(sum, zip(p, q, r)))
+                for p in s1 for q in s2 for r in s3}
+        assert len(s1) * len(s2) * len(s3) > len(sums)
 
 
 def _object_path_spy(monkeypatch):
-    """Log the dtype of every matrix set that `s6._contract` builds at act
-    time, which only the object path does."""
+    """Log the dtype of every matrix set that `s6.act` builds at act time,
+    which only the object path does."""
     built = []
     matrices = s6._matrices
 
@@ -291,15 +304,17 @@ def _object_path_spy(monkeypatch):
     {(0, 0, 0): 2 ** 60 + 1, (4, 4, 4): 1},
 ])
 def test_wide_coefficients_take_the_object_path(monkeypatch, terms):
+    # a search generator, and the 6-cycle, whose cells share monomials
     f = MultiPoly(terms)
-    sigma = s6._S6_GENERATORS[1]
     degrees = tuple(f.degree_in(i) for i in range(3))
-    plan = s6.separable_plan(sigma, degrees)
-    assert plan is not None and plan.mats64 is not None
-    assert sum(map(abs, f.terms.values())) * plan.norm >= 2 ** 63
     built = _object_path_spy(monkeypatch)
-    assert act(sigma, f) == substitute_rational(f, induced_map(sigma))
-    assert built == [object]
+    for sigma in (s6._S6_GENERATORS[1], Perm6.parse("(0,1,inf,e1,e2,e3)")):
+        plan = s6.contraction_plan(sigma, degrees)
+        assert plan.mats64 is not None
+        assert sum(map(abs, f.terms.values())) * plan.norm >= 2 ** 63
+        built.clear()
+        assert act(sigma, f) == substitute_rational(f, induced_map(sigma))
+        assert built == [object]
 
 
 def test_narrow_coefficients_take_the_int64_path(monkeypatch):
