@@ -225,30 +225,21 @@ def complex_evaluator(poly):
 
 # -- degenerate loci and rational substitution --------------------------
 
-# the nine degenerate-locus factors, each written e_i - t with t = 0, 1 or
-# the variable e_j; t is stored as the exponent of the monomial t (None for
-# t = 0)
-_DEGENERATE_LOCI = (
-    (0, None), (1, None), (2, None),
-    (0, (0, 0, 0)), (1, (0, 0, 0)), (2, (0, 0, 0)),
-    (0, (0, 1, 0)), (0, (0, 0, 1)), (1, (0, 0, 1)),
-)
+# the degenerate loci other than e_i = 0, whose factors `_stripped` takes in
+# one shift each: (i, j) for the factor e_i - t, with t = 1 when j is None
+# and t = e_j otherwise
+_DEGENERATE_LOCI = ((0, None), (1, None), (2, None), (0, 1), (0, 2), (1, 2))
 
 
-def divide_degenerate(terms, i, t):
+def divide_degenerate(terms, i, j):
     """The quotient of a term map by e_i - t, or None if not divisible.
 
-    (i, t) is a locus of `_DEGENERATE_LOCI`.  A key of F(e_i = t) that one
+    (i, j) is a locus of `_DEGENERATE_LOCI`.  A key of F(e_i = t) that one
     term alone meets is a nonzero coefficient, so the keys are counted
     first, in C; only if the remainder then vanishes is the quotient formed:
     with F = sum_k F_k e_i^k, Q = sum_k F_k sum_(r<k) e_i^r t^(k-1-r), since
-    (e_i - t) Q = F - F(e_i = t).  For t = 0 that is a shift of e_i.
+    (e_i - t) Q = F - F(e_i = t).
     """
-    if t is None:
-        if not all(k[i] for k in terms):
-            return None
-        return {k[:i] + (k[i] - 1,) + k[i + 1:]: v for k, v in terms.items()}
-    j = t.index(1) if 1 in t else None  # t = e_j, or t = 1
     cols = list(zip(*terms))
     if j is not None:
         cols[j] = map(operator.add, cols[j], cols[i])
@@ -287,8 +278,8 @@ def _stripped(terms):
         if low := min(k[i] for k in terms):
             terms = {k[:i] + (k[i] - low,) + k[i + 1:]: v
                      for k, v in terms.items()}
-    for i, t in _DEGENERATE_LOCI[3:]:
-        while (q := divide_degenerate(terms, i, t)) is not None:
+    for i, j in _DEGENERATE_LOCI:
+        while (q := divide_degenerate(terms, i, j)) is not None:
             terms = q
     result = MultiPoly(terms)
     if result.is_constant():

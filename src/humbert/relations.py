@@ -48,8 +48,8 @@ from .theta import NotAdmissible, humbert_params
 # (8,191) and the grid products (N <= _MAX_N); the first prime decides every
 # nullity but 1, and only the lift needs more
 _PRIMES = tuple(islice(word_primes(), 6))
-# the most unknowns n with n (p-1)^2 + p < 2^53 (`_within`) at every prime
-_MAX_UNKNOWNS = min((2 ** 53 - p - 1) // (p - 1) ** 2 for p in _PRIMES)
+# the most unknowns `_within` admits at every prime
+_MAX_UNKNOWNS = min(_mod_chunk(1, p) for p in _PRIMES)
 # the supported precision cap, checked before any theta series is expanded;
 # it is not the exactness guard, which every grid product asserts for itself
 _MAX_N = 360
@@ -269,11 +269,11 @@ def _within(eqs, known, p):
     of eqs if `known` is None.  A slice `eqs` is the unit equations x_j = 0,
     j in it: S = K[:, eqs]^T.  The float64 products eqs K^T and Z K sum at
     most n products below (p-1)^2 for n unknowns (len(K) <= n, as K's rows
-    are independent), exact while n (p-1)^2 + p < 2^53, as asserted."""
+    are independent), exact while n <= `_mod_chunk`(1, p), as asserted."""
     if known is None:
         return _nullspace_mod(eqs, p)
     n = known.shape[1]
-    assert n * (p - 1) ** 2 + p < 2 ** 53, "float64 product inexact mod %d" % p
+    assert n <= _mod_chunk(1, p), "float64 product inexact mod %d" % p
     k = known.astype(np.float64)
     s = known[:, eqs].T if isinstance(eqs, slice) else eqs @ k.T
     z = _nullspace_mod(s.astype(np.int64), p).astype(np.float64)

@@ -14,7 +14,7 @@ triple of rational functions in e1, e2, e3.
 
 import math
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -159,19 +159,17 @@ def _det(a, b):
     return _lincomb(((1, raw_mul(a[0], b[1])), (-1, raw_mul(b[0], a[1]))))
 
 
-@lru_cache(maxsize=None)
 def induced_map(sigma):
     """The rational-function triple induced by a symbol permutation.
 
-    Three (num, den) pairs of integer term maps, one per e-coordinate.  They
-    are cached and shared, so no caller may mutate them.  Each factor of
-    mu(x) is a 2x2 determinant of projective points; a determinant with inf
-    in it is +-1, and the two of them in one cross-ratio are equal, so they
-    cancel as the limit 1 would.  The surviving factors are the constant
-    +-1 or distinct degenerate-locus linear forms, so num and den share no
-    factor.  Their joint content and sign are left as they come: scaling
-    num_i and den_i together by g scales the cleared polynomial of `act`
-    by g^(d_i), which its canonical form divides out.
+    Three (num, den) pairs of integer term maps, one per e-coordinate.  Each
+    factor of mu(x) is a 2x2 determinant of projective points; a determinant
+    with inf in it is +-1, and the two of them in one cross-ratio are equal,
+    so they cancel as the limit 1 would.  The surviving factors are the
+    constant +-1 or distinct degenerate-locus linear forms, so num and den
+    share no factor.  Their joint content and sign are left as they come:
+    scaling num_i and den_i together by g scales the cleared polynomial of
+    `act` by g^(d_i), which its canonical form divides out.
     """
     u1, u2, u3, *xs = (_POINT[sigma(s)] for s in SYMBOLS)
     pairs = []
@@ -188,15 +186,14 @@ def induced_map(sigma):
 
 
 class ContractionPlan(NamedTuple):
-    """supports[i] lists the monomials of the table z_i; rows[i] holds M_i,
-    M_i[e, k] the coefficient in z_i[e] of monomial k, as int lists and
-    mats64[i] as an int64 array (None past 2^63); norm is
-    prod_i max_e |z_i[e]|_1.  Plans are cached and shared, so no caller
-    may mutate them."""
+    """supports[i] lists the monomials of the table z_i; mats[i] is M_i,
+    M_i[e, k] the coefficient in z_i[e] of monomial k, an int64 array when
+    norm < 2^63 and an object array otherwise; norm is prod_i max_e
+    |z_i[e]|_1, which bounds every entry.  Plans are cached and shared, so
+    no caller may mutate them."""
 
     supports: tuple
-    rows: tuple
-    mats64: tuple
+    mats: tuple
     norm: int
 
 
@@ -213,19 +210,15 @@ def contraction_plan(sigma, degrees):
     """
     z = _z_tables(induced_map(sigma), degrees)
     supports = tuple(sorted(set().union(*table)) for table in z)
-    rows = tuple([[t.get(k, 0) for k in s] for t in table]
-                 for s, table in zip(supports, z))
     norm = math.prod(max(sum(map(abs, t.values())) for t in table)
                      for table in z)
-    mats64 = _matrices(rows, np.int64) if norm < 2 ** 63 else None
-    return ContractionPlan(supports, rows, mats64, norm)
-
-
-def _matrices(rows, dtype):
+    dtype = np.int64 if norm < 2 ** 63 else object
     # each read from one flat list: converting nested lists touches another
     # 64 KB of numpy's code, which shows in the peak RSS
-    return tuple(np.array(list(chain.from_iterable(r)), dtype=dtype)
-                 .reshape(len(r), -1) for r in rows)
+    mats = tuple(np.array([t.get(k, 0) for t in table for k in s],
+                          dtype=dtype).reshape(len(table), -1)
+                 for s, table in zip(supports, z))
+    return ContractionPlan(supports, mats, norm)
 
 
 def act(sigma, poly):
@@ -234,14 +227,14 @@ def act(sigma, poly):
     degrees, stripped of the degenerate-locus factors that clearing the
     denominators brings in.  Each product contracts the leading axis and
     appends the new one.  The products run in int64 when |F|_1 * norm <
-    2^63, a bound on every partial sum, else on Python ints.  Row-major
-    cell (k_1, k_2, k_3) is added, as a Python int, to the coefficient of
-    the product of monomial k_i of each support."""
+    2^63, a bound on every partial sum, else on Python ints, the plan's
+    matrices widened exactly as their entries are at most the norm.
+    Row-major cell (k_1, k_2, k_3) is added, as a Python int, to the
+    coefficient of the product of monomial k_i of each support."""
     plan = contraction_plan(sigma, tuple(map(poly.degree_in, range(3))))
-    if sum(map(abs, poly.terms.values())) * plan.norm < 2 ** 63:
-        mats = plan.mats64
-    else:
-        mats = _matrices(plan.rows, object)
+    mats = plan.mats
+    if sum(map(abs, poly.terms.values())) * plan.norm >= 2 ** 63:
+        mats = [m.astype(object) for m in mats]
     _, nb, nc = shape = [len(m) for m in mats]
     cells = [0] * math.prod(shape)
     for (a, b, c), v in poly.terms.items():

@@ -31,9 +31,12 @@ from test_series import reference_product
 
 rng = random.Random(424242)
 
-# the nine degenerate-locus factors e_i - t, in the order of _DEGENERATE_LOCI
+# the degenerate-locus factors e_1, e_2, e_3, which the strip takes in one
+# shift each
+_MONOMIALS = [MultiPoly({k: 1}) for k in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+# the six other degenerate-locus factors e_i - t, in the order of
+# _DEGENERATE_LOCI
 _FACTORS = [MultiPoly(t) for t in (
-    {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1},
     {(1, 0, 0): 1, (0, 0, 0): -1}, {(0, 1, 0): 1, (0, 0, 0): -1},
     {(0, 0, 1): 1, (0, 0, 0): -1},
     {(1, 0, 0): 1, (0, 1, 0): -1}, {(1, 0, 0): 1, (0, 0, 1): -1},
@@ -566,17 +569,22 @@ def test_fixture_round_trip():
 
 
 def test_degenerate_factor_set():
-    # each locus (i, t) of _DEGENERATE_LOCI divides its factor e_i - t to 1
-    assert len(_DEGENERATE_LOCI) == len(set(_FACTORS)) == 9
-    for (i, t), fac in zip(_DEGENERATE_LOCI, _FACTORS):
-        assert divide_degenerate(fac.terms, i, t) == {(0, 0, 0): 1}
+    # each locus (i, j) of _DEGENERATE_LOCI divides its factor e_i - t to 1:
+    # e_i - 1 for each i and e_i - e_j for each i < j, with e_1, e_2, e_3
+    # the nine distinct factors
+    assert set(_DEGENERATE_LOCI) == ({(i, None) for i in range(3)}
+                                     | {(0, 1), (0, 2), (1, 2)})
+    assert len(_DEGENERATE_LOCI) == len(_FACTORS) == 6
+    assert len(set(_MONOMIALS + _FACTORS)) == 9
+    for (i, j), fac in zip(_DEGENERATE_LOCI, _FACTORS):
+        assert divide_degenerate(fac.terms, i, j) == {(0, 0, 0): 1}
 
 
 def test_divide_degenerate_exact_and_inexact():
     # every factor e_i - t divides g * L^m exactly m times and no further:
     # g has a constant term of 100, so g(e_i = t) != 0
-    assert len(_DEGENERATE_LOCI) == 9
-    for (i, t), fac in zip(_DEGENERATE_LOCI, _FACTORS):
+    assert len(_DEGENERATE_LOCI) == 6
+    for (i, j), fac in zip(_DEGENERATE_LOCI, _FACTORS):
         for _ in range(20):
             g = dict(random_poly().terms)
             g[(0, 0, 0)] = g.get((0, 0, 0), 0) + 100
@@ -585,18 +593,17 @@ def test_divide_degenerate_exact_and_inexact():
             for _ in range(m):
                 prod = _raw_mul_terms(prod, fac.terms)
             for _ in range(m):
-                prod = divide_degenerate(prod, i, t)
+                prod = divide_degenerate(prod, i, j)
                 assert prod is not None
             assert prod == g
-            assert divide_degenerate(g, i, t) is None
+            assert divide_degenerate(g, i, j) is None
             # a nonzero remainder: g * L + 1
             off = _raw_mul_terms(g, fac.terms)
             off[(0, 0, 0)] = off.get((0, 0, 0), 0) + 1
-            assert divide_degenerate(off, i, t) is None
-    # e1 + 1 is not a multiple of e1 - 1; e1 / e1 = 1
-    assert divide_degenerate({(1, 0, 0): 1, (0, 0, 0): 1}, 0,
-                             (0, 0, 0)) is None
-    assert divide_degenerate({(1, 0, 0): 1}, 0, None) == {(0, 0, 0): 1}
+            assert divide_degenerate(off, i, j) is None
+    # e1 + 1 is not a multiple of e1 - 1, nor e1 + e2 of e1 - e2
+    assert divide_degenerate({(1, 0, 0): 1, (0, 0, 0): 1}, 0, None) is None
+    assert divide_degenerate({(1, 0, 0): 1, (0, 1, 0): 1}, 0, 1) is None
 
 
 _MULTIPLICITIES = st.lists(st.integers(0, 2), min_size=9, max_size=9)
@@ -612,7 +619,7 @@ _CORES = st.dictionaries(
 def test_strip_ignores_degenerate_multiples(core, mults):
     # strip(core * prod L^m) == strip(core), or both are degenerate-only
     dressed = core
-    for m, fac in zip(mults, _FACTORS):
+    for m, fac in zip(mults, _MONOMIALS + _FACTORS):
         for _ in range(m):
             dressed = _raw_mul_terms(dressed, fac.terms)
     try:
@@ -628,7 +635,7 @@ def test_strip_of_a_dressed_multiple_is_the_strip_of_the_cofactor():
     # strip((e_i - t)^k e_j^m G) == strip(G) over all nine loci, with k up
     # to 4 and m up to 6: the monomial pass takes e_j^m, and a power of
     # e_i - t, at e_i - 0 a monomial too, goes in as many divisions
-    for fac in _FACTORS:
+    for fac in _MONOMIALS + _FACTORS:
         for _ in range(20):
             g = random_poly()
             dressed = g.terms
@@ -646,11 +653,11 @@ def test_strip_of_a_dressed_multiple_is_the_strip_of_the_cofactor():
             assert strip_degenerate_factors(MultiPoly(dressed)) == expected
 
 
-def _at_locus(i, t, key):
-    """The key of the monomial `key` at e_i = t, t = 1 or e_j."""
+def _at_locus(i, j, key):
+    """The key of the monomial `key` at e_i = t, t = 1 (j None) or e_j."""
     k = list(key)
-    if 1 in t:
-        k[t.index(1)] += k[i]
+    if j is not None:
+        k[j] += k[i]
     k[i] = 0
     return tuple(k)
 
@@ -659,8 +666,7 @@ def test_divide_degenerate_refuses_when_every_key_meets_two_terms():
     # F(e_i = t) != 0 although each of its keys is met by two terms or
     # more, so counting the keys refuses nothing and the exact collapse
     # must: terms grouped by their key at e_i = t, positive coefficients
-    for i, t in _DEGENERATE_LOCI[3:]:
-        j = t.index(1) if 1 in t else None
+    for i, j in _DEGENERATE_LOCI:
         for _ in range(20):
             terms = {}
             for _ in range(rng.randrange(1, 4)):
@@ -675,14 +681,14 @@ def test_divide_degenerate_refuses_when_every_key_meets_two_terms():
                     if j is not None:
                         k[j] -= r
                     terms[tuple(k)] = rng.randint(1, 9)
-            keys = Counter(_at_locus(i, t, k) for k in terms)
+            keys = Counter(_at_locus(i, j, k) for k in terms)
             assert min(keys.values()) >= 2
-            assert divide_degenerate(terms, i, t) is None
+            assert divide_degenerate(terms, i, j) is None
     # the smallest such input per locus: e_i + 2t, whose remainder is 3t
-    for (i, t), fac in zip(_DEGENERATE_LOCI[3:], _FACTORS[3:]):
+    for (i, j), fac in zip(_DEGENERATE_LOCI, _FACTORS):
         plus = {k: abs(v) * (1 if k[i] else 2) for k, v in fac.terms.items()}
-        assert divide_degenerate(plus, i, t) is None
-        assert divide_degenerate(fac.terms, i, t) == {(0, 0, 0): 1}
+        assert divide_degenerate(plus, i, j) is None
+        assert divide_degenerate(fac.terms, i, j) == {(0, 0, 0): 1}
 
 
 def test_strip_degenerate_factors():

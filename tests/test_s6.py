@@ -4,8 +4,10 @@ import cmath
 import importlib.resources as ir
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from humbert import s6
@@ -159,13 +161,16 @@ def test_orbit_stabilizer_product_randomized():
 def test_induced_map_is_reduced():
     # numerator and denominator of each cross-ratio are products of
     # differences of four distinct pairs of symbols, so no degenerate
-    # factor divides both, for any of the 720 permutations
+    # factor divides both, for any of the 720 permutations: e_i divides a
+    # term map when every exponent of e_i in it is positive, and the six
+    # other loci are divided out by `divide_degenerate`
     for sigma in all_perms():
-        phi = induced_map(sigma)
-        for num, den in phi:
-            for i, t in _DEGENERATE_LOCI:
-                assert (divide_degenerate(num, i, t) is None
-                        or divide_degenerate(den, i, t) is None)
+        for num, den in induced_map(sigma):
+            for i in range(3):
+                assert not (all(k[i] for k in num) and all(k[i] for k in den))
+            for i, j in _DEGENERATE_LOCI:
+                assert (divide_degenerate(num, i, j) is None
+                        or divide_degenerate(den, i, j) is None)
 
 
 def test_induced_map_is_the_cross_ratio_at_a_point():
@@ -282,47 +287,65 @@ def test_acts_match_the_nested_sums(name):
         assert len(s1) * len(s2) * len(s3) > len(sums)
 
 
-def _object_path_spy(monkeypatch):
-    """Log the dtype of every matrix set that `s6.act` builds at act time,
-    which only the object path does."""
-    built = []
-    matrices = s6._matrices
-
-    def spy(rows, dtype):
-        built.append(dtype)
-        return matrices(rows, dtype)
-
-    monkeypatch.setattr(s6, "_matrices", spy)
-    return built
+def _int64_plan(plan):
+    return all(m.dtype == np.int64 for m in plan.mats)
 
 
 @pytest.mark.parametrize("terms", [
     # content 1, one coefficient past 2^63
     {(1, 1, 1): 2 ** 64 + 1, (1, 0, 0): 3, (0, 0, 1): -7},
     # |F|_1 < 2^63, but 216 (2^60 + 1) of one cell is not: the bound is on
-    # |F|_1 times the norms of the tables, not on F alone
+    # |F|_1 times the norms of the tables, not on F alone, and int64 cells
+    # would overflow
     {(0, 0, 0): 2 ** 60 + 1, (4, 4, 4): 1},
 ])
-def test_wide_coefficients_take_the_object_path(monkeypatch, terms):
-    # a search generator, and the 6-cycle, whose cells share monomials
+def test_wide_coefficients_take_the_object_path(terms):
+    # a search generator, and the 6-cycle, whose cells share monomials: the
+    # plan's matrices are int64 and the act widens them
     f = MultiPoly(terms)
     degrees = tuple(f.degree_in(i) for i in range(3))
-    built = _object_path_spy(monkeypatch)
     for sigma in (s6._S6_GENERATORS[1], Perm6.parse("(0,1,inf,e1,e2,e3)")):
         plan = s6.contraction_plan(sigma, degrees)
-        assert plan.mats64 is not None
+        assert _int64_plan(plan)
         assert sum(map(abs, f.terms.values())) * plan.norm >= 2 ** 63
-        built.clear()
         assert act(sigma, f) == substitute_rational(f, induced_map(sigma))
-        assert built == [object]
 
 
-def test_narrow_coefficients_take_the_int64_path(monkeypatch):
+def test_narrow_coefficients_take_the_int64_path():
     f = parse_poly((_REFS / "h8.txt").read_text())
-    built = _object_path_spy(monkeypatch)
+    degrees = tuple(f.degree_in(i) for i in range(3))
     for sigma in s6._S6_GENERATORS:
+        plan = s6.contraction_plan(sigma, degrees)
+        assert _int64_plan(plan)
+        assert sum(map(abs, f.terms.values())) * plan.norm < 2 ** 63
         assert act(sigma, f) == substitute_rational(f, induced_map(sigma))
-    assert built == []
+
+
+def test_a_plan_past_int64_holds_object_matrices():
+    # (0,inf,e3,e2,1) sends e1 to e3/(e3 - e1), so z_1[0] = +-(e3 - e1)^63
+    # has l1 norm 2^63: the plan's norm has 64 bits, and its matrices are
+    # Python ints from the start
+    f = MultiPoly({(63, 0, 0): 1, (0, 0, 0): 1})
+    sigma = s6._S6_GENERATORS[1]
+    plan = s6.contraction_plan(sigma, (63, 0, 0))
+    assert plan.norm.bit_length() == 64
+    assert all(m.dtype == object for m in plan.mats)
+    assert act(sigma, f) == substitute_rational(f, induced_map(sigma))
+
+
+def test_the_720_plans_at_degrees_4_hold_one_matrix_set():
+    # each plan keeps its M_i once: the 720 plans at (4, 4, 4), built past
+    # the cache, trace under 6 MiB (7.0 MiB with int lists beside the
+    # arrays)
+    build = s6.contraction_plan.__wrapped__
+    tracemalloc.start()
+    try:
+        plans = [build(sigma, (4, 4, 4)) for sigma in all_perms()]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(plans) == 720 and all(map(_int64_plan, plans))
+    assert size < 6 * 2 ** 20
 
 
 def test_orbit_does_not_close_the_stabilizer(monkeypatch):
