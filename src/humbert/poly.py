@@ -7,7 +7,6 @@ accepts only integers (anything `operator.index` takes), so a rational
 coefficient is a TypeError.
 """
 
-import collections
 import functools
 import math
 import operator
@@ -54,34 +53,35 @@ def raw_mul(f, g):
 
 class MultiPoly:
     """Canonical-form trivariate integer polynomial.  Its exponent triples
-    are interned in _KEYS, so the images of an orbit search share them."""
+    are interned in _KEYS, so the images of an orbit search share them;
+    degrees holds its degrees in e1, e2 and e3."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "degrees", "_hash")
     _KEYS = {}
 
     def __init__(self, terms):
-        # terms: map (a, b, c) -> integer, anything `operator.index` takes
-        # (a Fraction or a float is a TypeError); canonicalized here
-        index = operator.index
-        clean = {}
-        for k, v in terms.items():
-            v = index(v)
-            if v:
-                clean[k] = v
+        # (a, b, c) -> anything `operator.index` takes: a float is a TypeError
+        clean = {k: v for k, v in zip(terms, map(operator.index,
+                                                  terms.values())) if v}
         if not clean:
             raise ZeroPolynomial("zero polynomial has no canonical form")
-        g = math.gcd(*clean.values())
-        if clean[max(clean, key=_grlex_key)] < 0:
-            g = -g
+        self._set(clean, clean.values(), clean[max(clean, key=_grlex_key)],
+                  tuple(map(max, zip(*clean))))
+
+    def _set(self, keys, values, lead, degrees):
+        # the terms over their content, signed by the lead coefficient
+        g = math.gcd(*values) if lead > 0 else -math.gcd(*values)
         key = self._KEYS.setdefault
-        self.terms = {key(k, k): v // g for k, v in clean.items()}
+        self.terms = {key(k, k): v // g for k, v in zip(keys, values)}
+        self.degrees = degrees
         self._hash = None
+        return self
 
     def degree(self):
         return max(a + b + c for (a, b, c) in self.terms)
 
     def degree_in(self, var):
-        return max(k[var] for k in self.terms)
+        return self.degrees[var]
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -209,7 +209,7 @@ def complex_evaluator(poly):
     graded-lex order; the order, the coefficients and the degree in each
     variable are read from poly once, here."""
     terms = [(poly.terms[k],) + k for k in sorted(poly.terms, key=_grlex_key)]
-    d1, d2, d3 = (poly.degree_in(i) for i in range(3))
+    d1, d2, d3 = poly.degrees
 
     def evaluate(z):
         z1, z2, z3 = z
@@ -225,66 +225,85 @@ def complex_evaluator(poly):
 
 # -- degenerate loci and rational substitution --------------------------
 
-# the degenerate loci other than e_i = 0, whose factors `_stripped` takes in
-# one shift each: (i, j) for the factor e_i - t, with t = 1 when j is None
-# and t = e_j otherwise
+# the degenerate loci but e_i = 0, which `_stripped` trims: (i, j) for the
+# factor e_i - t, t = 1 when j is None and t = e_j otherwise
 _DEGENERATE_LOCI = ((0, None), (1, None), (2, None), (0, 1), (0, 2), (1, 2))
 
 
 def divide_degenerate(terms, i, j):
-    """The quotient of a term map by e_i - t, or None if not divisible.
+    """The quotient of a term map by e_i - t, or None if not divisible: the
+    `_quotient` of its `_dense` array, read back as a term map."""
+    q = _quotient(_dense(terms, tuple(map(max, zip(*terms)))), i, j)
+    return None if q is None else dict(
+        zip(map(tuple, np.argwhere(q).tolist()), q[q != 0].tolist()))
 
-    (i, j) is a locus of `_DEGENERATE_LOCI`.  A key of F(e_i = t) that one
-    term alone meets is a nonzero coefficient, so the keys are counted
-    first, in C; only if the remainder then vanishes is the quotient formed:
-    with F = sum_k F_k e_i^k, Q = sum_k F_k sum_(r<k) e_i^r t^(k-1-r), since
-    (e_i - t) Q = F - F(e_i = t).
-    """
-    cols = list(zip(*terms))
-    if j is not None:
-        cols[j] = map(operator.add, cols[j], cols[i])
-    keys = list(zip(*cols[:i], *cols[i + 1:]))
-    if 1 in collections.Counter(keys).values():
+
+def _dense(terms, degrees, dtype=None):
+    """The dense array of a term map of the given degrees: int64 when
+    |terms|_1 < 2^63 and object otherwise, unless a dtype is given."""
+    if dtype is None:
+        dtype = np.int64 if sum(map(abs, terms.values())) < 2 ** 63 else object
+    _, nb, nc = shape = [d + 1 for d in degrees]
+    cells = [0] * math.prod(shape)
+    for (a, b, c), v in terms.items():
+        cells[(a * nb + b) * nc + c] = v
+    return np.array(cells, dtype).reshape(shape)
+
+
+def _quotient(g, i, j):
+    """The quotient of a dense array G by e_i - t, (i, j) a locus of
+    `_DEGENERATE_LOCI`, or None if not divisible.  G(e_i = t) is the sum of
+    G along axis i for t = 1, and for t = e_j the sum of the rows of the
+    (i, j) planes with row a shifted by a, so that column s holds the e_i^a
+    e_j^(s - a) that meet at e_j^s.  If it is 0, (e_i - t) Q = G gives q_a
+    = q_(a-1) - g_a: Q is -cumsum along the same axis, read back through
+    the same skew.  No sum passes |G|_1, so int64 cannot wrap."""
+    if j is None:
+        if np.count_nonzero(np.add.reduce(g, i)):
+            return None
+        return -g.cumsum(axis=i)[(slice(None),) * i + (slice(-1),)]
+    axes = (i, j, 3 - i - j)
+    ni, nj, no = map(g.shape.__getitem__, axes)
+    # pad each row with ni zeros and re-view it flat, ni cells shorter
+    skew = np.zeros((ni, ni + nj, no), g.dtype)
+    skew[:, :nj] = g.transpose(axes)
+    skew = skew.reshape(-1, no)[:ni * (ni + nj - 1)].reshape(ni, -1, no)
+    if np.count_nonzero(np.add.reduce(skew)):
         return None
-    rem = {}
-    for k, v in zip(keys, terms.values()):
-        rem[k] = rem.get(k, 0) + v
-    if any(rem.values()):
-        return None
-    quo = {}
-    for k, v in terms.items():
-        kk = list(k)
-        for r in range(k[i]):
-            kk[i] = r
-            if j is not None:
-                kk[j] = k[j] + k[i] - 1 - r
-            key = tuple(kk)
-            quo[key] = quo.get(key, 0) + v
-    return {k: v for k, v in quo.items() if v}
+    # e_i^a e_j^b of Q sits at column a + b + 1
+    flat = -skew.cumsum(axis=0).reshape(-1, no)
+    q = flat[1:1 + (ni - 1) * (ni + nj)].reshape(ni - 1, -1, no)[:, :nj - 1]
+    return q.transpose(tuple(map(axes.index, range(3))))
 
 
 def strip_degenerate_factors(poly):
     """Divide out all degenerate-locus factors to maximal multiplicity, each
     e_i^k (k the least exponent of e_i) in one pass."""
-    return _stripped(poly.terms)
+    return _stripped(_dense(poly.terms, poly.degrees))
 
 
-def _stripped(terms):
-    """strip_degenerate_factors on a term map with no zero value: the
-    divisors are monic, so one `MultiPoly`, built last, is canonical."""
-    if not terms:
-        raise ZeroPolynomial("zero polynomial has no canonical form")
-    for i in range(3):
-        if low := min(k[i] for k in terms):
-            terms = {k[:i] + (k[i] - low,) + k[i + 1:]: v
-                     for k, v in terms.items()}
+def _stripped(g):
+    """strip_degenerate_factors on a nonzero dense array G, int64 only while
+    |G|_1 < 2^63: the e_i^k go with the zero slices at its ends, and a
+    quotient, which stays trimmed, is widened to object unless its l1 stays
+    below 2^63.  The divisors are monic, so G over its content is canonical:
+    in row-major (lex) order its lead is the last cell of greatest degree."""
+    exps = np.argwhere(g)
+    g = g[tuple(map(slice, exps.min(axis=0), exps.max(axis=0) + 1))]
     for i, j in _DEGENERATE_LOCI:
-        while (q := divide_degenerate(terms, i, j)) is not None:
-            terms = q
-    result = MultiPoly(terms)
-    if result.is_constant():
+        # each e_i - t vanishes at (1, 1, 1), where G is its sum
+        while not g.sum() and (q := _quotient(g, i, j)) is not None:
+            wide = sum(map(abs, q.ravel().tolist())) >= 2 ** 63
+            g = q.astype(object) if wide else q
+    if g.size == 1:
         raise DegenerateOnly("product of degenerate factors only")
-    return result
+    exps = np.argwhere(g)
+    values = g[tuple(exps.T)].tolist()
+    degree = exps.sum(axis=1).tolist()
+    return object.__new__(MultiPoly)._set(
+        map(tuple, exps.tolist()), values,
+        values[-1 - degree[::-1].index(max(degree))],
+        tuple(n - 1 for n in g.shape))
 
 
 def _z_tables(phi, degrees):

@@ -706,6 +706,20 @@ def test_strip_degenerate_only_raises():
         strip_degenerate_factors(MultiPoly(only))
 
 
+def test_strip_widens_a_quotient_past_int64():
+    # G = 2^60 (e1^16 - 1) + (e1 - 1)^2 has |G|_1 = 2^61 + 4, so it enters
+    # int64, but its quotient by e1 - 1, 2^60 (1 + e1 + ... + e1^15) + e1 - 1,
+    # has l1 2^64 + 2: in int64 its value 2^64 at e1 = 1 wraps to 0, and a
+    # second division, which does not exist, would follow
+    g = {(16, 0, 0): 2 ** 60, (2, 0, 0): 1, (1, 0, 0): -2,
+         (0, 0, 0): 1 - 2 ** 60}
+    want = {(r, 0, 0): 2 ** 60 for r in range(16)}
+    want[(1, 0, 0)] += 1
+    want[(0, 0, 0)] -= 1
+    assert divide_degenerate(g, 0, None) == want
+    assert strip_degenerate_factors(MultiPoly(g)) == MultiPoly(want)
+
+
 def test_substitute_rational_identity():
     identity = Perm6.identity()
     for _ in range(50):
