@@ -1,11 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage (also an --in or --out path that cannot be
-read or written), 2 NoRelation, 3 AmbiguousKernel (for an
+Exit codes: 0 success, 1 usage (a bad option, an `InputError` from a
+documented input check of the library, or an --in or --out path that cannot
+be read or written), 2 NoRelation, 3 AmbiguousKernel (for an
 ImprimitiveKernel, stderr names the lower-degree factor and the --degree to
-search at), 4 verification failure, 5 parse error, 6 internal consistency
-failure (IntegralityViolation, NotAUnit, NotDivisible, NonIntegralDegree,
-NonConvergent, NearVanishingDenominator or SamplingExhausted).
+search at), 4 verification failure, 5 parse error (a `ParseError`, the one
+`InputError` with its own code), 6 internal consistency failure
+(IntegralityViolation, NotAUnit, NotDivisible, NonIntegralDegree,
+NonConvergent, NearVanishingDenominator or SamplingExhausted).  Any other
+exception is a defect and is not caught.
 """
 
 import json
@@ -15,7 +18,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .degrees import NonIntegralDegree, SpecialCase, degree_table
+from .degrees import NonIntegralDegree, degree_table
 from .oracle import (NearVanishingDenominator, NonConvergent,
                      SamplingExhausted, verify_component)
 from .poly import ParseError, format_poly, parse_poly
@@ -23,9 +26,8 @@ from .relations import (_SYMMETRIES, AmbiguousKernel, ImprimitiveKernel,
                         NoRelation, find_relation)
 from .rosenhain import IntegralityViolation, rosenhain_triple
 from .s6 import fixed_group, orbit
-from .series import NotAUnit, NotDivisible, series_to_record
-from .theta import (NotAdmissible, ThetaChar, humbert_params,
-                     restricted_theta)
+from .series import InputError, NotAUnit, NotDivisible, series_to_record
+from .theta import ThetaChar, humbert_params, restricted_theta
 
 SCHEMA = "humbert/1"
 
@@ -208,10 +210,10 @@ def _wrap_errors(fn):
         except AmbiguousKernel as exc:
             click.echo("ambiguous kernel: %s" % exc, err=True)
             sys.exit(EXIT_AMBIGUOUS)
-        except (ParseError,) as exc:
+        except ParseError as exc:
             click.echo("parse error: %s" % exc, err=True)
             sys.exit(EXIT_PARSE)
-        except (NotAdmissible, SpecialCase, ValueError, OSError) as exc:
+        except (InputError, OSError) as exc:
             click.echo("error: %s" % exc, err=True)
             sys.exit(EXIT_USAGE)
         except (IntegralityViolation, NotAUnit, NotDivisible,

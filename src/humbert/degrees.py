@@ -14,13 +14,14 @@ formula and the recursion reproduce the known degree table.
 import math
 from functools import lru_cache
 
+from .series import InputError
 from .theta import humbert_params
 
 
 def sigma1(n):
     """Sum of positive divisors; sigma1(0) = 0."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InputError("n must be nonnegative")
     if n == 0:
         return 0
     total = 0
@@ -88,7 +89,7 @@ def deg_fstar(delta):
     return num // m
 
 
-class SpecialCase(ValueError):
+class SpecialCase(InputError):
     """Delta = 1 degrees are bracketed as special (formula would give 0)."""
 
 

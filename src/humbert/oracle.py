@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import complex_evaluator
+from .series import InputError
 from .theta import ThetaChar, humbert_params
 
 
@@ -58,7 +59,7 @@ def theta_constants(point, chars, tol=1e-12):
     each row is summed on its own in a fixed order of the box.  Returns a
     tuple of complex, in the order of chars."""
     if not 0 < tol < 1:
-        raise ValueError("tol must be a finite number with 0 < tol < 1, "
+        raise InputError("tol must be a finite number with 0 < tol < 1, "
                          "got %r" % (tol,))
     lam = point.min_im_eigenvalue()
     if lam <= 0 or not point.is_valid():
@@ -165,9 +166,9 @@ def verify_component(poly, delta, trials=20, tol=1e-6, seed=0):
     with 0 < tol < inf.
     """
     if trials < 1:
-        raise ValueError("trials must be at least 1, got %r" % (trials,))
+        raise InputError("trials must be at least 1, got %r" % (trials,))
     if not 0 < tol < math.inf:
-        raise ValueError("tol must be a number with 0 < tol < inf, got %r"
+        raise InputError("tol must be a number with 0 < tol < inf, got %r"
                          % (tol,))
     disc = humbert_params(delta)
     coeff_mass = sum(abs(c) for c in poly.terms.values())

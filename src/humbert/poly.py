@@ -14,10 +14,11 @@ import re
 
 import numpy as np
 
-from .series import _exact_grid, _grid_product, _mod_chunk, _reduce, _toeplitz
+from .series import (InputError, _exact_grid, _grid_product, _mod_chunk,
+                     _reduce, _toeplitz)
 
 
-class ZeroPolynomial(ValueError):
+class ZeroPolynomial(InputError):
     pass
 
 
@@ -25,7 +26,7 @@ class DegenerateOnly(ValueError):
     """Polynomial is a product of degenerate-locus factors only."""
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, msg, pos):
         super().__init__("%s (at position %d)" % (msg, pos))
         self.pos = pos
@@ -80,9 +81,6 @@ class MultiPoly:
     def degree(self):
         return max(a + b + c for (a, b, c) in self.terms)
 
-    def degree_in(self, var):
-        return self.degrees[var]
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -99,9 +97,6 @@ class MultiPoly:
 
     def __str__(self):
         return format_poly(self)
-
-    def is_constant(self):
-        return set(self.terms) == {(0, 0, 0)}
 
     def to_record(self):
         """Structured record, terms sorted graded-lex descending."""
@@ -143,7 +138,7 @@ def eval_on_series(poly, rosenhain):
     for (a, b, c), coef in terms.items():
         rows.setdefault(a, []).append((b, c, coef))
     return _exact_grid(series, n, functools.partial(
-        _horner_grid, rows, poly.degree_in(2)), lambda norms: sum(
+        _horner_grid, rows, poly.degrees[2]), lambda norms: sum(
             abs(f) * math.prod(map(pow, norms, k))
             for k, f in terms.items()))[0]
 
@@ -194,16 +189,6 @@ def _horner(x, coeffs, mods):
     return acc
 
 
-def _lincomb(pairs):
-    """sum of coef * f over the (integer, term map) pairs, zeros kept."""
-    out = {}
-    get = out.get
-    for coef, f in pairs:
-        for k, v in f.items():
-            out[k] = get(k, 0) + coef * v
-    return out
-
-
 def complex_evaluator(poly):
     """The evaluation of poly at complex triples, summed term by term in
     graded-lex order; the order, the coefficients and the degree in each
@@ -228,14 +213,6 @@ def complex_evaluator(poly):
 # the degenerate loci but e_i = 0, which `_stripped` trims: (i, j) for the
 # factor e_i - t, t = 1 when j is None and t = e_j otherwise
 _DEGENERATE_LOCI = ((0, None), (1, None), (2, None), (0, 1), (0, 2), (1, 2))
-
-
-def divide_degenerate(terms, i, j):
-    """The quotient of a term map by e_i - t, or None if not divisible: the
-    `_quotient` of its `_dense` array, read back as a term map."""
-    q = _quotient(_dense(terms, tuple(map(max, zip(*terms)))), i, j)
-    return None if q is None else dict(
-        zip(map(tuple, np.argwhere(q).tolist()), q[q != 0].tolist()))
 
 
 def _dense(terms, degrees, dtype=None):
@@ -329,7 +306,8 @@ _TOKEN = re.compile(r"""
         (?P<sign>[+-])
       | (?P<star>\*)
       | (?P<int>\d+)
-      | e_?\{?(?P<var>[123])\}?(?:\^\{?(?P<exp>\d+)\}?)?
+      | e_?(?P<vb>\{)?(?P<var>[123])(?(vb)\})
+        (?:\^(?P<xb>\{)?(?P<exp>\d+)(?(xb)\}))?
     )""", re.VERBOSE)
 _EXP_MARK = re.compile(r"\^\s*(?![\{\d])")
 
@@ -337,7 +315,8 @@ _EXP_MARK = re.compile(r"\^\s*(?![\{\d])")
 def parse_poly(text):
     """Parse the human/appendix notation: e.g. "e_1^2 - 4 e_{2}^{3}e_3".
 
-    Factors are juxtaposed or joined by one "*", as in "4*e_2^3*e_3".
+    Factors are juxtaposed or joined by one "*", as in "4*e_2^3*e_3".  A
+    brace around an index or an exponent needs its partner.
     """
     if _EXP_MARK.search(text):
         raise ParseError("dangling exponent marker",

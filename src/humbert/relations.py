@@ -39,8 +39,8 @@ import numpy as np
 from .poly import (DegenerateOnly, MultiPoly, eval_on_series, format_poly,
                    strip_degenerate_factors)
 from .rosenhain import RosenhainSeries, check_precision, rosenhain_triple
-from .series import (_crt, _grid, _grid_product, _mod_chunk, _residues,
-                     _toeplitz, word_primes)
+from .series import (InputError, _crt, _grid, _grid_product, _mod_chunk,
+                     _residues, _toeplitz, word_primes)
 from .theta import NotAdmissible, humbert_params
 
 # the first six primes above 2^20, the primes of the exact recheck too: they
@@ -338,18 +338,18 @@ def find_relation(delta, degree, precision=None, symmetry=None):
     up to three larger precisions up to `_MAX_N`, and the last one raised;
     an ImprimitiveKernel is raised at once.  Each retry starts from the
     first prime's kernel of the attempt before.  A bad degree or symmetry,
-    then a first precision past `_MAX_N` (a ValueError naming that N), then
+    then a first precision past `_MAX_N` (an InputError naming that N), then
     an AmbiguousKernel for more top-degree monomials than the orbit width
-    times ceil(N/4)^2 (kernel_dim None), then a ValueError for more than
+    times ceil(N/4)^2 (kernel_dim None), then an InputError for more than
     `_MAX_UNKNOWNS` unknowns, counted, is raised before they are listed.
     """
     disc = humbert_params(delta)
     if delta < 4:
         raise NotAdmissible("relation finding needs delta >= 4")
     if degree < 1:
-        raise ValueError("degree must be >= 1")
+        raise InputError("degree must be >= 1")
     if symmetry not in _SYMMETRIES:
-        raise ValueError("unsupported symmetry %r" % (symmetry,))
+        raise InputError("unsupported symmetry %r" % (symmetry,))
     if precision is not None:
         schedule = [precision]
     else:
@@ -368,7 +368,7 @@ def find_relation(delta, degree, precision=None, symmetry=None):
                 schedule.append(n)
     check_precision(disc, schedule[0])
     if schedule[0] > _MAX_N:
-        raise ValueError("precision N=%d is too large for the kernel rows of "
+        raise InputError("precision N=%d is too large for the kernel rows of "
                          "delta=%d; the largest valid N is %d"
                          % (schedule[0], delta, _MAX_N))
     # each top-degree orbit adds an unknown past ends[degree-1], the largest
@@ -387,7 +387,7 @@ def find_relation(delta, degree, precision=None, symmetry=None):
             degree=degree, delta=delta, precision=schedule[0])
     unknowns = _unknown_count(degree, symmetry)
     if unknowns > _MAX_UNKNOWNS:
-        raise ValueError(
+        raise InputError(
             "degree %d for delta=%d has %d unknowns, more than the %d that "
             "the float64 elimination admits (n(p-1)^2 + p < 2^53)"
             % (degree, delta, unknowns, _MAX_UNKNOWNS))

@@ -21,7 +21,8 @@ pass and one CRT.
 import math
 from dataclasses import dataclass
 
-from .series import TruncatedSeries, _exact_grid, _grid_product, _toeplitz
+from .series import (InputError, TruncatedSeries, _exact_grid, _grid_product,
+                     _toeplitz)
 from .theta import Discriminant, NotAdmissible, ThetaChar, restricted_theta
 
 
@@ -52,10 +53,10 @@ def smallest_precision(disc):
 
 
 def check_precision(disc, precision):
-    """A ValueError naming smallest_precision(disc) if N is below it."""
+    """An InputError naming smallest_precision(disc) if N is below it."""
     smallest = smallest_precision(disc)
     if precision < smallest:
-        raise ValueError("precision N=%d is too small for delta=%d; the "
+        raise InputError("precision N=%d is too small for delta=%d; the "
                          "smallest valid N is %d"
                          % (precision, disc.delta, smallest))
 

@@ -20,8 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .degrees import SpecialCase
-from .poly import (DegenerateOnly, _dense, _lincomb, _stripped, _z_tables,
-                   raw_mul, strip_degenerate_factors)
+from .poly import (DegenerateOnly, _dense, _stripped, _z_tables, raw_mul,
+                   strip_degenerate_factors)
+from .series import InputError
 from .theta import humbert_params
 
 SYMBOLS = ("0", "1", "inf", "e1", "e2", "e3")
@@ -35,7 +36,7 @@ class Perm6:
     def __init__(self, images):
         images = tuple(images)
         if sorted(images) != sorted(SYMBOLS):
-            raise ValueError("not a permutation of %r" % (SYMBOLS,))
+            raise InputError("not a permutation of %r" % (SYMBOLS,))
         self._index = tuple(map(SYMBOLS.index, images))
 
     @classmethod
@@ -58,18 +59,18 @@ class Perm6:
         pos = 0
         while pos < len(text):
             if text[pos] != "(":
-                raise ValueError("expected '(' at %d in %r" % (pos, text))
+                raise InputError("expected '(' at %d in %r" % (pos, text))
             end = text.find(")", pos)
             if end < 0:
-                raise ValueError("unbalanced cycle in %r" % (text,))
+                raise InputError("unbalanced cycle in %r" % (text,))
             cyc = text[pos + 1:end].split(",")
             # each symbol is checked as it enters, so a repeat within one
             # cycle is caught like a repeat across cycles
             for s, image in zip(cyc, cyc[1:] + cyc[:1]):
                 if s not in SYMBOLS:
-                    raise ValueError("unknown symbol %r" % (s,))
+                    raise InputError("unknown symbol %r" % (s,))
                 if s in mapping:
-                    raise ValueError("symbol %r repeated" % (s,))
+                    raise InputError("symbol %r repeated" % (s,))
                 mapping[s] = image
             pos = end + 1
         return cls(mapping.get(s, s) for s in SYMBOLS)
@@ -152,7 +153,10 @@ _POINT = {
 
 def _det(a, b):
     """a0 b1 - b0 a1, which is a - b when both points are finite."""
-    return _lincomb(((1, raw_mul(a[0], b[1])), (-1, raw_mul(b[0], a[1]))))
+    out = raw_mul(a[0], b[1])
+    for k, v in raw_mul(b[0], a[1]).items():
+        out[k] = out.get(k, 0) - v
+    return out
 
 
 def induced_map(sigma):

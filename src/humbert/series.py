@@ -18,6 +18,10 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 
+class InputError(ValueError):
+    """An input that a documented check refuses: the CLI's exit 1."""
+
+
 class NotAUnit(ArithmeticError):
     """Constant term is not +-1, so the series has no inverse in Z[[p,q]]."""
 
@@ -33,13 +37,13 @@ class TruncatedSeries:
 
     def __init__(self, terms, precision):
         if precision < 1:
-            raise ValueError("precision must be >= 1")
+            raise InputError("precision must be >= 1")
         self.precision = precision
         clean = {}
         index = operator.index
         for (i, j), c in terms.items():
             if i < 0 or j < 0:
-                raise ValueError("negative exponent (%d, %d)" % (i, j))
+                raise InputError("negative exponent (%d, %d)" % (i, j))
             if i >= precision or j >= precision:
                 continue
             c = index(c)
@@ -69,7 +73,7 @@ class TruncatedSeries:
     def truncate(self, precision):
         """The image modulo (p^n, q^n) for n = `precision` <= N."""
         if precision > self.precision:
-            raise ValueError("cannot raise precision %d to %d"
+            raise InputError("cannot raise precision %d to %d"
                              % (self.precision, precision))
         return TruncatedSeries(self.terms, precision)
 

@@ -12,10 +12,10 @@ with Delta = 4k + l, l in {0, 1}.  All coefficients are integers.
 import math
 from dataclasses import dataclass
 
-from .series import TruncatedSeries
+from .series import InputError, TruncatedSeries
 
 
-class NotAdmissible(ValueError):
+class NotAdmissible(InputError):
     """Discriminant is not congruent to 0 or 1 mod 4 (or not positive)."""
 
 
@@ -29,7 +29,7 @@ class Discriminant:
         if self.delta <= 0 or self.delta % 4 not in (0, 1):
             raise NotAdmissible("delta must be positive and = 0, 1 mod 4")
         if self.delta != 4 * self.k + self.ell or self.ell not in (0, 1):
-            raise ValueError("inconsistent decomposition delta = 4k + ell")
+            raise InputError("inconsistent decomposition delta = 4k + ell")
 
 
 def humbert_params(delta):
@@ -62,7 +62,7 @@ class ThetaChar:
 
     def __post_init__(self):
         if (self.a, self.b, self.c, self.d) not in _ALLOWED:
-            raise ValueError(
+            raise InputError(
                 "unsupported characteristic %r; only the six even "
                 "characteristics 0000, 0011, 0010, 0001, 1100, 1111 are used"
                 % ((self.a, self.b, self.c, self.d),))
@@ -74,7 +74,7 @@ class ThetaChar:
     @classmethod
     def from_string(cls, s):
         if len(s) != 4 or set(s) - {"0", "1"}:
-            raise ValueError("characteristic must be four bits, e.g. 1100")
+            raise InputError("characteristic must be four bits, e.g. 1100")
         return cls(*(int(ch) for ch in s))
 
 

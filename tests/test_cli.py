@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from humbert import cli, relations
-from humbert.degrees import NonIntegralDegree
+from humbert.degrees import NonIntegralDegree, SpecialCase
 from humbert.oracle import (NearVanishingDenominator, NonConvergent,
                             SamplingExhausted)
-from humbert.series import NotAUnit, NotDivisible
+from humbert.poly import ZeroPolynomial
+from humbert.series import InputError, NotAUnit, NotDivisible
+from humbert.theta import NotAdmissible
 
 
 def run_cli(args, env_extra=None, cwd=None):
@@ -195,6 +197,33 @@ def test_library_failures_exit_6(monkeypatch, capsys, error):
     assert "internal consistency failure: injected failure" in err
 
 
+@pytest.mark.parametrize("error", [InputError, NotAdmissible, SpecialCase,
+                                   ZeroPolynomial])
+def test_input_errors_exit_1(monkeypatch, capsys, error):
+    def failing(max_delta):
+        raise error("injected input")
+
+    monkeypatch.setattr(cli, "degree_table", failing)
+    monkeypatch.setattr(sys, "argv", ["humbert", "degrees"])
+    with pytest.raises(SystemExit) as info:
+        cli.cli_entry()
+    assert info.value.code == 1
+    assert capsys.readouterr().err == "error: injected input\n"
+
+
+def test_a_bare_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    # exit 1 is for the library's documented input checks (InputError); a
+    # ValueError from anywhere else is a defect and propagates
+    def failing(max_delta):
+        raise ValueError("injected defect")
+
+    monkeypatch.setattr(cli, "degree_table", failing)
+    monkeypatch.setattr(sys, "argv", ["humbert", "degrees"])
+    with pytest.raises(ValueError, match="injected defect"):
+        cli.cli_entry()
+    assert "error: " not in capsys.readouterr().err
+
+
 def test_degrees_rejects_a_nonpositive_max():
     res = run_cli(["degrees", "--max", "-3"])
     assert res.returncode == 1
@@ -342,11 +371,12 @@ def test_unusable_path_is_a_usage_error(tmp_path, command):
 
 # tiny inputs for the in-process property test: two small components, a
 # constant, a degenerate-only polynomial, a non-canonical one, input that
-# cancels to zero and a parse error; _POLY adds a path that does not exist
+# cancels to zero and two parse errors, the second an exponent brace with
+# no partner; _POLY adds a path that does not exist
 _POLY_FILES = {"h4": "e_1e_2 - e_3", "linear": "e_1 + e_2 - 3",
                "constant": "5", "degenerate": "e_1 - e_2",
                "noncanonical": "e_1^2e_2 - 2e_1e_2", "zero": "e_1 - e_1",
-               "bad": "e_1 + @@@"}
+               "bad": "e_1 + @@@", "brace": "e_1^{2"}
 
 
 @pytest.fixture(scope="module")
@@ -423,3 +453,6 @@ def test_exit_codes_are_documented_and_never_a_traceback(poly_files,
             code = exc.code or 0
     assert 0 <= code <= 6, (name + args, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if name[0] in ("orbit", "fixgroup") and poly in ("bad", "brace"):
+        # no option of these commands is read before the file
+        assert code == 5, (name + args, err.getvalue())

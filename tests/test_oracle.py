@@ -92,7 +92,7 @@ def reference_eval_complex(poly, z):
     """The polynomial at a complex triple, its terms sorted graded-lex
     and its powers built afresh at each call."""
     z1, z2, z3 = z
-    d1, d2, d3 = (poly.degree_in(i) for i in range(3))
+    d1, d2, d3 = poly.degrees
     p1 = [z1 ** i for i in range(d1 + 1)]
     p2 = [z2 ** i for i in range(d2 + 1)]
     p3 = [z3 ** i for i in range(d3 + 1)]

@@ -17,7 +17,7 @@ import humbert
 from humbert import poly as poly_module
 from humbert import series as series_module
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
-                          ParseError, ZeroPolynomial, divide_degenerate,
+                          ParseError, ZeroPolynomial, _dense, _quotient,
                           complex_evaluator, eval_on_series, format_poly,
                           parse_poly, strip_degenerate_factors)
 from humbert.degrees import admissible_range
@@ -173,7 +173,7 @@ _UNITS = SimpleNamespace(
 def test_eval_on_series_matches_naive_powers(f, triple):
     value = eval_on_series(f, triple)
     assert value == _naive_eval(f, triple)
-    if f.is_constant():
+    if f.degrees == (0, 0, 0):
         assert value.terms == {(0, 0): f.terms[(0, 0, 0)]}
     if triple is _UNITS:
         # the constant term of the value is the coefficient sum, non-zero
@@ -291,7 +291,7 @@ def test_eval_on_series_horner_steps_multiply_by_the_sparser_series(
     p = next(word_primes())
     calls, _, value = _grid_products(monkeypatch, h12, triple)
     assert value.is_zero()
-    assert h12.degree_in(1) == 8
+    assert h12.degrees[1] == 8
     for reduced, weight in ((False, lambda c: float(abs(c))),
                             (True, lambda c: float(c % p))):
         sparse, dense = (frozenset((i // 4, j // 4, weight(c))
@@ -557,6 +557,13 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as info:
             parse_poly(text)
         assert info.value.pos == pos, text
+    # each brace of an index or exponent needs its partner: the error sits
+    # inside the broken factor, alone or after a first term
+    for factor in ("e_1^{2", "e_{1^2", "e_1}"):
+        for head in ("", "3 + "):
+            with pytest.raises(ParseError) as info:
+                parse_poly(head + factor)
+            assert len(head) <= info.value.pos < len(head + factor), factor
 
 
 def test_fixture_round_trip():
@@ -568,6 +575,17 @@ def test_fixture_round_trip():
     assert parse_poly(format_poly(f)) == f
 
 
+def _dense_of(terms):
+    """The `_dense` array of a term map at its own degrees, the array that
+    `strip_degenerate_factors` divides."""
+    return _dense(terms, tuple(map(max, zip(*terms))))
+
+
+def _same(q, terms):
+    """Whether a `_quotient` is the dense array of the term map terms."""
+    return q is not None and np.array_equal(q, _dense_of(terms))
+
+
 def test_degenerate_factor_set():
     # each locus (i, j) of _DEGENERATE_LOCI divides its factor e_i - t to 1:
     # e_i - 1 for each i and e_i - e_j for each i < j, with e_1, e_2, e_3
@@ -577,10 +595,10 @@ def test_degenerate_factor_set():
     assert len(_DEGENERATE_LOCI) == len(_FACTORS) == 6
     assert len(set(_MONOMIALS + _FACTORS)) == 9
     for (i, j), fac in zip(_DEGENERATE_LOCI, _FACTORS):
-        assert divide_degenerate(fac.terms, i, j) == {(0, 0, 0): 1}
+        assert _quotient(_dense_of(fac.terms), i, j).tolist() == [[[1]]]
 
 
-def test_divide_degenerate_exact_and_inexact():
+def test_quotient_exact_and_inexact():
     # every factor e_i - t divides g * L^m exactly m times and no further:
     # g has a constant term of 100, so g(e_i = t) != 0
     assert len(_DEGENERATE_LOCI) == 6
@@ -592,18 +610,19 @@ def test_divide_degenerate_exact_and_inexact():
             prod = g
             for _ in range(m):
                 prod = _raw_mul_terms(prod, fac.terms)
+            prod = _dense_of(prod)
             for _ in range(m):
-                prod = divide_degenerate(prod, i, j)
+                prod = _quotient(prod, i, j)
                 assert prod is not None
-            assert prod == g
-            assert divide_degenerate(g, i, j) is None
+            assert _same(prod, g)
+            assert _quotient(_dense_of(g), i, j) is None
             # a nonzero remainder: g * L + 1
             off = _raw_mul_terms(g, fac.terms)
             off[(0, 0, 0)] = off.get((0, 0, 0), 0) + 1
-            assert divide_degenerate(off, i, j) is None
+            assert _quotient(_dense_of(off), i, j) is None
     # e1 + 1 is not a multiple of e1 - 1, nor e1 + e2 of e1 - e2
-    assert divide_degenerate({(1, 0, 0): 1, (0, 0, 0): 1}, 0, None) is None
-    assert divide_degenerate({(1, 0, 0): 1, (0, 1, 0): 1}, 0, 1) is None
+    assert _quotient(_dense_of({(1, 0, 0): 1, (0, 0, 0): 1}), 0, None) is None
+    assert _quotient(_dense_of({(1, 0, 0): 1, (0, 1, 0): 1}), 0, 1) is None
 
 
 _MULTIPLICITIES = st.lists(st.integers(0, 2), min_size=9, max_size=9)
@@ -662,7 +681,7 @@ def _at_locus(i, j, key):
     return tuple(k)
 
 
-def test_divide_degenerate_refuses_when_every_key_meets_two_terms():
+def test_quotient_refuses_when_every_key_meets_two_terms():
     # F(e_i = t) != 0 although each of its keys is met by two terms or
     # more, so counting the keys refuses nothing and the exact collapse
     # must: terms grouped by their key at e_i = t, positive coefficients
@@ -683,12 +702,12 @@ def test_divide_degenerate_refuses_when_every_key_meets_two_terms():
                     terms[tuple(k)] = rng.randint(1, 9)
             keys = Counter(_at_locus(i, j, k) for k in terms)
             assert min(keys.values()) >= 2
-            assert divide_degenerate(terms, i, j) is None
+            assert _quotient(_dense_of(terms), i, j) is None
     # the smallest such input per locus: e_i + 2t, whose remainder is 3t
     for (i, j), fac in zip(_DEGENERATE_LOCI, _FACTORS):
         plus = {k: abs(v) * (1 if k[i] else 2) for k, v in fac.terms.items()}
-        assert divide_degenerate(plus, i, j) is None
-        assert divide_degenerate(fac.terms, i, j) == {(0, 0, 0): 1}
+        assert _quotient(_dense_of(plus), i, j) is None
+        assert _same(_quotient(_dense_of(fac.terms), i, j), {(0, 0, 0): 1})
 
 
 def test_strip_degenerate_factors():
@@ -716,7 +735,8 @@ def test_strip_widens_a_quotient_past_int64():
     want = {(r, 0, 0): 2 ** 60 for r in range(16)}
     want[(1, 0, 0)] += 1
     want[(0, 0, 0)] -= 1
-    assert divide_degenerate(g, 0, None) == want
+    q = _quotient(_dense_of(g), 0, None)
+    assert q.dtype == np.int64 and _same(q, want)
     assert strip_degenerate_factors(MultiPoly(g)) == MultiPoly(want)
 
 
@@ -743,7 +763,7 @@ def _substitute_by_definition(f, phi):
     """The cleared substitution from its definition: the sum, over the
     terms coef * e1^e_1 e2^e_2 e3^e_3 of f, of coef * prod_i num_i^e_i *
     den_i^(d_i - e_i), stripped of degenerate-locus factors."""
-    d = [f.degree_in(i) for i in range(3)]
+    d = f.degrees
     total = {}
     for exps, coef in f.terms.items():
         term = {(0, 0, 0): coef}
@@ -793,6 +813,6 @@ def test_substitute_rational_product_count(monkeypatch):
         return mul(f, g)
 
     monkeypatch.setattr(poly_module, "raw_mul", counting)
-    poly_module._z_tables(phi, [h12.degree_in(i) for i in range(3)])
-    tables = sum(3 * (h12.degree_in(i) - 1) for i in range(3))
+    poly_module._z_tables(phi, h12.degrees)
+    tables = sum(3 * (d - 1) for d in h12.degrees)
     assert len(calls) == tables == 63

@@ -12,11 +12,12 @@ import pytest
 
 from humbert import s6
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
-                          _lincomb, _z_tables, divide_degenerate, parse_poly,
-                          raw_mul, strip_degenerate_factors)
+                          _quotient, _z_tables, parse_poly, raw_mul,
+                          strip_degenerate_factors)
 from humbert.s6 import (Perm6, act, all_perms, fixed_group, induced_map,
                         mulclose, orbit, orbit_and_stabilizer,
                         paper_generators)
+from test_poly import _dense_of
 
 rng = random.Random(31415)
 
@@ -163,14 +164,16 @@ def test_induced_map_is_reduced():
     # differences of four distinct pairs of symbols, so no degenerate
     # factor divides both, for any of the 720 permutations: e_i divides a
     # term map when every exponent of e_i in it is positive, and the six
-    # other loci are divided out by `divide_degenerate`
+    # other loci are divided out by `_quotient`, on the `_dense` arrays
+    # that the strip divides
     for sigma in all_perms():
         for num, den in induced_map(sigma):
             for i in range(3):
                 assert not (all(k[i] for k in num) and all(k[i] for k in den))
+            num, den = _dense_of(num), _dense_of(den)
             for i, j in _DEGENERATE_LOCI:
-                assert (divide_degenerate(num, i, j) is None
-                        or divide_degenerate(den, i, j) is None)
+                assert (_quotient(num, i, j) is None
+                        or _quotient(den, i, j) is None)
 
 
 def test_induced_map_is_the_cross_ratio_at_a_point():
@@ -246,6 +249,16 @@ def test_fixed_group_act_count(monkeypatch):
         assert len(calls) == acts
 
 
+def _lincomb(pairs):
+    """sum of coef * f over the (integer, term map) pairs, zeros kept."""
+    out = {}
+    get = out.get
+    for coef, f in pairs:
+        for k, v in f.items():
+            out[k] = get(k, 0) + coef * v
+    return out
+
+
 def substitute_rational(poly, phi):
     """F(phi1, phi2, phi3) with minimal uniform denominator clearing, by
     nested sums: the reference that `act` is checked against.
@@ -259,7 +272,7 @@ def substitute_rational(poly, phi):
 
     and stripped of degenerate-locus factors.
     """
-    z = _z_tables(phi, [poly.degree_in(i) for i in range(3)])
+    z = _z_tables(phi, poly.degrees)
     rows = {}
     for (a, b, c), coef in poly.terms.items():
         rows.setdefault(a, {}).setdefault(b, []).append((coef, z[2][c]))
@@ -310,7 +323,7 @@ def test_wide_coefficients_take_the_object_path(terms):
     # a search generator, and the 6-cycle, whose cells share monomials: the
     # plan's matrices are int64 and the act widens them
     f = MultiPoly(terms)
-    degrees = tuple(f.degree_in(i) for i in range(3))
+    degrees = f.degrees
     for sigma in (s6._S6_GENERATORS[1], Perm6.parse("(0,1,inf,e1,e2,e3)")):
         plan = s6.contraction_plan(sigma, degrees)
         assert _int64_plan(plan)
@@ -320,7 +333,7 @@ def test_wide_coefficients_take_the_object_path(terms):
 
 def test_narrow_coefficients_take_the_int64_path():
     f = parse_poly((_REFS / "h8.txt").read_text())
-    degrees = tuple(f.degree_in(i) for i in range(3))
+    degrees = f.degrees
     for sigma in s6._S6_GENERATORS:
         plan = s6.contraction_plan(sigma, degrees)
         assert _int64_plan(plan)
