@@ -124,23 +124,19 @@ def eval_on_series(poly, rosenhain):
     once.  With d_x, d3 the degrees of F in x and e3 and B_a the largest b
     in a term x^a y^b e3^c of F, that is max(d3 - 1, 0) + sum_a B_a + d_x
     series products: 70 for the 233 terms of the degree-16 h12, of which
-    the 55 b steps multiply by the sparser series.  The l1 bound is
-    sum |f_abc| |e1|_1^a |e2|_1^b |e3|_1^c.
+    the 55 b steps multiply by the sparser series.  On the l1 norms the
+    scheme gives the bound sum |f_abc| |e1|_1^a |e2|_1^b |e3|_1^c.
     """
     # the inner steps multiply by y = e1, the sparser: e1 has no more terms
     # than e2 on every triple (a test pins it for Delta from 4 to 60)
     x, y, e3 = rosenhain.e2, rosenhain.e1, rosenhain.e3
-    terms = {(b, a, c): coef for (a, b, c), coef in poly.terms.items()}
-    n = min(x.precision, y.precision, e3.precision)
-    series = [{k: c for k, c in e.terms.items() if max(k) < n}
-              for e in (x, y, e3)]
     rows = {}
-    for (a, b, c), coef in terms.items():
-        rows.setdefault(a, []).append((b, c, coef))
-    return _exact_grid(series, n, functools.partial(
-        _horner_grid, rows, poly.degrees[2]), lambda norms: sum(
-            abs(f) * math.prod(map(pow, norms, k))
-            for k, f in terms.items()))[0]
+    for (a, b, c), coef in poly.terms.items():
+        rows.setdefault(b, []).append((a, c, coef))
+    return _exact_grid([x.terms, y.terms, e3.terms],
+                       min(x.precision, y.precision, e3.precision),
+                       functools.partial(_horner_grid, rows,
+                                         poly.degrees[2]))[0]
 
 
 def _horner_grid(rows, d3, grid, weight, mods):
@@ -159,7 +155,7 @@ def _horner_grid(rows, d3, grid, weight, mods):
     assert mods is None or d3 < _mod_chunk(1, int(np.max(mods)))
     z = grid(2)
     layers, m, _ = z.shape
-    pows = np.zeros((layers, d3 + 1, m, m))
+    pows = np.zeros((layers, d3 + 1, m, m), z.dtype)
     pows[:, 0, 0, 0] = 1
     pows[:, 1:2] = z[:, None]  # e3^1, unless d3 = 0
     x, y, z = (_toeplitz(e) for e in (grid(0), grid(1), z))
@@ -173,7 +169,7 @@ def _horner_grid(rows, d3, grid, weight, mods):
     def inner(a):
         # an a with no term has one zero coefficient
         bs, cs, coefs = zip(*rows.get(a, [(0, 0, 0)]))
-        w = np.zeros((max(bs) + 1, layers, 1, d3 + 1))
+        w = np.zeros((max(bs) + 1, layers, 1, d3 + 1), pows.dtype)
         w[bs, :, 0, cs] = weight(coefs).T
         return _horner(y, map(coefficient, w[::-1]), mods)
     return [_horner(x, map(inner, reversed(range(max(rows) + 1))), mods)]
@@ -301,14 +297,13 @@ def _z_tables(phi, degrees):
 
 # -- text format --------------------------------------------------------
 
-_TOKEN = re.compile(r"""
-    \s*(?:
-        (?P<sign>[+-])
-      | (?P<star>\*)
-      | (?P<int>\d+)
-      | e_?(?P<vb>\{)?(?P<var>[123])(?(vb)\})
-        (?:\^(?P<xb>\{)?(?P<exp>\d+)(?(xb)\}))?
-    )""", re.VERBOSE)
+# a term: signs (optional on the first term only), then an integer or a
+# factor, then more factors, each after an optional "*"
+_FACTOR = r"e_?(?:\{[123]\}|[123])(?:\^(?:\{\d+\}|\d+))?"
+_SIGNS = re.compile(r"\s*([+-][\s+-]*)?")
+_TERM = re.compile(_SIGNS.pattern + r"(?:\d+|{0})(?:\s*\*?\s*{0})*".format(
+    _FACTOR))
+_PART = re.compile(r"e_?\{?([123])\}?(?:\^\{?(\d+))?|(\d+)")
 _EXP_MARK = re.compile(r"\^\s*(?![\{\d])")
 
 
@@ -316,73 +311,31 @@ def parse_poly(text):
     """Parse the human/appendix notation: e.g. "e_1^2 - 4 e_{2}^{3}e_3".
 
     Factors are juxtaposed or joined by one "*", as in "4*e_2^3*e_3".  A
-    brace around an index or an exponent needs its partner.
+    brace around an index or an exponent needs its partner.  A term that
+    fails to match is named at its first character past the signs.
     """
     if _EXP_MARK.search(text):
         raise ParseError("dangling exponent marker",
                          _EXP_MARK.search(text).start())
-    terms = {}
-    pos = 0
-    n = len(text)
-    sign = 1
-    coef = None
-    mono = [0, 0, 0]
-    seen_factor = False
-    star = None  # position of a "*" still waiting for its factor
-
-    def flush(at):
-        nonlocal sign, coef, mono, seen_factor
-        if not seen_factor and coef is None:
-            raise ParseError("empty term", at)
-        c = sign * (1 if coef is None else coef)
-        k = tuple(mono)
-        s = terms.get(k, 0) + c
-        if s:
-            terms[k] = s
-        elif k in terms:
-            del terms[k]
-        sign, coef, mono, seen_factor = 1, None, [0, 0, 0], False
-
-    started = False
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            at = n - len(text[pos:].lstrip())
-            if at == n:
-                break
-            raise ParseError("unexpected character %r" % text[at], at)
-        pos = m.end()
-        if star is not None and not m.group("var"):
-            raise ParseError("'*' not followed by a factor", star)
-        if m.group("star"):
-            if coef is None and not seen_factor:
-                raise ParseError("'*' without a left operand",
-                                 m.start("star"))
-            star = m.start("star")
-        elif m.group("sign"):
-            if started and (seen_factor or coef is not None):
-                flush(pos)
-            if m.group("sign") == "-":
-                sign = -sign
-            started = True
-        elif m.group("int"):
-            if coef is not None or seen_factor:
-                raise ParseError("unexpected integer", m.start("int"))
-            coef = int(m.group("int"))
-            started = True
-        else:
-            var = int(m.group("var")) - 1
-            exp = int(m.group("exp")) if m.group("exp") else 1
-            mono[var] += exp
-            seen_factor = True
-            star = None
-            started = True
-    if star is not None:
-        raise ParseError("'*' not followed by a factor", star)
-    if not started:
+    if not text.strip():
         raise ParseError("empty input", 0)
-    flush(pos)
-    if not terms:
+    terms, pos, end = {}, 0, len(text.rstrip())
+    while pos < end:
+        m = _TERM.match(text, pos)
+        if not m or pos and not m.group(1):
+            at = _SIGNS.match(text, pos).end()
+            if at >= end:
+                raise ParseError("empty term", end)
+            raise ParseError("unexpected character %r" % text[at], at)
+        coef, mono = (-1) ** m.group().count("-"), [0, 0, 0]
+        for var, exp, num in _PART.findall(m.group()):
+            if num:
+                coef *= int(num)
+            else:
+                mono[int(var) - 1] += int(exp or 1)
+        terms[tuple(mono)] = terms.get(tuple(mono), 0) + coef
+        pos = m.end()
+    if not any(terms.values()):
         raise ParseError("input cancels to zero", 0)
     return MultiPoly(terms)
 

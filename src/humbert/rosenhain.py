@@ -18,7 +18,6 @@ grid pass (`series._exact_grid`): nine products, one majorant, one residue
 pass and one CRT.
 """
 
-import math
 from dataclasses import dataclass
 
 from .series import (InputError, TruncatedSeries, _exact_grid, _grid_product,
@@ -92,7 +91,7 @@ def rosenhain_triple(disc, precision):
     maps = []
     for top, bottom in ((1, 2), (3, 4), (8, 10)):
         maps += [t[top].terms, t[bottom].inverse().terms]
-    triple = _exact_grid(maps, precision, _triple_grids, _triple_bound)
+    triple = _exact_grid(maps, precision, _triple_grids)
     for name, e in zip(("e1", "e2", "e3"), triple):
         if e.constant_term() != 1:
             raise IntegralityViolation("%s has constant term %r, expected 1"
@@ -114,8 +113,3 @@ def _triple_grids(grid, weight, mods):
     a, b, c = squares
     return mul(a, b), mul(b, c), mul(a, c)
 
-
-def _triple_bound(norms):
-    """The l1 bound max(ab, bc, ac)^2 on e1, e2, e3; a = |t1|_1 |1/t2|_1."""
-    a, b, c = map(math.prod, zip(norms[::2], norms[1::2]))
-    return max(a * b, b * c, a * c) ** 2

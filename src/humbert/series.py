@@ -94,15 +94,13 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         """The exact product: one `_grid_product` by the operand with fewer
-        terms, under `_exact_grid` with the l1 bound ||a||_1 ||b||_1."""
+        terms, under `_exact_grid`."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(self.precision, other.precision)
-        a, b = sorted(({k: c for k, c in e.terms.items() if max(k) < n}
-                       for e in (self, other)), key=len)
-
-        return _exact_grid((a, b), n, lambda grid, weight, mods: [
-            _grid_product(grid(1), _toeplitz(grid(0)), mods)], math.prod)[0]
+        a, b = sorted((self.terms, other.terms), key=len)
+        return _exact_grid((a, b), min(self.precision, other.precision),
+                           lambda grid, weight, mods: [_grid_product(
+                               grid(1), _toeplitz(grid(0)), mods)])[0]
 
     def inverse(self):
         """Multiplicative inverse in the quotient ring.
@@ -188,46 +186,53 @@ def word_primes():
         yield _WORD_PRIMES[k]
 
 
-def _exact_grid(series, n, compute, l1_bound):
+def _exact_grid(series, n, compute):
     """The k exact series mod (p^n, q^n) that compute(grid, weight, mods)
-    forms from the term maps `series`, all below n.
+    forms from the term maps `series`, cut below n.
 
     grid(i) builds series[i] on the m x m grid of sZ x sZ (s the gcd of
     their exponents, 4 on every Rosenhain triple and 1 on a generic series,
     or n; m = ceil(n/s)), each coefficient as its layers under weight, which
     maps j integers to a (layers, j) array.  compute only adds and
     multiplies and returns a list of k (layers, m, m) outputs.  It runs
-    twice.  First on absolute values, mods None: each rounding to nearest
-    of a nonnegative value multiplies it by at least 1 - 2^-53, so after
-    K << 2^52 steps the computed majorant is at least (1 - 2^-53)^K > 1/2 of
-    the true one, and B, the smaller of twice it and the exact l1_bound(l1
-    norms of the series), bounds every output coefficient (a coefficient
-    past the float range, or a majorant not below 2^1000, leaves B the l1
-    bound).  Then on residues, mods the primes as (layers, 1, 1): the
-    consecutive primes above 2^20 whose product M first exceeds 2B + 1.
-    One CRT maps each cell of the outputs to the integer below M/2 in
-    absolute value with its residues: the exact coefficient.
+    twice, or three times past the float range.  First on absolute values
+    in float64, mods None: each rounding to nearest of a nonnegative value
+    multiplies it by at least 1 - 2^-53, so after K << 2^52 steps the
+    computed majorant is at least (1 - 2^-53)^K > 1/2 of the true one, and
+    B, twice it, bounds every output coefficient.  A coefficient past the
+    float range, or a majorant not below 2^1000 (inf and nan too), makes B
+    the largest output of a run, exact, on the l1 norms of the series as
+    1 x 1 grids of Python ints.  Then on residues, mods the primes as
+    (layers, 1, 1): the consecutive primes above 2^20 whose product M
+    first exceeds 2B + 1.  One CRT maps each cell of the outputs to the
+    integer below M/2 in absolute value with its residues: the exact
+    coefficient.
     """
+    series = [{k: c for k, c in e.items() if max(k) < n} for e in series]
     s = math.gcd(*(i for e in series for k in e for i in k)) or n
     m = -(-n // s)
 
-    def run(weight, mods):
-        return compute(lambda i: _grid(series[i], s, m, weight), weight, mods)
-    bound = l1_bound([sum(map(abs, e.values())) for e in series])
+    def run(maps, m, weight, mods=None):
+        return compute(lambda i: _grid(maps[i], s, m, weight), weight, mods)
+
+    def absolute(dtype):
+        return lambda cs: np.array([[abs(c) for c in cs]], dtype)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             # np.max keeps a nan (inf * 0) of any output; max() may not
-            top = np.max(run(lambda cs: np.array(
-                [[float(abs(c)) for c in cs]]), None))
-    except OverflowError:  # float() of a coefficient past 2^1024
+            top = np.max(run(series, m, absolute(np.float64)))
+    except OverflowError:  # a coefficient past 2^1024
         top = math.inf
     if top < 2.0 ** 1000:
-        bound = min(bound, math.ceil(2 * top))
+        bound = math.ceil(2 * top)
+    else:  # inf and nan too
+        bound = np.max(run([{(0, 0): sum(map(abs, e.values()))}
+                            for e in series], 1, absolute(object)))
     primes, more = [], word_primes()
     while math.prod(primes) <= 2 * bound + 1:
         primes.append(next(more))
     mods = np.array(primes, dtype=np.float64).reshape(-1, 1, 1)
-    grids = np.stack(run(_residues(primes), mods), axis=1)
+    grids = np.stack(run(series, m, _residues(primes), mods), axis=1)
     outs = [{} for _ in range(grids.shape[1])]
     for k, v in _crt_symmetric(grids.astype(np.int64), primes, bound).items():
         outs[k // m ** 2][(k // m % m * s, k % m * s)] = v
@@ -272,7 +277,7 @@ def _grid(e, s, m, weight):
     assert all(i % s == 0 and j % s == 0 for i, j in e), \
         "term off the %dZ x %dZ lattice" % (s, s)
     w = weight(list(e.values()))
-    out = np.zeros((len(w), m, m))
+    out = np.zeros((len(w), m, m), w.dtype)
     out[:, [i // s for i, _ in e], [j // s for _, j in e]] = w
     return out
 
@@ -284,7 +289,7 @@ def _toeplitz(grid):
     Gathen and Gerhard, Modern Computer Algebra, ch. 8), and the indices di
     of its nonzero rows."""
     layers, m, _ = grid.shape
-    padded = np.zeros((layers, m, 2 * m - 1))
+    padded = np.zeros((layers, m, 2 * m - 1), grid.dtype)
     padded[..., m - 1:] = grid
     layer, row, col = padded.strides
     return (as_strided(padded[..., m - 1:], (layers, m, m, m),

@@ -8,6 +8,7 @@ import pytest
 from humbert.degrees import (NonIntegralDegree, SpecialCase, a_delta,
                              admissible_range, deg_conjectured, deg_fstar,
                              degree_table, m_components, sigma1)
+from humbert.series import InputError
 
 rng = random.Random(998877)
 
@@ -74,6 +75,12 @@ def test_siegel_consistency_up_to_200():
                 if d2 % 4 in (0, 1):
                     total += m_components(d2) * deg_fstar(d2)
         assert total == a_delta(delta)
+
+
+def test_sigma1_refuses_a_negative_argument():
+    assert (sigma1(0), sigma1(1), sigma1(12)) == (0, 1, 28)
+    with pytest.raises(InputError, match="nonnegative"):
+        sigma1(-1)
 
 
 def test_deg_fstar_special_case_delta_one():

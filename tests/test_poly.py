@@ -1,7 +1,9 @@
 """Tests for sparse trivariate integer polynomials."""
 
 import ast
+import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -225,6 +227,20 @@ _STRIDE_ONE = SimpleNamespace(
 def test_eval_on_series_matches_naive_on_wide_coefficients(f, triple):
     assert eval_on_series(f, triple) == _naive_eval(f, triple)
 
+
+
+def test_eval_on_series_bound_past_the_float_range(monkeypatch):
+    # with no float64 majorant the Horner scheme runs on the l1 norms of
+    # e1, e2 and e3: the bound is sum |f_abc| |e1|_1^a |e2|_1^b |e3|_1^c
+    f = MultiPoly({(1, 2, 0): 2 ** 1100 + 1, (0, 0, 3): -5, (2, 1, 1): 3})
+    bounds, crt = [], series_module._crt_symmetric
+    monkeypatch.setattr(series_module, "_crt_symmetric", lambda r, p, b: (
+        bounds.append(b), crt(r, p, b))[1])
+    assert eval_on_series(f, _STRIDE_ONE) == _naive_eval(f, _STRIDE_ONE)
+    norms = [sum(map(abs, e.terms.values()))
+             for e in (_STRIDE_ONE.e1, _STRIDE_ONE.e2, _STRIDE_ONE.e3)]
+    assert bounds == [sum(abs(c) * math.prod(map(pow, norms, k))
+                          for k, c in f.terms.items())]
 
 def _h12():
     import importlib.resources as ir
@@ -564,6 +580,130 @@ def test_parse_errors_carry_position():
             with pytest.raises(ParseError) as info:
                 parse_poly(head + factor)
             assert len(head) <= info.value.pos < len(head + factor), factor
+
+
+def test_parse_positions_of_a_term_that_cannot_start():
+    # an integer where a sign must start the next term, and a last term
+    # with signs only
+    for text, pos in (("e_1 2", 4), ("2 3", 2), ("e_1 +", 5), ("-", 1)):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert info.value.pos == pos, text
+
+
+# the token parser that the term grammar of `parse_poly` replaced, kept as
+# the reference it must agree with
+_REF_TOKEN = re.compile(r"""
+    \s*(?:
+        (?P<sign>[+-])
+      | (?P<star>\*)
+      | (?P<int>\d+)
+      | e_?(?P<vb>\{)?(?P<var>[123])(?(vb)\})
+        (?:\^(?P<xb>\{)?(?P<exp>\d+)(?(xb)\}))?
+    )""", re.VERBOSE)
+_REF_EXP_MARK = re.compile(r"\^\s*(?![\{\d])")
+
+
+def _reference_parse(text):
+    if _REF_EXP_MARK.search(text):
+        raise ParseError("dangling exponent marker",
+                         _REF_EXP_MARK.search(text).start())
+    terms = {}
+    pos = 0
+    n = len(text)
+    sign = 1
+    coef = None
+    mono = [0, 0, 0]
+    seen_factor = False
+    star = None  # position of a "*" still waiting for its factor
+
+    def flush(at):
+        nonlocal sign, coef, mono, seen_factor
+        if not seen_factor and coef is None:
+            raise ParseError("empty term", at)
+        c = sign * (1 if coef is None else coef)
+        k = tuple(mono)
+        s = terms.get(k, 0) + c
+        if s:
+            terms[k] = s
+        elif k in terms:
+            del terms[k]
+        sign, coef, mono, seen_factor = 1, None, [0, 0, 0], False
+
+    started = False
+    while pos < n:
+        m = _REF_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            at = n - len(text[pos:].lstrip())
+            if at == n:
+                break
+            raise ParseError("unexpected character %r" % text[at], at)
+        pos = m.end()
+        if star is not None and not m.group("var"):
+            raise ParseError("'*' not followed by a factor", star)
+        if m.group("star"):
+            if coef is None and not seen_factor:
+                raise ParseError("'*' without a left operand",
+                                 m.start("star"))
+            star = m.start("star")
+        elif m.group("sign"):
+            if started and (seen_factor or coef is not None):
+                flush(pos)
+            if m.group("sign") == "-":
+                sign = -sign
+            started = True
+        elif m.group("int"):
+            if coef is not None or seen_factor:
+                raise ParseError("unexpected integer", m.start("int"))
+            coef = int(m.group("int"))
+            started = True
+        else:
+            var = int(m.group("var")) - 1
+            exp = int(m.group("exp")) if m.group("exp") else 1
+            mono[var] += exp
+            seen_factor = True
+            star = None
+            started = True
+    if star is not None:
+        raise ParseError("'*' not followed by a factor", star)
+    if not started:
+        raise ParseError("empty input", 0)
+    flush(pos)
+    if not terms:
+        raise ParseError("input cancels to zero", 0)
+    return MultiPoly(terms)
+
+
+# pieces of random parser input: whole factors, signs and integers, the
+# characters they are made of, braces, "*", Unicode digits and whitespace,
+# and characters that start no token
+_PARSE_PIECES = (
+    "e_1", "e_2", "e_{3}", "e3", "e_1^2", "2e_2", "^2", "^{2}", "^{10}",
+    "12", " - ", " + ", "**", "e", "_", "0", "1", "2", "3", "4", "9", "{",
+    "}", "^", "*", "+", "-", " ", "\t", "\n", "\x0b", "\x1c", "\x85",
+    "\xa0", "\u2028", "\u3000", "\u200b", "\ufeff", "\u0663", "\xb9",
+    "\U0001d7da", "@", "x")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+def test_parse_agrees_with_the_token_parser():
+    # on 100,000 random strings both parsers give the same polynomial, or
+    # both refuse the string
+    draw = random.Random(20261021)
+    accepted = 0
+    for _ in range(100_000):
+        text = "".join(draw.choice(_PARSE_PIECES)
+                       for _ in range(draw.randrange(9)))
+        want = _outcome(_reference_parse, text)
+        assert _outcome(parse_poly, text) == want, repr(text)
+        accepted += want is not ParseError
+    assert accepted > 10_000
 
 
 def test_fixture_round_trip():

@@ -1,5 +1,8 @@
 """Tests for the exact Rosenhain invariant expansions."""
 
+import math
+
+import numpy as np
 import pytest
 
 from humbert import rosenhain, series
@@ -155,13 +158,13 @@ def test_triple_is_one_exact_grid_pass(monkeypatch):
     exact_grid, inverse = rosenhain._exact_grid, TruncatedSeries.inverse
     crt = series._crt_symmetric
 
-    def spy_exact_grid(maps, n, compute, l1_bound):
+    def spy_exact_grid(maps, n, compute):
         calls["exact_grid"] += 1
 
         def spy_compute(grid, weight, mods):
             calls["passes"].append(None if mods is None else mods.size)
             return compute(grid, weight, mods)
-        return exact_grid(maps, n, spy_compute, l1_bound)
+        return exact_grid(maps, n, spy_compute)
 
     def spy_inverse(self):
         calls["inverse"] += 1
@@ -184,3 +187,43 @@ def test_triple_is_one_exact_grid_pass(monkeypatch):
     rosenhain_triple(humbert_params(5), 84)
     assert calls["passes"] == [None, 3]
     assert calls["crt"] == [3]
+
+
+def _triple_bound(norms):
+    """The l1 bound max(ab, bc, ac)^2 on e1, e2, e3 from the l1 norms of
+    t1, 1/t2, t3, 1/t4, s8, 1/s10; a = |t1|_1 |1/t2|_1."""
+    a, b, c = map(math.prod, zip(norms[::2], norms[1::2]))
+    return max(a * b, b * c, a * c) ** 2
+
+
+def test_triple_bound_past_the_float_range(monkeypatch):
+    # a nan float64 majorant forces the exact pass on the l1 norms of the
+    # six operands: its bound is max(ab, bc, ac)^2, and the triple is the
+    # one the majorant's bound gives
+    disc = humbert_params(5)
+    want = rosenhain_triple(disc, 40)
+    norms, bounds = [], []
+    exact_grid, crt = rosenhain._exact_grid, series._crt_symmetric
+
+    def spy_exact_grid(maps, n, compute):
+        norms.extend(sum(map(abs, e.values())) for e in maps)
+
+        def no_majorant(grid, weight, mods):
+            outs = compute(grid, weight, mods)
+            if outs[0].dtype == np.float64 and mods is None:
+                outs[0][...] = np.nan
+            return outs
+        return exact_grid(maps, n, no_majorant)
+
+    def spy_crt(residues, primes, bound):
+        bounds.append(bound)
+        return crt(residues, primes, bound)
+    monkeypatch.setattr(rosenhain, "_exact_grid", spy_exact_grid)
+    monkeypatch.setattr(series, "_crt_symmetric", spy_crt)
+    assert rosenhain_triple(disc, 40) == want
+    assert bounds == [_triple_bound(norms)]
+
+
+def test_triple_refuses_a_discriminant_that_is_an_int():
+    with pytest.raises(TypeError):
+        rosenhain_triple(5, 24)

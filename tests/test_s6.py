@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from humbert import s6
+from humbert.degrees import SpecialCase
 from humbert.poly import (_DEGENERATE_LOCI, DegenerateOnly, MultiPoly,
                           _quotient, _z_tables, parse_poly, raw_mul,
                           strip_degenerate_factors)
 from humbert.s6 import (Perm6, act, all_perms, fixed_group, induced_map,
                         mulclose, orbit, orbit_and_stabilizer,
                         paper_generators)
+from humbert.series import InputError
 from test_poly import _dense_of
 
 rng = random.Random(31415)
@@ -27,6 +29,24 @@ def test_perm_parse_and_str_round_trip():
                  "(0,e1)(1,e2)(inf,e3)"]:
         s = Perm6.parse(text)
         assert Perm6.parse(str(s)) == s
+
+
+def test_perm_refuses_a_non_permutation():
+    for images in (("0", "0", "inf", "e1", "e2", "e3"),
+                   ("0", "1", "inf", "e1", "e2"), ("0", "1", "inf", "e1",
+                                                   "e2", "e4")):
+        with pytest.raises(InputError, match="not a permutation"):
+            Perm6(images)
+
+
+@pytest.mark.parametrize("text", ["", "()", "id", " ( ) "])
+def test_perm_parse_of_the_identity(text):
+    assert Perm6.parse(text) == Perm6.identity()
+
+
+def test_paper_generators_of_delta_one_are_special():
+    with pytest.raises(SpecialCase):
+        paper_generators(1)
 
 
 @pytest.mark.parametrize("text, message", [

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from humbert import series
 from humbert.rosenhain import rosenhain_triple, smallest_precision
-from humbert.series import (NotAUnit, NotDivisible, TruncatedSeries,
-                            _grid_product, _toeplitz, series_to_record,
-                            word_primes)
+from humbert.series import (InputError, NotAUnit, NotDivisible,
+                            TruncatedSeries, _grid_product, _toeplitz,
+                            series_to_record, word_primes)
 from humbert.theta import ThetaChar, humbert_params, restricted_theta
 
 rng = random.Random(20260826)
@@ -140,6 +140,13 @@ def test_inverse_requires_constant_term_plus_minus_one():
         two_plus_p.inverse()
     minus_one = TruncatedSeries({(0, 0): -1, (0, 1): 3}, 6)
     assert minus_one * minus_one.inverse() == TruncatedSeries.one(6)
+
+
+def test_truncate_cannot_raise_the_precision():
+    f = TruncatedSeries({(0, 0): 1, (2, 1): 3}, 6)
+    assert f.truncate(2) == TruncatedSeries({(0, 0): 1}, 2)
+    with pytest.raises(InputError, match="cannot raise precision 6 to 7"):
+        f.truncate(7)
 
 
 def test_coefficients_are_ints():
@@ -292,6 +299,8 @@ def _two_products(grid, weight, mods):
 
 
 def _two_bound(norms):
+    """The l1 bound of `_two_products` from the l1 norms of f and g, the
+    reference for the bound `_exact_grid` derives past the float range."""
     return max(norms[0] * norms[1], norms[1] ** 2)
 
 
@@ -316,8 +325,7 @@ def test_exact_grid_returns_one_series_per_output(monkeypatch):
     g = TruncatedSeries({(0, 0): -1, (0, 1): 9, (2, 3): 2 ** 30 + 1,
                          (5, 5): -4, (11, 0): 8, (6, 9): -(2 ** 25)}, n)
     crts = _spy_crt(monkeypatch)
-    fg, gg = series._exact_grid([f.terms, g.terms], n, _two_products,
-                                _two_bound)
+    fg, gg = series._exact_grid([f.terms, g.terms], n, _two_products)
     assert fg == reference_product(f, g)
     assert gg == reference_product(g, g)
     assert len(crts) == 1 and crts[0][0] > 1
@@ -325,21 +333,26 @@ def test_exact_grid_returns_one_series_per_output(monkeypatch):
 
 def test_exact_grid_falls_back_to_the_l1_bound(monkeypatch):
     # a coefficient past 2^1024 has no float64 majorant: the k = 2 pass
-    # takes its primes from the exact l1 bound and is still exact
+    # runs its products on the l1 norms, which gives the exact l1 bound,
+    # takes its primes from it and is still exact
     n = 9
     f = TruncatedSeries({(0, 0): 2 ** 1100 + 1, (1, 2): -(2 ** 1030),
                          (3, 0): 5}, n)
     g = TruncatedSeries({(0, 0): 1, (2, 1): -3, (0, 4): 2 ** 20}, n)
     crts = _spy_crt(monkeypatch)
-    fg, gg = series._exact_grid([f.terms, g.terms], n, _two_products,
-                                _two_bound)
+    fg, gg = series._exact_grid([f.terms, g.terms], n, _two_products)
     norms = [sum(map(abs, e.terms.values())) for e in (f, g)]
     assert [bound for _, bound in crts] == [_two_bound(norms)]
     assert fg == reference_product(f, g)
     assert gg == reference_product(g, g)
+    # the product's own bound is ||f||_1 ||g||_1
+    crts.clear()
+    assert f * g == fg
+    assert [bound for _, bound in crts] == [norms[0] * norms[1]]
 
 
-def test_a_nan_majorant_in_one_output_falls_back_to_the_l1_bound():
+def test_a_nan_majorant_in_one_output_falls_back_to_the_l1_bound(
+        monkeypatch):
     # f^2 overflows the float64 majorant of the second output (inf, then
     # inf * 0 = nan in the next product), while the first output's stays
     # finite: the pass must then use the l1 bound for both outputs
@@ -352,9 +365,11 @@ def test_a_nan_majorant_in_one_output_falls_back_to_the_l1_bound():
         f2 = _grid_product(grid(0), by_f, mods)
         return [_grid_product(grid(1), by_g, mods),
                 _grid_product(f2, by_g, mods)]
-    gg, ffg = series._exact_grid(
-        [f.terms, g.terms], n, compute,
-        lambda norms: max(norms[1] ** 2, norms[0] ** 2 * norms[1]))
+    crts = _spy_crt(monkeypatch)
+    gg, ffg = series._exact_grid([f.terms, g.terms], n, compute)
+    norms = [sum(map(abs, e.terms.values())) for e in (f, g)]
+    assert [bound for _, bound in crts] == [
+        max(norms[1] ** 2, norms[0] ** 2 * norms[1])]
     assert gg == reference_product(g, g)
     assert ffg == reference_product(reference_product(f, f), g)
 
@@ -368,11 +383,11 @@ def test_a_one_prime_product_still_runs_the_majorant_pass(monkeypatch):
     assert 2 * 19 * 9 + 1 < next(word_primes())  # ||f||_1 ||g||_1 = 171
     passes, exact_grid = [], series._exact_grid
 
-    def spy_exact_grid(maps, n, compute, l1_bound):
+    def spy_exact_grid(maps, n, compute):
         def spy_compute(*args):  # mods comes last
             passes.append(None if args[-1] is None else args[-1].size)
             return compute(*args)
-        return exact_grid(maps, n, spy_compute, l1_bound)
+        return exact_grid(maps, n, spy_compute)
     monkeypatch.setattr(series, "_exact_grid", spy_exact_grid)
     crts = _spy_crt(monkeypatch)
     assert f * g == reference_product(f, g)

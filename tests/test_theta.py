@@ -2,7 +2,7 @@
 
 import pytest
 
-from humbert.series import TruncatedSeries
+from humbert.series import InputError, TruncatedSeries
 from humbert.theta import (THETA_CHARS, Discriminant, NotAdmissible,
                            ThetaChar, enumerate_lattice, humbert_params,
                            restricted_theta)
@@ -22,6 +22,15 @@ def test_non_admissible_rejected():
     for bad in [0, 2, 3, -4, 6, 7, 10, 11]:
         with pytest.raises(NotAdmissible):
             humbert_params(bad)
+
+
+def test_discriminant_checks_its_decomposition():
+    # Delta = 6 is not admissible; 8 = 4k + l needs (k, l) = (2, 0)
+    with pytest.raises(NotAdmissible):
+        Discriminant(6, 1, 2)
+    with pytest.raises(InputError, match="inconsistent decomposition") as e:
+        Discriminant(8, 1, 0)
+    assert not isinstance(e.value, NotAdmissible)
 
 
 def test_characteristic_whitelist():
