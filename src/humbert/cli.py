@@ -1,17 +1,18 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage (a bad option, an `InputError` from a
-documented input check of the library, or an --in or --out path that cannot
-be read or written), 2 NoRelation, 3 AmbiguousKernel (for an
-ImprimitiveKernel, stderr names the lower-degree factor and the --degree to
-search at), 4 verification failure, 5 parse error (a `ParseError`, the one
-`InputError` with its own code), 6 internal consistency failure
-(IntegralityViolation, NotAUnit, NotDivisible, NonIntegralDegree,
-NonConvergent, NearVanishingDenominator or SamplingExhausted).  Any other
-exception is a defect and is not caught.
+documented input check of the library or of `_read_poly` and `verify` here,
+or an --in or --out path that cannot be read or written), 2 NoRelation,
+3 AmbiguousKernel (for an ImprimitiveKernel, stderr names the lower-degree
+factor and the --degree to search at), 4 verification failure, 5 parse
+error (a `ParseError`, the one `InputError` with its own code), 6 internal
+consistency failure (IntegralityViolation, NotAUnit, NotDivisible,
+NonIntegralDegree, NonConvergent, NearVanishingDenominator or
+SamplingExhausted).  Any other exception is a defect and is not caught.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,11 +40,27 @@ EXIT_PARSE = 5
 EXIT_INTERNAL = 6
 
 
-def _emit(text, out):
+def _emit(out, record, text=None):
+    """Print text, or the record as 2-space JSON when text is None, to the
+    --out file or to stdout; the file holds exactly what stdout would."""
+    if text is None:
+        text = json.dumps(record, indent=2)
     if out:
-        Path(out).write_text(text + ("" if text.endswith("\n") else "\n"))
+        Path(out).write_text(text + "\n")
     else:
         click.echo(text)
+
+
+def _read_poly(path):
+    """The polynomial in the text file at path.  It is refused (InputError)
+    when its dense exponent box, prod(d_i + 1) cells, passes 2^22: the S6
+    act and the numeric check allocate that box or its rows."""
+    poly = parse_poly(Path(path).read_text())
+    cells = math.prod(d + 1 for d in poly.degrees)
+    if cells > 2 ** 22:
+        raise InputError("polynomial of degrees %s has a dense box of %d "
+                         "cells, more than 2^22" % (poly.degrees, cells))
+    return poly
 
 
 @click.group()
@@ -59,16 +76,13 @@ def main():
 def degrees(max_delta, as_json):
     """Component counts and degrees for admissible discriminants."""
     rows = degree_table(max_delta)
-    if as_json:
-        payload = {"schema": SCHEMA, "rows": [
-            {"delta": d, "m": m, "a_delta": a, "deg_fstar": f,
-             "deg_conjectured": c} for d, m, a, f, c in rows]}
-        click.echo(json.dumps(payload, indent=2))
-        return
-    click.echo("delta   m   a_delta  deg_F*  deg_F (conjectural)")
-    for d, m, a, f, c in rows:
-        click.echo("%5d %3d %9d %7d  %s" % (d, m, a, f,
-                                            "special" if c is None else c))
+    record = {"schema": SCHEMA, "rows": [
+        {"delta": d, "m": m, "a_delta": a, "deg_fstar": f,
+         "deg_conjectured": c} for d, m, a, f, c in rows]}
+    _emit(None, record, None if as_json else "\n".join(
+        ["delta   m   a_delta  deg_F*  deg_F (conjectural)"]
+        + ["%5d %3d %9d %7d  %s" % (d, m, a, f, "special" if c is None else c)
+           for d, m, a, f, c in rows]))
 
 
 @main.command()
@@ -82,9 +96,9 @@ def theta(delta, precision, char_bits, out):
     disc = humbert_params(delta)
     char = ThetaChar.from_string(char_bits)
     f = restricted_theta(char, disc, precision)
-    payload = {"schema": SCHEMA, "delta": delta, "k": disc.k, "ell": disc.ell,
-               "char": char_bits, "series": series_to_record(f)}
-    _emit(json.dumps(payload, indent=2), out)
+    _emit(out, {"schema": SCHEMA, "delta": delta, "k": disc.k,
+                "ell": disc.ell, "char": char_bits,
+                "series": series_to_record(f)})
 
 
 @main.command()
@@ -95,14 +109,13 @@ def rosenhain(delta, precision, out):
     """Rosenhain invariant expansions (e1, e2, e3) on H_Delta."""
     disc = humbert_params(delta)
     triple = rosenhain_triple(disc, precision)
-    payload = {
+    _emit(out, {
         "schema": SCHEMA, "delta": delta, "k": disc.k, "ell": disc.ell,
         "precision": precision,
         "e1": series_to_record(triple.e1),
         "e2": series_to_record(triple.e2),
         "e3": series_to_record(triple.e3),
-    }
-    _emit(json.dumps(payload, indent=2), out)
+    })
 
 
 @main.command()
@@ -117,17 +130,13 @@ def find(delta, degree_, precision, symmetry, as_json, out):
     """Find the degree-d relation among the Rosenhain expansions."""
     report = find_relation(delta, degree_, precision=precision,
                            symmetry=symmetry)
-    if as_json:
-        _emit(json.dumps(report.to_record(), indent=2), out)
-    else:
-        lines = ["delta=%d degree=%d N=%d kernel_dim=%d monomials=%d"
-                 % (delta, degree_, report.precision, report.kernel_dim,
-                    report.monomial_count),
-                 "checks: " + ", ".join("N=%d %s" % (n, "ok" if ok else
-                                                     "FAIL")
-                                        for n, ok in report.residual_checks),
-                 format_poly(report.polynomial)]
-        _emit("\n".join(lines), out)
+    _emit(out, report.to_record(), None if as_json else "\n".join([
+        "delta=%d degree=%d N=%d kernel_dim=%d monomials=%d"
+        % (delta, degree_, report.precision, report.kernel_dim,
+           report.monomial_count),
+        "checks: " + ", ".join("N=%d %s" % (n, "ok" if ok else "FAIL")
+                               for n, ok in report.residual_checks),
+        format_poly(report.polynomial)]))
 
 
 @main.command("orbit")
@@ -136,15 +145,12 @@ def find(delta, degree_, precision, symmetry, as_json, out):
 @click.option("--out", type=click.Path(), default=None)
 def orbit_cmd(infile, as_json, out):
     """S6 orbit of a component polynomial (text format)."""
-    poly = parse_poly(Path(infile).read_text())
-    polys = sorted(orbit(poly), key=lambda f: sorted(f.terms.items()))
-    if as_json:
-        payload = {"schema": SCHEMA, "size": len(polys),
-                   "orbit": [f.to_record() for f in polys]}
-        _emit(json.dumps(payload, indent=2), out)
-    else:
-        _emit("\n".join(["orbit size %d" % len(polys)] +
-                        [format_poly(f) for f in polys]), out)
+    polys = sorted(orbit(_read_poly(infile)),
+                   key=lambda f: sorted(f.terms.items()))
+    _emit(out, {"schema": SCHEMA, "size": len(polys),
+                "orbit": [f.to_record() for f in polys]},
+          None if as_json else "\n".join(["orbit size %d" % len(polys)]
+                                         + list(map(format_poly, polys))))
 
 
 @main.command()
@@ -153,14 +159,9 @@ def orbit_cmd(infile, as_json, out):
 @click.option("--out", type=click.Path(), default=None)
 def fixgroup(infile, as_json, out):
     """Fixed group of a component polynomial, in cycle notation."""
-    poly = parse_poly(Path(infile).read_text())
-    group = fixed_group(poly)
-    strs = sorted(str(s) for s in group)
-    if as_json:
-        payload = {"schema": SCHEMA, "order": len(group), "elements": strs}
-        _emit(json.dumps(payload, indent=2), out)
-    else:
-        _emit("\n".join(["order %d" % len(group)] + strs), out)
+    strs = sorted(map(str, fixed_group(_read_poly(infile))))
+    _emit(out, {"schema": SCHEMA, "order": len(strs), "elements": strs},
+          None if as_json else "\n".join(["order %d" % len(strs)] + strs))
 
 
 @main.command()
@@ -175,56 +176,55 @@ def fixgroup(infile, as_json, out):
 @click.option("--out", type=click.Path(), default=None)
 def verify(infile, delta, trials, tol, seed, as_json, out):
     """Numeric verification of a component polynomial on H_Delta."""
-    poly = parse_poly(Path(infile).read_text())
-    passed, max_res, residuals = verify_component(poly, delta, trials=trials,
-                                                  tol=tol, seed=seed)
-    if as_json:
-        payload = {"schema": SCHEMA, "delta": delta, "passed": passed,
-                   "max_residual": max_res, "residuals": residuals}
-        _emit(json.dumps(payload, indent=2), out)
-    else:
-        _emit("%s  max residual %.3e (tol %.1e, %d trials)"
-              % ("PASS" if passed else "FAIL", max_res, tol, trials), out)
+    poly = _read_poly(infile)
+    try:
+        passed, max_res, residuals = verify_component(
+            poly, delta, trials=trials, tol=tol, seed=seed)
+    except OverflowError as exc:  # a degree or coefficient past float64
+        raise InputError("the numeric check of a polynomial of degree %d "
+                         "overflows float64: %s" % (poly.degree(), exc))
+    _emit(out, {"schema": SCHEMA, "delta": delta, "passed": passed,
+                "max_residual": max_res, "residuals": residuals},
+          None if as_json else "%s  max residual %.3e (tol %.1e, %d trials)"
+          % ("PASS" if passed else "FAIL", max_res, tol, trials))
     if not passed:
         sys.exit(EXIT_VERIFY_FAIL)
 
 
-def _wrap_errors(fn):
-    def run():
-        try:
-            fn(standalone_mode=False)
-        except click.UsageError as exc:
-            click.echo("usage error: %s" % exc.format_message(), err=True)
-            sys.exit(EXIT_USAGE)
-        except click.exceptions.Abort:
-            sys.exit(EXIT_USAGE)
-        except NoRelation as exc:
-            click.echo("no relation: %s" % exc, err=True)
-            sys.exit(EXIT_NO_RELATION)
-        except ImprimitiveKernel as exc:
-            click.echo("imprimitive kernel: dimension %d at degree %d is the "
-                       "multiples of %s; rerun with --degree %d"
-                       % (exc.kernel_dim, exc.degree, format_poly(exc.factor),
-                          exc.factor_degree), err=True)
-            sys.exit(EXIT_AMBIGUOUS)
-        except AmbiguousKernel as exc:
-            click.echo("ambiguous kernel: %s" % exc, err=True)
-            sys.exit(EXIT_AMBIGUOUS)
-        except ParseError as exc:
-            click.echo("parse error: %s" % exc, err=True)
-            sys.exit(EXIT_PARSE)
-        except (InputError, OSError) as exc:
-            click.echo("error: %s" % exc, err=True)
-            sys.exit(EXIT_USAGE)
-        except (IntegralityViolation, NotAUnit, NotDivisible,
-                NonIntegralDegree, NonConvergent, NearVanishingDenominator,
-                SamplingExhausted) as exc:
-            click.echo("internal consistency failure: %s" % exc, err=True)
-            sys.exit(EXIT_INTERNAL)
-    return run
+def cli_entry():
+    """Run the command line, mapping each documented failure to its exit
+    code with one line on stderr."""
+    try:
+        main(standalone_mode=False)
+    except click.UsageError as exc:
+        click.echo("usage error: %s" % exc.format_message(), err=True)
+        sys.exit(EXIT_USAGE)
+    except click.exceptions.Abort:
+        sys.exit(EXIT_USAGE)
+    except NoRelation as exc:
+        click.echo("no relation: %s" % exc, err=True)
+        sys.exit(EXIT_NO_RELATION)
+    except ImprimitiveKernel as exc:
+        click.echo("imprimitive kernel: dimension %d at degree %d is the "
+                   "multiples of %s; rerun with --degree %d"
+                   % (exc.kernel_dim, exc.degree, format_poly(exc.factor),
+                      exc.factor_degree), err=True)
+        sys.exit(EXIT_AMBIGUOUS)
+    except AmbiguousKernel as exc:
+        click.echo("ambiguous kernel: %s" % exc, err=True)
+        sys.exit(EXIT_AMBIGUOUS)
+    except ParseError as exc:
+        click.echo("parse error: %s" % exc, err=True)
+        sys.exit(EXIT_PARSE)
+    except (InputError, OSError) as exc:
+        click.echo("error: %s" % exc, err=True)
+        sys.exit(EXIT_USAGE)
+    except (IntegralityViolation, NotAUnit, NotDivisible,
+            NonIntegralDegree, NonConvergent, NearVanishingDenominator,
+            SamplingExhausted) as exc:
+        click.echo("internal consistency failure: %s" % exc, err=True)
+        sys.exit(EXIT_INTERNAL)
 
-
-cli_entry = _wrap_errors(main)
 
 if __name__ == "__main__":
     cli_entry()

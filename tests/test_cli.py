@@ -29,6 +29,16 @@ def run_cli(args, env_extra=None, cwd=None):
                           capture_output=True, text=True, env=env, cwd=cwd)
 
 
+def _run_in_process(monkeypatch, capsys, args):
+    """Exit code, stdout and stderr of `cli_entry` on args, in this process
+    (for a run that exits)."""
+    monkeypatch.setattr(sys, "argv", ["humbert"] + args)
+    with pytest.raises(SystemExit) as info:
+        cli.cli_entry()
+    out, err = capsys.readouterr()
+    return info.value.code, out, err
+
+
 def test_degrees_table(tmp_path):
     res = run_cli(["degrees", "--max", "24"])
     assert res.returncode == 0
@@ -224,6 +234,83 @@ def test_a_bare_value_error_is_not_a_usage_error(monkeypatch, capsys):
     assert "error: " not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["theta", "--disc", "5", "--prec", "0", "--char", "0000"],
+     "precision must be >= 1"),
+    (["rosenhain", "--disc", "1", "--prec", "8"],
+     "rosenhain_triple requires delta >= 4"),
+    (["theta", "--disc", "5", "--prec", "8", "--char", "abcd"],
+     "characteristic must be four bits, e.g. 1100"),
+])
+def test_library_input_checks_exit_1(monkeypatch, capsys, args, message):
+    assert _run_in_process(monkeypatch, capsys, args) == (
+        1, "", "error: %s\n" % message)
+
+
+def test_a_polynomial_past_the_dense_box_cap_is_refused(monkeypatch, capsys,
+                                                        tmp_path):
+    # e_1^10000000000 - e_2 has a box of 2 (10^10 + 1) cells; it is refused
+    # before the S6 act or the numeric check allocates any of them
+    def no_work(*args, **kwargs):
+        raise AssertionError("the polynomial reached the library")
+
+    for name in ("orbit", "fixed_group", "verify_component"):
+        monkeypatch.setattr(cli, name, no_work)
+    huge = tmp_path / "huge.txt"
+    huge.write_text("e_1^10000000000 - e_2")
+    for args in (["orbit"], ["fixgroup"], ["verify", "--disc", "5"]):
+        assert _run_in_process(monkeypatch, capsys,
+                               args + ["--in", str(huge)]) == (
+            1, "", "error: polynomial of degrees (10000000000, 1, 0) has a "
+            "dense box of 20000000002 cells, more than 2^22\n")
+
+
+def test_the_dense_box_cap_is_2_to_the_22(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("e_1^2047e_2^2047 - 1")  # 2048^2 = 2^22 cells
+    assert cli._read_poly(path).degrees == (2047, 2047, 0)
+    path.write_text("e_1^4194304 - 1")  # 2^22 + 1 cells
+    with pytest.raises(InputError, match="of 4194305 cells, more than 2"):
+        cli._read_poly(path)
+
+
+@pytest.mark.parametrize("text, degree", [
+    ("e_1^500 - e_2", 500),  # max(1, |e|)^500 passes float64
+    ("1" + "0" * 400 + " e_1 - e_2", 1),  # 10^400 is no float
+], ids=["power", "coefficient"])
+def test_verify_refuses_a_polynomial_past_float64(monkeypatch, capsys,
+                                                   tmp_path, text, degree):
+    poly = tmp_path / "f.txt"
+    poly.write_text(text)
+    code, out, err = _run_in_process(
+        monkeypatch, capsys, ["verify", "--in", str(poly), "--disc", "5"])
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("error: the numeric check of a polynomial of "
+                          "degree %d overflows float64: " % degree)
+
+
+@pytest.mark.parametrize("args", [
+    ["find", "--disc", "4", "--degree", "2"],
+    ["find", "--disc", "4", "--degree", "2", "--json"],
+    ["orbit"], ["orbit", "--json"], ["fixgroup"], ["fixgroup", "--json"],
+    ["verify", "--disc", "4", "--trials", "2"],
+    ["verify", "--disc", "4", "--trials", "2", "--json"],
+])
+def test_out_holds_what_stdout_shows(monkeypatch, capsys, tmp_path, args):
+    poly, out = tmp_path / "h4.txt", tmp_path / "out.txt"
+    poly.write_text("e_1e_2 - e_3")
+    if args[0] != "find":
+        args = args + ["--in", str(poly)]
+    for extra in ([], ["--out", str(out)]):
+        monkeypatch.setattr(sys, "argv", ["humbert"] + args + extra)
+        cli.cli_entry()
+    stdout, err = capsys.readouterr()
+    assert err == "" and stdout.endswith("\n")
+    assert out.read_text() == stdout
+    if "--json" in args:
+        json.loads(stdout)
+
+
 def test_degrees_rejects_a_nonpositive_max():
     res = run_cli(["degrees", "--max", "-3"])
     assert res.returncode == 1
@@ -371,12 +458,16 @@ def test_unusable_path_is_a_usage_error(tmp_path, command):
 
 # tiny inputs for the in-process property test: two small components, a
 # constant, a degenerate-only polynomial, a non-canonical one, input that
-# cancels to zero and two parse errors, the second an exponent brace with
-# no partner; _POLY adds a path that does not exist
+# cancels to zero, two parse errors, the second an exponent brace with no
+# partner, one polynomial past the dense-box cap and one whose coefficient
+# is no float (an orbit of 90 and a fixed group of order 8); _POLY adds a
+# path that does not exist
 _POLY_FILES = {"h4": "e_1e_2 - e_3", "linear": "e_1 + e_2 - 3",
                "constant": "5", "degenerate": "e_1 - e_2",
                "noncanonical": "e_1^2e_2 - 2e_1e_2", "zero": "e_1 - e_1",
-               "bad": "e_1 + @@@", "brace": "e_1^{2"}
+               "bad": "e_1 + @@@", "brace": "e_1^{2",
+               "huge": "e_1^10000000000 - e_2",
+               "wide": "1" + "0" * 400 + " e_1 - e_2"}
 
 
 @pytest.fixture(scope="module")
@@ -456,3 +547,5 @@ def test_exit_codes_are_documented_and_never_a_traceback(poly_files,
     if name[0] in ("orbit", "fixgroup") and poly in ("bad", "brace"):
         # no option of these commands is read before the file
         assert code == 5, (name + args, err.getvalue())
+    if name[0] in ("orbit", "fixgroup", "verify") and poly == "huge":
+        assert code == 1, (name + args, err.getvalue())

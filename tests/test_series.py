@@ -161,6 +161,16 @@ def test_coefficients_are_ints():
     assert all(type(c) is int for c in f.terms.values())
 
 
+def test_ring_operations_take_only_series():
+    # a plain integer is no series: == is False and + and * refuse it
+    one = TruncatedSeries.one(4)
+    assert (one == 1) is False
+    with pytest.raises(TypeError):
+        one + 1
+    with pytest.raises(TypeError):
+        one * 1
+
+
 def test_inverse_geometric():
     # 1/(1-p) is the geometric series
     n = 8
